@@ -41,6 +41,21 @@ void BM_Sha256_88B(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_88B);
 
+// The portable compression, for comparison with the dispatched one above
+// (SHA-NI where the CPU has it).
+void BM_Sha256_88B_Scalar(benchmark::State& state) {
+  std::vector<std::uint8_t> msg(88, 0x5a);
+  for (auto _ : state) {
+    crypto::Sha256 h(crypto::detail::sha256_compress_scalar);
+    h.update(msg);
+    benchmark::DoNotOptimize(h.finish());
+  }
+  const bool scalar_dispatched =
+      crypto::detail::sha256_compress() == crypto::detail::sha256_compress_scalar;
+  state.SetLabel(scalar_dispatched ? "dispatched: scalar" : "dispatched: sha-ni");
+}
+BENCHMARK(BM_Sha256_88B_Scalar);
+
 void BM_Sign(benchmark::State& state) {
   const auto kp = crypto::KeyPair::generate(42);
   std::vector<std::uint8_t> msg(88, 0x5a);
@@ -55,24 +70,38 @@ void BM_Verify(benchmark::State& state) {
   std::vector<std::uint8_t> msg(88, 0x5a);
   const auto sig = crypto::sign(kp, msg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::verify(kp.public_key, msg, sig));
+    benchmark::DoNotOptimize(crypto::verify(kp.public_key(), msg, sig));
   }
 }
 BENCHMARK(BM_Verify);
 
-void BM_SealOpen(benchmark::State& state) {
-  const crypto::KeyRegistry keys(42, 4);
+core::MsgHeader sample_header() {
   core::MsgHeader h;
   h.origin = 1;
   h.subject = 1;
   h.frame = 1234;
+  return h;
+}
+
+void BM_Seal(benchmark::State& state) {
+  const crypto::KeyRegistry keys(42, 4);
   const auto body = core::encode_state_body(sample_state());
   for (auto _ : state) {
-    const auto wire = core::seal(h, body, keys.key_pair(1));
+    benchmark::DoNotOptimize(core::seal(sample_header(), body, keys.key_pair(1)));
+  }
+}
+BENCHMARK(BM_Seal);
+
+void BM_Open(benchmark::State& state) {
+  const crypto::KeyRegistry keys(42, 4);
+  const auto wire = core::seal(sample_header(),
+                               core::encode_state_body(sample_state()),
+                               keys.key_pair(1));
+  for (auto _ : state) {
     benchmark::DoNotOptimize(core::open(wire, keys));
   }
 }
-BENCHMARK(BM_SealOpen);
+BENCHMARK(BM_Open);
 
 void BM_DeltaEncode(benchmark::State& state) {
   const auto prev = sample_state();

@@ -260,5 +260,18 @@ int main(int argc, char** argv) {
     put(root / "fuzz_record", "tiny_recording", rec.serialize());
   }
 
+  // --- fuzz_crypto: operands at the Mersenne edges, and a two-block message
+  // the size of a sealed state update.
+  {
+    ByteWriter w;
+    for (std::uint64_t v : {(1ull << 61) - 1, ~0ull, (1ull << 61) - 2}) w.u64(v);
+    put(root / "fuzz_crypto", "mersenne_edges", w.take());
+    std::vector<std::uint8_t> update(128);
+    for (std::size_t i = 0; i < update.size(); ++i) {
+      update[i] = static_cast<std::uint8_t>(i * 131 + 1);
+    }
+    put(root / "fuzz_crypto", "two_blocks", update);
+  }
+
   return 0;
 }

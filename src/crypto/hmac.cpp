@@ -5,8 +5,7 @@
 
 namespace watchmen::crypto {
 
-Digest hmac_sha256(std::span<const std::uint8_t> key,
-                   std::span<const std::uint8_t> message) {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > block.size()) {
     const Digest kd = Sha256::hash(key);
@@ -24,13 +23,25 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
 
   Sha256 inner;
   inner.update(std::span<const std::uint8_t>(ipad));
+  inner_ = inner.midstate();
+  Sha256 outer;
+  outer.update(std::span<const std::uint8_t>(opad));
+  outer_ = outer.midstate();
+}
+
+Digest HmacSha256::mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner(inner_, 1);
   inner.update(message);
   const Digest inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>(opad));
+  Sha256 outer(outer_, 1);
   outer.update(std::span<const std::uint8_t>(inner_digest));
   return outer.finish();
+}
+
+Digest hmac_sha256(std::span<const std::uint8_t> key,
+                   std::span<const std::uint8_t> message) {
+  return HmacSha256(key).mac(message);
 }
 
 }  // namespace watchmen::crypto

@@ -30,7 +30,7 @@ class KeyRegistry {
   /// real deployment; the simulation holds all of them.
   const KeyPair& key_pair(PlayerId p) const { return keys_.at(p); }
 
-  std::uint64_t public_key(PlayerId p) const { return keys_.at(p).public_key; }
+  std::uint64_t public_key(PlayerId p) const { return keys_.at(p).public_key(); }
 
  private:
   std::vector<KeyPair> keys_;

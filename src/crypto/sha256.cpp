@@ -1,6 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define WATCHMEN_SHA_NI 1
+#endif
 
 namespace watchmen::crypto {
 namespace {
@@ -28,6 +34,71 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+#ifdef WATCHMEN_SHA_NI
+// SHA-NI compression (Intel SHA extensions). The state lives in two
+// registers in the ABEF / CDGH order that sha256rnds2 expects; each
+// rnds2 runs two rounds, msg1/msg2 extend the message schedule four words at
+// a time. Compiled for the target only here, so the rest of the binary keeps
+// the baseline ISA and the function is only ever called after the CPU check
+// in select_compress().
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    detail::Sha256State& state, const std::uint8_t* blocks,
+    std::size_t n_blocks) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);    // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);  // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // schedule words 4g..4g+3 of group g live in w[g % 4]
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          byteswap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        // W[t..t+3] from W[t-16..t-1]: msg1 adds sigma0, the alignr term
+        // supplies W[t-7..t-4], msg2 adds sigma1.
+        __m128i x = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        x = _mm_add_epi32(x, _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4));
+        w[g & 3] = _mm_sha256msg2_epu32(x, w[(g + 3) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[g & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRound[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);    // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);   // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);  // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), cdgh);
+}
+#endif
+
+detail::Sha256Compress select_compress() {
+#ifdef WATCHMEN_SHA_NI
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
+    return compress_sha_ni;
+  }
+#endif
+  return detail::sha256_compress_scalar;
+}
+
 }  // namespace
 
 void Sha256::reset() {
@@ -37,6 +108,8 @@ void Sha256::reset() {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null data(); memcpy must not see it.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buffer_len_ > 0) {
@@ -46,13 +119,13 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     off += take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      compress_(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (off + 64 <= data.size()) {
-    process_block(data.data() + off);
-    off += 64;
+  if (const std::size_t n_blocks = (data.size() - off) / 64; n_blocks > 0) {
+    compress_(state_, data.data() + off, n_blocks);
+    off += 64 * n_blocks;
   }
   if (off < data.size()) {
     std::memcpy(buffer_.data(), data.data() + off, data.size() - off);
@@ -83,49 +156,61 @@ Digest Sha256::finish() {
   return out;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+namespace detail {
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+void sha256_compress_scalar(Sha256State& state, const std::uint8_t* blocks,
+                            std::size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
 
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kRound[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
+
+Sha256Compress sha256_compress() {
+  static const Sha256Compress chosen = select_compress();
+  return chosen;
+}
+
+}  // namespace detail
 
 std::uint64_t digest_to_u64(const Digest& d) {
   std::uint64_t v = 0;

@@ -322,12 +322,12 @@ TEST_P(SignatureProperty, RandomMessagesSignAndVerify) {
     std::vector<std::uint8_t> msg(rng.between(0, 200));
     for (auto& b : msg) b = static_cast<std::uint8_t>(rng.below(256));
     const auto sig = crypto::sign(kp, msg);
-    EXPECT_TRUE(crypto::verify(kp.public_key, msg, sig));
+    EXPECT_TRUE(crypto::verify(kp.public_key(), msg, sig));
     if (!msg.empty()) {
       auto tampered = msg;
       tampered[rng.below(tampered.size())] ^= static_cast<std::uint8_t>(
           1 + rng.below(255));
-      EXPECT_FALSE(crypto::verify(kp.public_key, tampered, sig));
+      EXPECT_FALSE(crypto::verify(kp.public_key(), tampered, sig));
     }
   }
 }
