@@ -8,7 +8,9 @@
 //                                        state digests) into a .wmrec file
 //   deathmatch_48 --replay match.wmrec   re-runs it and exits nonzero unless
 //                                        every checkpoint digest matches
-// CI chains the two to prove the protocol stack is bit-deterministic.
+// CI chains the two to prove the protocol stack is bit-deterministic;
+// `--record match.wmrec --delta` records with anchored delta updates and the
+// beacon budget on, so the delta/ack path is under the same gate.
 
 #include <cstdio>
 #include <cstring>
@@ -53,22 +55,14 @@ core::SessionOptions make_options() {
   return opts;
 }
 
-/// The overhauled wire format, every flag on (what `--batch` records).
-void enable_wire_overhaul(core::WatchmenConfig& c) {
-  c.batching = true;
-  c.delta_updates = true;  // ack_anchored rides the delta stream
-  c.ack_anchored = true;
-  c.quantized_guidance = true;
-  c.subscriber_diffs = true;
-  c.compact_headers = true;
-  c.other_update_budget = 64;
-}
-
-int record_mode(const char* path, bool batch) {
+int record_mode(const char* path, bool delta) {
   const game::GameMap map = game::make_longest_yard();
   obs::Recording rec;
   rec.options = make_options();
-  if (batch) enable_wire_overhaul(rec.options.watchmen);
+  if (delta) {
+    rec.options.watchmen.delta_updates = true;
+    rec.options.watchmen.other_update_budget = 64;
+  }
   rec.cheats = make_roster();
   rec.trace = make_trace(map);
   obs::record_run(rec);
@@ -100,68 +94,24 @@ int replay_mode(const char* path) {
   return 1;
 }
 
-/// Wire-equivalence gate: run the same deathmatch twice on a deterministic
-/// network (fixed latency, zero loss) — once with the seed wire format,
-/// once with per-link batching + compact headers — and require bit-identical
-/// logical digests. Both are pure repackaging (shared datagrams, varint
-/// envelope headers); they must not change what any peer decodes, knows, or
-/// reports. (The lossy levers — quantized guidance, beacon budgeting — are
-/// excluded by design: they trade precision/freshness for bytes.)
-int wire_check_mode() {
-  const game::GameMap map = game::make_longest_yard();
-  const game::GameTrace trace = make_trace(map);
-  const std::vector<obs::CheatSpec> roster = make_roster();
-
-  crypto::Digest digests[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    core::SessionOptions opts;
-    opts.net = core::NetProfile::kFixed;
-    opts.fixed_latency_ms = 25.0;
-    opts.loss_rate = 0.0;
-    opts.watchmen.batching = pass == 1;
-    opts.watchmen.compact_headers = pass == 1;
-    std::vector<std::unique_ptr<core::Misbehavior>> owned;
-    const auto cheaters = obs::make_misbehaviors(roster, 48, owned);
-    core::WatchmenSession session(trace, map, opts, cheaters);
-    session.run();
-    digests[pass] = obs::logical_digest(session);
-    std::printf("%s: %zu datagrams, %llu bits\n",
-                pass == 0 ? "unbatched" : "batched  ",
-                session.network().stats().sent,
-                static_cast<unsigned long long>(
-                    session.network().stats().bits_sent));
-  }
-  if (digests[0] == digests[1]) {
-    std::printf("wire check: batched and unbatched logical digests "
-                "bit-identical\n");
-    return 0;
-  }
-  std::printf("wire check FAILED: batching changed the logical session "
-              "state\n");
-  return 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if ((argc == 3 || argc == 4) && std::strcmp(argv[1], "--record") == 0) {
-    const bool batch = argc == 4 && std::strcmp(argv[3], "--batch") == 0;
-    if (argc == 4 && !batch) {
+    const bool delta = argc == 4 && std::strcmp(argv[3], "--delta") == 0;
+    if (argc == 4 && !delta) {
       std::fprintf(stderr, "unknown flag %s\n", argv[3]);
       return 2;
     }
-    return record_mode(argv[2], batch);
+    return record_mode(argv[2], delta);
   }
   if (argc == 3 && std::strcmp(argv[1], "--replay") == 0) {
     return replay_mode(argv[2]);
   }
-  if (argc == 2 && std::strcmp(argv[1], "--wire-check") == 0) {
-    return wire_check_mode();
-  }
   if (argc != 1) {
     std::fprintf(stderr,
-                 "usage: deathmatch_48 [--record file.wmrec [--batch] | "
-                 "--replay file.wmrec | --wire-check]\n");
+                 "usage: deathmatch_48 [--record file.wmrec [--delta] | "
+                 "--replay file.wmrec]\n");
     return 2;
   }
 

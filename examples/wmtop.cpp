@@ -10,16 +10,14 @@
 // scrape — so the fault window and the detector catching the cheaters are
 // visible as they happen.
 //
-// Usage: wmtop [seconds] [--overhaul] [--snapshot FILE.json]
-//              [--trace FILE.trace.json]
-//   --overhaul  run with the wire-format overhaul (batching + anchored
-//               deltas + compact headers); the batch column goes live and
-//               the B/p/s column drops visibly
+// Usage: wmtop [seconds] [--snapshot FILE.json] [--trace FILE.trace.json]
 //   --snapshot  write the final registry snapshot (registry schema JSON)
 //   --trace     write the frame tracer's ring as Chrome trace_event JSON
 //               (load in about:tracing or https://ui.perfetto.dev)
 //
-// Bandwidth columns are read back from the registry's
+// Most envelopes travel inside kBatch containers, so the "batch" column
+// carries most of the traffic and the per-class columns show the messages
+// that left alone. Bandwidth columns are read back from the registry's
 // net.bytes_sent{type=...} counters and net.batch_size_mean gauge — the
 // same names a real scrape would use — not from the network object
 // directly, so the dashboard exercises the exported schema end to end.
@@ -71,21 +69,18 @@ std::uint64_t bytes_of(obs::Registry& reg, const char* type) {
 
 int main(int argc, char** argv) {
   std::size_t seconds = 30;
-  bool overhaul = false;
   std::string snapshot_path, trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
       snapshot_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--overhaul") == 0) {
-      overhaul = true;
     } else if (argv[i][0] != '-') {
       seconds = static_cast<std::size_t>(std::atoi(argv[i]));
       if (seconds == 0) seconds = 30;
     } else {
       std::fprintf(stderr,
-                   "usage: wmtop [seconds] [--overhaul] [--snapshot FILE.json] "
+                   "usage: wmtop [seconds] [--snapshot FILE.json] "
                    "[--trace FILE.trace.json]\n");
       return 2;
     }
@@ -122,20 +117,6 @@ int main(int argc, char** argv) {
     opts.faults = plan;
   }
 
-  if (overhaul) {
-    // The shipped wire overhaul (mirrors deathmatch_48's configuration):
-    // with batching on, per-origin envelopes travel inside kBatch
-    // containers, so the "batch" column carries most of the traffic and
-    // the per-class columns show only the unbatched remainder.
-    opts.watchmen.batching = true;
-    opts.watchmen.delta_updates = true;
-    opts.watchmen.ack_anchored = true;
-    opts.watchmen.quantized_guidance = true;
-    opts.watchmen.subscriber_diffs = true;
-    opts.watchmen.compact_headers = true;
-    opts.watchmen.other_update_budget = 64;
-  }
-
   obs::Registry registry;
   obs::Tracer tracer;
   opts.registry = &registry;
@@ -143,8 +124,8 @@ int main(int argc, char** argv) {
 
   core::WatchmenSession session(trace, map, opts, cheaters);
 
-  std::printf("wmtop — %zu players, %zus match, chaos window 10s-15s%s\n",
-              kPlayers, seconds, overhaul ? ", wire overhaul ON" : "");
+  std::printf("wmtop — %zu players, %zus match, chaos window 10s-15s\n",
+              kPlayers, seconds);
   // Per-second deltas come from registry snapshot differences: cumulative
   // net.bytes_sent{type=...} counters sampled after each collect().
   std::uint64_t prev_total = 0, prev_state = 0, prev_guid = 0, prev_batch = 0;

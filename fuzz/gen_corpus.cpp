@@ -95,9 +95,6 @@ int main(int argc, char** argv) {
     };
     put(dir, "state_update",
         sealed(core::MsgType::kStateUpdate, core::encode_state_body(sample_state())));
-    put(dir, "state_delta",
-        sealed(core::MsgType::kStateUpdate,
-               core::encode_state_body_delta(sample_state(), 4, sample_state())));
     put(dir, "position",
         sealed(core::MsgType::kPositionUpdate,
                core::encode_position_body({10.0, 20.0, 30.0})));
@@ -132,24 +129,6 @@ int main(int argc, char** argv) {
         sealed(core::MsgType::kStateUpdate,
                core::encode_state_body_delta_anchored(sample_state(), 1196, 4,
                                                       sample_state())));
-    put(dir, "guidance_q",
-        sealed(core::MsgType::kGuidance,
-               core::encode_guidance_body_q(sample_guidance())));
-    const auto sealed_c = [&](core::MsgType t, std::vector<std::uint8_t> body) {
-      core::MsgHeader h;
-      h.type = t;
-      h.origin = 3;
-      h.subject = 5;
-      h.frame = 1200;
-      h.seq = 42;
-      return core::seal(h, body, key, /*compact=*/true);
-    };
-    put(dir, "state_compact",
-        sealed_c(core::MsgType::kStateUpdate,
-                 core::encode_state_body(sample_state())));
-    put(dir, "position_compact",
-        sealed_c(core::MsgType::kPositionUpdate,
-                 core::encode_position_body({10.0, 20.0, 30.0})));
   }
 
   // --- fuzz_batch: MsgType::kBatch containers — empty, a pair of sealed
@@ -176,7 +155,7 @@ int main(int argc, char** argv) {
     put(dir, "single",
         core::encode_batch({sealed(
             core::MsgType::kGuidance,
-            core::encode_guidance_body_q(sample_guidance()))}));
+            core::encode_guidance_body(sample_guidance()))}));
   }
 
   // --- fuzz_handoff: with and without predecessor summary.

@@ -28,49 +28,33 @@ const char* to_string(MsgType t) {
 
 namespace {
 
-/// High bit of the leading type byte flags the compact header encoding;
-/// MsgType values stay well below 0x80, so the two layouts are
-/// self-describing and can coexist on one link.
-constexpr std::uint8_t kCompactHeaderBit = 0x80;
+/// High bit of the leading type byte: marks the varint header. MsgType
+/// values stay well below 0x80.
+constexpr std::uint8_t kHeaderTagBit = 0x80;
 
-void write_header(ByteWriter& w, const MsgHeader& h, bool compact) {
-  if (compact) {
-    w.u8(static_cast<std::uint8_t>(h.type) | kCompactHeaderBit);
-    w.varint(h.origin);
-    w.varint(h.subject);
-    w.varint(interest::zigzag(h.frame));
-    w.varint(h.seq);
-    return;
-  }
-  w.u8(static_cast<std::uint8_t>(h.type));
-  w.u32(h.origin);
-  w.u32(h.subject);
-  w.i64(h.frame);
-  w.u32(h.seq);
+void write_header(ByteWriter& w, const MsgHeader& h) {
+  w.u8(static_cast<std::uint8_t>(h.type) | kHeaderTagBit);
+  w.varint(h.origin);
+  w.varint(h.subject);
+  w.varint(interest::zigzag(h.frame));
+  w.varint(h.seq);
+}
+
+std::uint32_t narrow_id(std::uint64_t v, const char* what) {
+  if (v > std::numeric_limits<std::uint32_t>::max()) throw DecodeError(what);
+  return static_cast<std::uint32_t>(v);
 }
 
 MsgHeader read_header(ByteReader& r) {
   MsgHeader h;
   const std::uint8_t tag = r.u8();
-  h.type = checked_enum<MsgType>(tag & ~kCompactHeaderBit, kNumMsgTypes,
+  if (!(tag & kHeaderTagBit)) throw DecodeError("fixed-width header retired");
+  h.type = checked_enum<MsgType>(tag & ~kHeaderTagBit, kNumMsgTypes,
                                  "message type");
-  if (tag & kCompactHeaderBit) {
-    const auto narrow_id = [](std::uint64_t v, const char* what) {
-      if (v > std::numeric_limits<std::uint32_t>::max()) {
-        throw DecodeError(what);
-      }
-      return static_cast<std::uint32_t>(v);
-    };
-    h.origin = narrow_id(r.varint(), "origin out of range");
-    h.subject = narrow_id(r.varint(), "subject out of range");
-    h.frame = interest::unzigzag(r.varint());
-    h.seq = narrow_id(r.varint(), "seq out of range");
-    return h;
-  }
-  h.origin = r.u32();
-  h.subject = r.u32();
-  h.frame = r.i64();
-  h.seq = r.u32();
+  h.origin = narrow_id(r.varint(), "origin out of range");
+  h.subject = narrow_id(r.varint(), "subject out of range");
+  h.frame = interest::unzigzag(r.varint());
+  h.seq = narrow_id(r.varint(), "seq out of range");
   return h;
 }
 
@@ -78,9 +62,9 @@ MsgHeader read_header(ByteReader& r) {
 
 std::vector<std::uint8_t> seal(const MsgHeader& header,
                                std::span<const std::uint8_t> body,
-                               const crypto::KeyPair& key, bool compact) {
+                               const crypto::KeyPair& key) {
   ByteWriter w;
-  write_header(w, header, compact);
+  write_header(w, header);
   w.blob(body);
   const crypto::Signature sig = crypto::sign(key, w.data());
   const auto sig_bytes = sig.encode();
@@ -140,27 +124,6 @@ std::vector<std::uint8_t> encode_batch(
   return w.take();
 }
 
-std::vector<std::span<const std::uint8_t>> decode_batch(
-    std::span<const std::uint8_t> wire) {
-  ByteReader r(wire);
-  if (checked_enum<MsgType>(r.u8(), kNumMsgTypes, "message type") !=
-      MsgType::kBatch) {
-    throw DecodeError("not a batch container");
-  }
-  const auto n = r.varint();
-  if (n > kMaxBatchMessages) throw DecodeError("implausible batch count");
-  std::vector<std::span<const std::uint8_t>> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto len = r.varint();
-    if (len > r.remaining()) throw DecodeError("truncated batch entry");
-    out.push_back(wire.subspan(wire.size() - r.remaining(), len));
-    r.bytes(len);
-  }
-  if (!r.done()) throw DecodeError("trailing bytes after batch");
-  return out;
-}
-
 BatchPrefix decode_batch_prefix(std::span<const std::uint8_t> wire) noexcept {
   BatchPrefix out;
   try {
@@ -194,17 +157,6 @@ std::vector<std::uint8_t> encode_state_body(const game::AvatarState& s) {
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_state_body_delta(const game::AvatarState& baseline,
-                                                  std::uint8_t baseline_age,
-                                                  const game::AvatarState& cur) {
-  ByteWriter w;
-  w.u8(1);  // delta
-  w.u8(baseline_age);
-  const auto payload = interest::encode_delta(baseline, cur);
-  w.bytes(payload);
-  return w.take();
-}
-
 std::vector<std::uint8_t> encode_state_body_delta_anchored(
     const game::AvatarState& baseline, Frame baseline_frame,
     std::uint8_t baseline_age, const game::AvatarState& cur) {
@@ -220,9 +172,8 @@ std::vector<std::uint8_t> encode_state_body_delta_anchored(
 StateBodyView parse_state_body(std::span<const std::uint8_t> body) {
   if (body.empty()) throw DecodeError("empty state body");
   StateBodyView v;
-  if (body[0] > 2) throw DecodeError("unknown state body kind");
-  v.is_delta = body[0] != 0;
-  v.is_anchored = body[0] == 2;
+  if (body[0] != 0 && body[0] != 2) throw DecodeError("unknown state body kind");
+  v.is_delta = body[0] == 2;
   if (v.is_delta) {
     if (body.size() < 2) throw DecodeError("truncated delta body");
     v.baseline_age = body[1];
@@ -239,21 +190,11 @@ game::AvatarState decode_state_body(std::span<const std::uint8_t> body) {
   return interest::decode_full(v.payload);
 }
 
-game::AvatarState decode_state_body(std::span<const std::uint8_t> body,
-                                    const game::AvatarState& baseline) {
-  const StateBodyView v = parse_state_body(body);
-  if (v.is_anchored) throw DecodeError("anchored body needs a baseline frame");
-  return v.is_delta ? interest::decode_delta(baseline, v.payload)
-                    : interest::decode_full(v.payload);
-}
-
 game::AvatarState decode_state_body_anchored(std::span<const std::uint8_t> body,
                                              const game::AvatarState& baseline,
                                              Frame baseline_frame) {
   const StateBodyView v = parse_state_body(body);
-  if (!v.is_anchored) {
-    throw DecodeError("state body is not an anchored delta");
-  }
+  if (!v.is_delta) throw DecodeError("state body is not an anchored delta");
   return interest::decode_delta_anchored(baseline, baseline_frame, v.payload);
 }
 
@@ -302,29 +243,6 @@ Vec3 read_vec_gq(ByteReader& r, const Vec3& ref) {
 
 std::vector<std::uint8_t> encode_guidance_body(const interest::Guidance& g) {
   ByteWriter w;
-  w.u8(0);  // version 0: f32 fields
-  w.i64(g.frame);
-  w.f32(static_cast<float>(g.pos.x));
-  w.f32(static_cast<float>(g.pos.y));
-  w.f32(static_cast<float>(g.pos.z));
-  w.f32(static_cast<float>(g.vel.x));
-  w.f32(static_cast<float>(g.vel.y));
-  w.f32(static_cast<float>(g.vel.z));
-  w.f32(static_cast<float>(g.yaw));
-  w.f32(static_cast<float>(g.pitch));
-  w.i32(g.health);
-  w.u8(static_cast<std::uint8_t>(g.weapon));
-  w.varint(g.waypoints.size());
-  for (const Vec3& p : g.waypoints) {
-    w.f32(static_cast<float>(p.x));
-    w.f32(static_cast<float>(p.y));
-    w.f32(static_cast<float>(p.z));
-  }
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode_guidance_body_q(const interest::Guidance& g) {
-  ByteWriter w;
   w.u8(1);  // version 1: quantized varints
   w.varint(interest::zigzag(g.frame));
   write_vec_gq(w, Vec3{}, g.pos);
@@ -346,26 +264,16 @@ std::vector<std::uint8_t> encode_guidance_body_q(const interest::Guidance& g) {
 
 interest::Guidance decode_guidance_body(std::span<const std::uint8_t> body) {
   ByteReader r(body);
-  const std::uint8_t version = r.u8();
-  if (version > 1) throw DecodeError("unknown guidance version");
+  if (r.u8() != 1) throw DecodeError("unknown guidance version");
   interest::Guidance g;
-  if (version == 0) {
-    g.frame = r.i64();
-    g.pos = {r.f32(), r.f32(), r.f32()};
-    g.vel = {r.f32(), r.f32(), r.f32()};
-    g.yaw = r.f32();
-    g.pitch = r.f32();
-    g.health = r.i32();
-  } else {
-    g.frame = interest::unzigzag(r.varint());
-    g.pos = read_vec_gq(r, Vec3{});
-    g.vel = read_vec_gq(r, Vec3{});
-    g.yaw = interest::dequant_ang(
-        static_cast<std::int32_t>(interest::unzigzag(r.varint())));
-    g.pitch = interest::dequant_ang(
-        static_cast<std::int32_t>(interest::unzigzag(r.varint())));
-    g.health = static_cast<std::int32_t>(interest::unzigzag(r.varint()));
-  }
+  g.frame = interest::unzigzag(r.varint());
+  g.pos = read_vec_gq(r, Vec3{});
+  g.vel = read_vec_gq(r, Vec3{});
+  g.yaw = interest::dequant_ang(
+      static_cast<std::int32_t>(interest::unzigzag(r.varint())));
+  g.pitch = interest::dequant_ang(
+      static_cast<std::int32_t>(interest::unzigzag(r.varint())));
+  g.health = static_cast<std::int32_t>(interest::unzigzag(r.varint()));
   g.weapon = checked_enum<game::WeaponKind>(r.u8(), game::kNumWeapons, "weapon");
   const auto n = r.varint();
   // The count is attacker-controlled: cap the pre-allocation; an oversized
@@ -374,12 +282,8 @@ interest::Guidance decode_guidance_body(std::span<const std::uint8_t> body) {
   g.waypoints.reserve(n);
   Vec3 ref = g.pos;
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (version == 0) {
-      g.waypoints.push_back({r.f32(), r.f32(), r.f32()});
-    } else {
-      g.waypoints.push_back(read_vec_gq(r, ref));
-      ref = g.waypoints.back();
-    }
+    g.waypoints.push_back(read_vec_gq(r, ref));
+    ref = g.waypoints.back();
   }
   return g;
 }
@@ -542,10 +446,8 @@ std::vector<std::uint8_t> encode_subscriber_list_diff_body(
   return w.take();
 }
 
-namespace {
-
-std::optional<std::vector<PlayerId>> decode_subscriber_list(
-    std::span<const std::uint8_t> body, const std::vector<PlayerId>* baseline) {
+std::optional<std::vector<PlayerId>> decode_subscriber_list_body(
+    std::span<const std::uint8_t> body, const std::vector<PlayerId>& baseline) {
   ByteReader r(body);
   const std::uint8_t mode = r.u8();
   if (mode > 1) throw DecodeError("unknown subscriber-list mode");
@@ -554,12 +456,11 @@ std::optional<std::vector<PlayerId>> decode_subscriber_list(
     if (!r.done()) throw DecodeError("trailing bytes in subscriber list");
     return full;
   }
-  if (!baseline) throw DecodeError("subscriber diff without baseline");
   const std::uint16_t hash = r.u16();
   const std::vector<PlayerId> removed = read_id_gaps(r);
   const std::vector<PlayerId> added = read_id_gaps(r);
   if (!r.done()) throw DecodeError("trailing bytes in subscriber diff");
-  const std::vector<PlayerId> base = sorted_ids(*baseline);
+  const std::vector<PlayerId> base = sorted_ids(baseline);
   if (hash != subscriber_list_hash(base)) return std::nullopt;
   std::vector<PlayerId> kept;
   std::set_difference(base.begin(), base.end(), removed.begin(), removed.end(),
@@ -571,18 +472,6 @@ std::optional<std::vector<PlayerId>> decode_subscriber_list(
     throw DecodeError("implausible subscriber count");
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<PlayerId> decode_subscriber_list_body(
-    std::span<const std::uint8_t> body) {
-  return *decode_subscriber_list(body, nullptr);
-}
-
-std::optional<std::vector<PlayerId>> decode_subscriber_list_body(
-    std::span<const std::uint8_t> body, const std::vector<PlayerId>& baseline) {
-  return decode_subscriber_list(body, &baseline);
 }
 
 }  // namespace watchmen::core

@@ -64,20 +64,15 @@ struct ParsedMessage {
   std::vector<std::uint8_t> body;
 };
 
-/// Serializes and signs header+body. The result is what goes on the wire.
-///
-/// Two self-describing header encodings share the wire (the high bit of the
-/// leading type byte discriminates; MsgType values stay below 0x80):
-///   legacy   [u8 type][u32 origin][u32 subject][i64 frame][u32 seq]  (21 B)
-///   compact  [u8 type|0x80][varint origin][varint subject]
-///            [zigzag-varint frame][varint seq]                      (~7-10 B)
-/// `compact` selects the encoding; open()/open_unverified() accept both, so
-/// peers with mixed configurations interoperate and the flag can flip
-/// per-scenario without a protocol version bump.
+/// Serializes and signs header+body. The result is what goes on the wire:
+///   [u8 type|0x80][varint origin][varint subject][zigzag-varint frame]
+///   [varint seq][blob body][signature]
+/// The 0x80 tag bit marks the varint header (MsgType values stay below
+/// 0x80, and an unsealed kBatch container never carries it); a sealed wire
+/// without it is the retired fixed 21-byte header and is rejected.
 std::vector<std::uint8_t> seal(const MsgHeader& header,
                                std::span<const std::uint8_t> body,
-                               const crypto::KeyPair& key,
-                               bool compact = false);
+                               const crypto::KeyPair& key);
 
 /// Parses and verifies a sealed message against the origin's public key from
 /// the registry. Returns nullopt on malformed input or bad signature —
@@ -90,7 +85,7 @@ std::optional<ParsedMessage> open_unverified(std::span<const std::uint8_t> wire)
 
 // ------------------------------------------------------------------ batch
 //
-// Per-link frame batching (ISSUE 6 tentpole): every message a node sends to
+// Per-link frame batching: every message a node sends to
 // one peer during a frame slice rides one datagram, amortizing the fixed
 // UDP/IP cost. The container is NOT a sealed envelope — it is a transport
 // detail added and removed hop-by-hop:
@@ -110,12 +105,8 @@ std::vector<std::uint8_t> encode_batch(
     const std::vector<std::vector<std::uint8_t>>& wires);
 
 /// Splits a batch into views of its sub-wires (into `wire`'s storage).
-/// Throws DecodeError on malformed input.
-std::vector<std::span<const std::uint8_t>> decode_batch(
-    std::span<const std::uint8_t> wire);
-
-/// Truncation-safe batch decode for real-network input, where a datagram
-/// can arrive cut short (fragment loss, receive-buffer clamp). Yields every
+/// Truncation-safe, for real-network input where a datagram can arrive cut
+/// short (fragment loss, receive-buffer clamp). Yields every
 /// complete leading sub-wire and reports whether the container was intact;
 /// each surviving sub-wire still carries its own signature, so a truncated
 /// tail can only cost messages, never corrupt one.
@@ -129,25 +120,21 @@ BatchPrefix decode_batch_prefix(std::span<const std::uint8_t> wire) noexcept;
 
 // State-update bodies support Quake-style delta coding (paper §II-A:
 // consecutive updates show high temporal similarity). A body is a keyframe
-// (full state), a delta against the sender's previous keyframe, or — with
-// ack-anchored baselines on — a delta against the receiver-acknowledged
+// (full state, kind 0) or an anchored delta (kind 2) against the sender's
 // state at `header frame - baseline_age`, with the baseline frame stamped
 // into the payload so a wrong baseline is an explicit BaselineMismatch
-// instead of silent garbage.
+// instead of silent garbage. Kind 1, the retired keyframe-relative delta,
+// is rejected.
 std::vector<std::uint8_t> encode_state_body(const game::AvatarState& s);
-/// `baseline_age` = header frame minus the keyframe's frame (1..255).
-std::vector<std::uint8_t> encode_state_body_delta(const game::AvatarState& baseline,
-                                                  std::uint8_t baseline_age,
-                                                  const game::AvatarState& cur);
 /// Anchored delta: baseline is the sender state at `baseline_frame`
-/// (= header frame - baseline_age), which the receiver acked.
+/// (= header frame - baseline_age): a state the proxy acked, or the
+/// sender's last keyframe before the first ack.
 std::vector<std::uint8_t> encode_state_body_delta_anchored(
     const game::AvatarState& baseline, Frame baseline_frame,
     std::uint8_t baseline_age, const game::AvatarState& cur);
 
 struct StateBodyView {
-  bool is_delta = false;
-  bool is_anchored = false;       ///< payload carries its baseline frame
+  bool is_delta = false;          ///< anchored delta (else keyframe)
   std::uint8_t baseline_age = 0;  ///< baseline = header frame - age
   std::span<const std::uint8_t> payload;
 };
@@ -155,12 +142,8 @@ struct StateBodyView {
 /// Splits a state body into its framing; throws DecodeError on garbage.
 StateBodyView parse_state_body(std::span<const std::uint8_t> body);
 
-/// Decodes a keyframe body (asserts !is_delta).
+/// Decodes a keyframe body; throws DecodeError on a delta.
 game::AvatarState decode_state_body(std::span<const std::uint8_t> body);
-
-/// Decodes any state body given the receiver's baseline for deltas.
-game::AvatarState decode_state_body(std::span<const std::uint8_t> body,
-                                    const game::AvatarState& baseline);
 
 /// Decodes an anchored delta body; throws interest::BaselineMismatch when
 /// `baseline_frame` is not the frame the sender coded against.
@@ -171,14 +154,11 @@ game::AvatarState decode_state_body_anchored(std::span<const std::uint8_t> body,
 std::vector<std::uint8_t> encode_position_body(const Vec3& pos);
 Vec3 decode_position_body(std::span<const std::uint8_t> body);
 
-// Guidance bodies are versioned by a leading byte:
-//   version 0 — f32 fields (the original layout);
-//   version 1 — quantized varints on the delta-coding grid (1/8 unit
-//               positions, 1e-4 rad angles), waypoints delta-coded against
-//               the position. Roughly 2.5x smaller for typical guidance.
-// The decoder accepts both.
+// Guidance bodies lead with a version byte, always 1: quantized varints on
+// the delta-coding grid (1/8 unit positions, 1e-4 rad angles), waypoints
+// delta-coded against the position. Version 0 (the retired f32 layout) is
+// rejected.
 std::vector<std::uint8_t> encode_guidance_body(const interest::Guidance& g);
-std::vector<std::uint8_t> encode_guidance_body_q(const interest::Guidance& g);
 interest::Guidance decode_guidance_body(std::span<const std::uint8_t> body);
 
 std::vector<std::uint8_t> encode_subscribe_body(interest::SetKind kind);
@@ -215,9 +195,6 @@ std::vector<std::uint8_t> encode_subscriber_list_diff_body(
     const std::vector<PlayerId>& subscribers);
 /// Order-insensitive hash of a subscriber set (for diff baselines).
 std::uint16_t subscriber_list_hash(const std::vector<PlayerId>& subscribers);
-/// Decodes a full-mode body; throws DecodeError on a diff-mode body.
-std::vector<PlayerId> decode_subscriber_list_body(
-    std::span<const std::uint8_t> body);
 /// Decodes either mode against the receiver's current list. Returns nullopt
 /// when a diff's baseline hash does not match `baseline`.
 std::optional<std::vector<PlayerId>> decode_subscriber_list_body(

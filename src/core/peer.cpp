@@ -57,10 +57,6 @@ void WatchmenPeer::send_wire(PlayerId to, std::vector<std::uint8_t> wire) {
 
 void WatchmenPeer::net_send(
     PlayerId to, std::shared_ptr<const std::vector<std::uint8_t>> wire) {
-  if (!cfg_.batching) {
-    net_->send(id_, to, std::move(wire));
-    return;
-  }
   // First-touch destination order keeps the flush deterministic.
   for (BatchSlot& slot : batch_buf_) {
     if (slot.to != to) continue;
@@ -78,7 +74,8 @@ void WatchmenPeer::send_batch_group(
     PlayerId to,
     std::vector<std::shared_ptr<const std::vector<std::uint8_t>>>& group) {
   if (group.empty()) return;
-  metrics_.batch_sizes.add(static_cast<double>(group.size()));
+  ++metrics_.flushes;
+  metrics_.flushed_messages += group.size();
   if (group.size() == 1) {
     // A lone message rides bare: no container overhead, and the leading
     // type byte keeps per-class stats exact.
@@ -107,21 +104,13 @@ void WatchmenPeer::flush_slot(BatchSlot& slot) {
   // still goes out (bare, as its own group) — the transport's oversize
   // accounting owns that case; silently holding it would lose the message
   // with no signal at all.
-  const auto varint_len = [](std::size_t v) {
-    std::size_t n = 1;
-    while (v >= 0x80) {
-      v >>= 7;
-      ++n;
-    }
-    return n;
-  };
   // Container fixed cost: type byte + count varint (<= 2 bytes for the
   // 512-message cap).
   constexpr std::size_t kContainerOverhead = 3;
   std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> group;
   std::size_t group_bytes = kContainerOverhead;
   for (auto& sub : slot.wires) {
-    const std::size_t cost = varint_len(sub->size()) + sub->size();
+    const std::size_t cost = varint_size(sub->size()) + sub->size();
     if (!group.empty() && group_bytes + cost > cfg_.mtu_bytes) {
       send_batch_group(slot.to, group);
       group_bytes = kContainerOverhead;
@@ -161,7 +150,7 @@ std::vector<std::uint8_t> WatchmenPeer::make_sealed(
   h.frame = frame;
   h.seq = seq_++;
   last_sealed_seq_ = h.seq;
-  return seal(h, body, keys_->key_pair(id_), cfg_.compact_headers);
+  return seal(h, body, keys_->key_pair(id_));
 }
 
 void WatchmenPeer::send_to_proxy(MsgType type, PlayerId subject, Frame frame,
@@ -268,10 +257,8 @@ void WatchmenPeer::track_reliable(
   p.type = type;
   p.wire = std::move(wire);
   p.backoff = std::max<Frame>(1, cfg_.retransmit_backoff);
-  p.next_retry = frame_ + p.backoff;
-  if (cfg_.retransmit_jitter) {
-    p.next_retry += retransmit_jitter(origin, seq, p.attempt, p.backoff);
-  }
+  p.next_retry =
+      frame_ + p.backoff + retransmit_jitter(origin, seq, p.attempt, p.backoff);
   p.retries_left = cfg_.retransmit_budget;
   reliable_.push_back(std::move(p));
 }
@@ -293,11 +280,9 @@ void WatchmenPeer::flush_retransmits(Frame f) {
     net_send(it->to, it->wire);
     it->backoff *= 2;
     ++it->attempt;
-    it->next_retry = f + it->backoff;
-    if (cfg_.retransmit_jitter) {
-      it->next_retry +=
-          retransmit_jitter(it->origin, it->seq, it->attempt, it->backoff);
-    }
+    it->next_retry = f + it->backoff +
+                     retransmit_jitter(it->origin, it->seq, it->attempt,
+                                       it->backoff);
     ++it;
   }
 }
@@ -318,7 +303,7 @@ void WatchmenPeer::maybe_ack(const net::Envelope& env, const MsgHeader& h) {
 
 void WatchmenPeer::handle_ack(const net::Envelope& env,
                               const ParsedMessage& msg) {
-  if (!cfg_.reliable_control && !cfg_.ack_anchored) return;
+  if (!cfg_.reliable_control && !cfg_.delta_updates) return;
   if (env.from != msg.header.origin) return;  // acks travel one hop, unsigned relays don't
   AckBody a;
   try {
@@ -333,7 +318,7 @@ void WatchmenPeer::handle_ack(const net::Envelope& env,
     // delta anchor (monotonically — reordered acks never move it back).
     // Only a plausible proxy-of-round may steer our anchor: a forged ack
     // from anyone else could pin deltas to baselines the proxy never held.
-    if (!cfg_.ack_anchored || a.acked_origin != id_) return;
+    if (!cfg_.delta_updates || a.acked_origin != id_) return;
     const std::int64_t r = schedule_.round_of(frame_);
     const bool from_proxy =
         env.from == schedule_.proxy_of(id_, r) ||
@@ -441,7 +426,7 @@ void WatchmenPeer::begin_frame(Frame f) {
       // Subscriber diffs: most sends carry only the ids that changed since
       // the last list, guarded by a baseline hash; every 4th send is a full
       // refresh so a lost list (hash miss at the player) self-heals.
-      const bool full = !cfg_.subscriber_diffs || ps.sub_sends % 4 == 0;
+      const bool full = ps.sub_sends % 4 == 0;
       const auto body =
           full ? encode_subscriber_list_body(subscribers)
                : encode_subscriber_list_diff_body(ps.sent_subs, subscribers);
@@ -471,56 +456,44 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
   has_own_state_ = true;
   const Frame delay = misbehavior_->send_delay(f);
 
-  // 1. Frequent state update, every frame, through the proxy; delta-coded
-  //    against the previous frame when enabled, with periodic keyframes.
+  // 1. Frequent state update, every frame, through the proxy. With
+  //    delta_updates on it is delta-coded (paper §II-A) against a state the
+  //    delta names by frame: the newest state our proxy acked, or, until an
+  //    ack arrives, the last keyframe. Keyframes go out on the keyframe
+  //    cadence and at every new proxy tenure.
   const game::AvatarState published = misbehavior_->mutate_state(own_state_, f);
   if (misbehavior_->send_state_update(f)) {
-    bool keyframe = !cfg_.delta_updates || last_keyframe_frame_ < 0 ||
-                    f - last_keyframe_frame_ >= cfg_.keyframe_period;
-    if (cfg_.ack_anchored) {
-      // A new proxy tenure starts with no decoded baseline: reset the
-      // anchored chain and seed it with a fresh keyframe, whatever the
-      // keyframe cadence. Without this, a long keyframe_period strands the
-      // new proxy on deltas it can never decode (it also never acks, so
-      // the stream would stay dead for the whole tenure).
+    Frame base = -1;  // the delta's baseline frame; -1 sends a keyframe
+    if (cfg_.delta_updates) {
+      // A new proxy tenure starts with no decoded baseline: restart the
+      // chain from a keyframe the new proxy can decode (and ack).
       const PlayerId proxy_now = schedule_.proxy_at(id_, f);
       if (proxy_now != anchor_proxy_) {
         anchor_proxy_ = proxy_now;
         acked_frame_ = -1;
-        keyframe = true;
+        last_keyframe_frame_ = -1;
       }
+      if (last_keyframe_frame_ >= 0 &&
+          f - last_keyframe_frame_ < cfg_.keyframe_period) {
+        const bool acked = acked_frame_ >= 0 && acked_frame_ < f &&
+                           f - acked_frame_ <= 255 &&
+                           published_.get(acked_frame_) != nullptr;
+        base = acked ? acked_frame_ : last_keyframe_frame_;
+      }
+      if (f - base > 255) base = -1;  // the delta age rides a u8
     }
-    // Baseline preference: the receiver-acked state when the anchor is live
-    // (ack-anchored mode), else the last keyframe. A valid anchor survives
-    // any loss pattern — the proxy acked it, so the proxy holds it — while
-    // the keyframe baseline desyncs every receiver that missed it.
-    const game::AvatarState* anchor =
-        !keyframe && cfg_.ack_anchored && acked_frame_ >= 0 &&
-                f - acked_frame_ >= 1 && f - acked_frame_ <= 255
-            ? published_.get(acked_frame_)
-            : nullptr;
-    // The delta age rides a u8; past 255 frames since the keyframe the
-    // legacy fallback would wrap into a bogus age, so refresh instead.
-    // (Reachable when the anchor goes stale under sustained loss faster
-    // than the keyframe cadence refreshes the baseline.)
-    if (!keyframe && !anchor && f - last_keyframe_frame_ > 255) {
-      keyframe = true;
-    }
+    const game::AvatarState* baseline = base >= 0 ? published_.get(base) : nullptr;
     std::vector<std::uint8_t> body;
-    if (keyframe) {
-      body = encode_state_body(published);
-    } else if (anchor) {
+    if (baseline) {
       body = encode_state_body_delta_anchored(
-          *anchor, acked_frame_, static_cast<std::uint8_t>(f - acked_frame_),
-          published);
+          *baseline, base, static_cast<std::uint8_t>(f - base), published);
       ++metrics_.anchored_sent;
     } else {
-      body = encode_state_body_delta(
-          last_keyframe_, static_cast<std::uint8_t>(f - last_keyframe_frame_),
-          published);
+      body = encode_state_body(published);
+      last_keyframe_frame_ = f;
     }
     send_to_proxy(MsgType::kStateUpdate, id_, f, body, delay);
-    if (cfg_.ack_anchored) note_published(f, last_sealed_seq_, published);
+    if (cfg_.delta_updates) note_published(f, last_sealed_seq_, published);
     if (cfg_.direct_updates && delay == 0) {
       // §VI optimization 3: one hop to the IS subscribers our proxy named;
       // the proxy copy above still feeds verification (and serves the proxy
@@ -533,11 +506,7 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     }
     for (int i = misbehavior_->extra_state_updates(f); i > 0; --i) {
       send_to_proxy(MsgType::kStateUpdate, id_, f, body, delay);
-      if (cfg_.ack_anchored) note_published(f, last_sealed_seq_, published);
-    }
-    if (keyframe) {
-      last_keyframe_ = published;
-      last_keyframe_frame_ = f;
+      if (cfg_.delta_updates) note_published(f, last_sealed_seq_, published);
     }
   }
 
@@ -547,8 +516,7 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     interest::Guidance g = interest::make_guidance(
         published, f, cfg_.guidance_waypoints, cfg_.dr_damping);
     g = misbehavior_->mutate_guidance(g, f);
-    const auto gbody = cfg_.quantized_guidance ? encode_guidance_body_q(g)
-                                               : encode_guidance_body(g);
+    const auto gbody = encode_guidance_body(g);
     send_to_proxy(MsgType::kGuidance, id_, f, gbody, delay);
 
     const auto pbody = encode_position_body(published.pos);
@@ -995,6 +963,35 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
   }
 }
 
+WatchmenPeer::StateDecode WatchmenPeer::decode_state(
+    const StateRing& decoded, const MsgHeader& h,
+    std::span<const std::uint8_t> body, game::AvatarState& out) {
+  try {
+    const StateBodyView v = parse_state_body(body);
+    if (!v.is_delta) {
+      out = interest::decode_full(v.payload);
+      ++metrics_.keyframes_decoded;
+      return StateDecode::kDecoded;
+    }
+    // Anchored delta: the baseline is the state at the stamped frame (one
+    // the proxy acked, or the sender's last keyframe), if we decoded it.
+    const Frame base = h.frame - static_cast<Frame>(v.baseline_age);
+    const game::AvatarState* b = decoded.get(base);
+    if (!b) {
+      ++metrics_.baseline_mismatches;
+      return StateDecode::kNoBaseline;
+    }
+    out = interest::decode_delta_anchored(*b, base, v.payload);
+    ++metrics_.anchored_decodes;
+    return StateDecode::kDecoded;
+  } catch (const interest::BaselineMismatch&) {
+    // The payload's own baseline stamp disagreed with the frame math.
+    ++metrics_.baseline_mismatches;
+  } catch (const DecodeError&) {
+  }
+  return StateDecode::kRejected;
+}
+
 bool WatchmenPeer::replay_guard(RemoteKnowledge& k, const MsgHeader& h,
                                 PlayerId sender) {
   // Accept mild reordering (a couple of frames); reject messages that are
@@ -1124,43 +1121,9 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
   switch (h.type) {
     case MsgType::kStateUpdate: {
       game::AvatarState s;
-      bool decodable = true;
-      try {
-        const StateBodyView v = parse_state_body(msg.body);
-        if (v.is_anchored) {
-          // Ack-anchored delta: baseline is whatever we decoded at the
-          // stamped frame — any acked state, not just the last keyframe.
-          const Frame base = h.frame - static_cast<Frame>(v.baseline_age);
-          if (const game::AvatarState* b = ps.decoded.get(base)) {
-            s = decode_state_body_anchored(msg.body, *b, base);
-            ++metrics_.anchored_decodes;
-          } else {
-            ++metrics_.baseline_mismatches;
-            decodable = false;
-          }
-        } else if (v.is_delta) {
-          // Legacy deltas decode against the sender's last keyframe only.
-          if (h.frame - static_cast<Frame>(v.baseline_age) != ps.keyframe_frame) {
-            ++metrics_.baseline_mismatches;
-            decodable = false;
-          } else {
-            s = interest::decode_delta(ps.keyframe_state, v.payload);
-          }
-        } else {
-          s = interest::decode_full(v.payload);
-          ps.keyframe_state = s;
-          ps.keyframe_frame = h.frame;
-          ++metrics_.keyframes_decoded;
-        }
-      } catch (const interest::BaselineMismatch&) {
-        // The payload's own baseline stamp disagreed with the frame math —
-        // the explicit error path a stale/corrupt anchor now takes.
-        ++metrics_.baseline_mismatches;
-        break;
-      } catch (const DecodeError&) {
-        break;
-      }
-      if (!decodable) {
+      const StateDecode decoded = decode_state(ps.decoded, h, msg.body, s);
+      if (decoded == StateDecode::kRejected) break;
+      if (decoded == StateDecode::kNoBaseline) {
         // The message still arrived on time — it counts for rate policing —
         // and subscribers with an intact chain can still use the forward.
         ++ps.updates_in_round;
@@ -1249,11 +1212,11 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
         ++recv_state_in_round_[h.origin];
       }
 
-      if (cfg_.ack_anchored) {
-        // Every decoded state is a candidate anchor; ack the stream at the
-        // configured cadence so the sender's anchor keeps advancing.
+      if (cfg_.delta_updates) {
+        // Every decoded state is a candidate anchor; ack the stream every
+        // kStateAckPeriod frames so the sender's anchor keeps advancing.
         ps.decoded.put(h.frame, s);
-        if (h.frame - ps.last_state_ack >= cfg_.state_ack_period) {
+        if (h.frame - ps.last_state_ack >= kStateAckPeriod) {
           AckBody a;
           a.acked_origin = h.origin;
           a.acked_seq = h.seq;
@@ -1734,6 +1697,14 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
     // Forward from a node that is not the origin's proxy for any plausible
     // round: a certain protocol violation by the sender (outside churn
     // transitions, when peers' pools may briefly diverge).
+    //
+    // Our own pool may be the stale one (a churn notice we missed). The
+    // origin's signature still proves it was alive at its stamp, so keep
+    // that liveness: without it, a peer that wrongly believes it proxies
+    // the origin sees it silent everywhere and announces a live player's
+    // departure.
+    Frame& heard = know_[h.origin].last_heard;
+    heard = std::max(heard, std::min(h.frame, now));
     if (!pool_transition_grace()) {
       verify::CheckResult res;
       res.deviation = 1.0;
@@ -1752,48 +1723,15 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
   switch (h.type) {
     case MsgType::kStateUpdate: {
       game::AvatarState s;
-      try {
-        const StateBodyView v = parse_state_body(msg.body);
-        if (v.is_anchored) {
-          // Ack-anchored delta: the baseline is the (proxy-acked) state at
-          // the stamped frame; any frame we decoded can serve.
-          const Frame base = h.frame - static_cast<Frame>(v.baseline_age);
-          const game::AvatarState* b = k.decoded.get(base);
-          if (!b) {
-            ++metrics_.baseline_mismatches;
-            // The arrival still counts for the witness-side forwarding
-            // expectation; the next anchored delta likely recovers us.
-            if (h.origin < recv_state_in_round_.size()) {
-              ++recv_state_in_round_[h.origin];
-            }
-            break;
-          }
-          s = decode_state_body_anchored(msg.body, *b, base);
-          ++metrics_.anchored_decodes;
-        } else if (v.is_delta) {
-          if (h.frame - static_cast<Frame>(v.baseline_age) != k.keyframe_frame) {
-            // Out of sync until the next keyframe; the arrival still counts
-            // for the witness-side forwarding expectation.
-            ++metrics_.baseline_mismatches;
-            if (h.origin < recv_state_in_round_.size()) {
-              ++recv_state_in_round_[h.origin];
-            }
-            break;
-          }
-          s = interest::decode_delta(k.keyframe_state, v.payload);
-        } else {
-          s = interest::decode_full(v.payload);
-          k.keyframe_state = s;
-          k.keyframe_frame = h.frame;
-          ++metrics_.keyframes_decoded;
-        }
-      } catch (const interest::BaselineMismatch&) {
-        ++metrics_.baseline_mismatches;
-        break;
-      } catch (const DecodeError&) {
-        break;
+      const StateDecode decoded = decode_state(k.decoded, h, msg.body, s);
+      if (decoded == StateDecode::kNoBaseline &&
+          h.origin < recv_state_in_round_.size()) {
+        // The arrival still counts for the witness-side forwarding
+        // expectation; the next keyframe recovers us.
+        ++recv_state_in_round_[h.origin];
       }
-      if (cfg_.ack_anchored) k.decoded.put(h.frame, s);
+      if (decoded != StateDecode::kDecoded) break;
+      if (cfg_.delta_updates) k.decoded.put(h.frame, s);
       metrics_.update_age_frames.add(static_cast<double>(now - h.frame));
       ++metrics_.updates_received;
 

@@ -49,6 +49,14 @@
 
 namespace watchmen::core {
 
+/// Proxy ack cadence for the frequent stream under delta_updates: the
+/// proxy acks one decoded state update every this many frames, and the
+/// sender's delta anchor advances to it.
+inline constexpr Frame kStateAckPeriod = 5;
+
+/// Protocol knobs. The wire encoding is not among them: every peer batches
+/// per link, seals varint headers, quantizes guidance and diffs subscriber
+/// lists (DESIGN.md §5f).
 struct WatchmenConfig {
   interest::InterestConfig interest;
   Frame renewal_frames = ProxySchedule::kDefaultRenewalFrames;
@@ -65,8 +73,10 @@ struct WatchmenConfig {
   /// calibrated by the harness (ā + σ_a rule). The default covers a full
   /// direction reversal against a linear predictor over one guidance period.
   verify::Tolerance guidance_tolerance{160.0, 160.0};
-  /// Delta-code state updates against the previous frame (paper §II-A),
-  /// with a periodic keyframe so receivers recover from losses.
+  /// Delta-code state updates (paper §II-A) against the newest state the
+  /// proxy acknowledged (it acks the frequent stream every kStateAckPeriod
+  /// frames), or the last keyframe until the first ack of a proxy tenure;
+  /// a periodic keyframe lets forwarded receivers recover from losses.
   bool delta_updates = false;
   Frame keyframe_period = 10;  ///< bounds the desync window after a loss
   /// Dead-reckoning predictor damping (1/s); 0 = pure linear. See
@@ -99,13 +109,6 @@ struct WatchmenConfig {
   /// (seeded with the predecessor summary it already holds, preserving the
   /// two-round follow-up invariant). 0 disables.
   Frame proxy_failover_silence = 0;
-  /// Deterministic de-synchronizing jitter on reliable retransmits: plain
-  /// exponential backoff re-aligns every peer's retries after a partition
-  /// heals into one storm. The jitter is a pure hash of (origin, seq,
-  /// attempt) — reproducible per seed/trace, non-aligned across peers (see
-  /// retransmit_jitter below). On by default: it only perturbs *when* a
-  /// retransmit fires, never whether.
-  bool retransmit_jitter = true;
   /// Liveness watchdog (real-network hardening): this peer heartbeats its
   /// current proxy and proxied players every heartbeat_period frames, and
   /// grades every such relationship Alive -> Suspect -> Dead from receive
@@ -129,29 +132,6 @@ struct WatchmenConfig {
   double starve_loss_allowance = 0.5;
   double starve_floor = 1.0 / 3.0;
 
-  // --- wire-format overhaul (ISSUE 6) — all off by default so the seed
-  // protocol stays bit-for-bit unchanged unless a scenario opts in ---------
-  /// Per-link frame batching: every message bound for the same peer within
-  /// one event slice rides a single kBatch datagram (one UDP/IP overhead).
-  /// Sub-messages keep their origin signatures; cheat-resistance unchanged.
-  bool batching = false;
-  /// Delta state updates against the receiver-acknowledged baseline instead
-  /// of the last keyframe: the proxy acks the frequent stream at
-  /// `state_ack_period`, and a lost delta no longer desyncs the receiver
-  /// until the next keyframe. Effective only with delta_updates on.
-  bool ack_anchored = false;
-  Frame state_ack_period = 5;  ///< proxy ack cadence for the frequent stream
-  /// Guidance rides the version-1 quantized encoding (varints on the delta
-  /// grid) instead of raw f32 fields.
-  bool quantized_guidance = false;
-  /// kSubscriberList sends sorted-id varint diffs against the last sent
-  /// list, with a periodic full refresh for loss recovery.
-  bool subscriber_diffs = false;
-  /// Envelope headers use the varint encoding (high bit of the type byte
-  /// set): ~7-10 bytes instead of the fixed 21. Self-describing, so mixed
-  /// configurations interoperate; pure repackaging, decoded content is
-  /// unchanged.
-  bool compact_headers = false;
   /// Caps how many Other-set receivers a proxy forwards each infrequent
   /// position beacon to, rotating round-robin across the set so every
   /// receiver still refreshes eventually. The unbudgeted fan-out is the one
@@ -161,6 +141,8 @@ struct WatchmenConfig {
   /// already tolerates the longer refresh interval. 0 = unlimited (seed
   /// behaviour).
   std::uint32_t other_update_budget = 0;
+
+  bool operator==(const WatchmenConfig&) const = default;
 };
 
 struct PeerMetrics {
@@ -192,13 +174,14 @@ struct PeerMetrics {
   Samples handoff_latency_ms;
   Samples subscribe_latency_ms;
 
-  // Wire-format overhaul (ISSUE 6).
+  // Per-link batching and delta coding.
   std::uint64_t batches_sent = 0;     ///< kBatch datagrams emitted (size >= 2)
   std::uint64_t batched_messages = 0; ///< logical messages that rode a batch
   std::uint64_t batch_rejects = 0;    ///< malformed batch containers dropped
-  Samples batch_sizes;                ///< messages per per-link flush
-  std::uint64_t anchored_sent = 0;       ///< deltas coded against an acked state
-  std::uint64_t anchored_decodes = 0;    ///< deltas recovered via the ack anchor
+  std::uint64_t flushes = 0;          ///< per-link flushes (bare or container)
+  std::uint64_t flushed_messages = 0; ///< logical messages across all flushes
+  std::uint64_t anchored_sent = 0;       ///< delta-coded state updates sent
+  std::uint64_t anchored_decodes = 0;    ///< delta-coded state updates decoded
   std::uint64_t keyframes_decoded = 0;   ///< full-state bodies decoded
   std::uint64_t baseline_mismatches = 0; ///< delta arrived, baseline absent
   std::uint64_t state_acks_sent = 0;     ///< proxy acks of the frequent stream
@@ -206,7 +189,7 @@ struct PeerMetrics {
 };
 
 /// Fixed-size ring of recently decoded (or published) states keyed by frame
-/// — the candidate baselines for ack-anchored deltas. Slots allocate lazily
+/// — the candidate baselines for anchored deltas. Slots allocate lazily
 /// on first use: every RemoteKnowledge holds one, but only frequent-stream
 /// endpoints ever pay for it.
 struct StateRing {
@@ -240,11 +223,8 @@ struct RemoteKnowledge {
   bool has_state = false;
   interest::Guidance guidance;
   bool has_guidance = false;
-  /// Delta-coding baseline: the sender's last keyframe we decoded.
-  game::AvatarState keyframe_state;
-  Frame keyframe_frame = -1;
-  /// Recently decoded states by frame, for ack-anchored deltas (any frame
-  /// we decoded can serve as the sender's baseline).
+  /// Recently decoded states by frame: the baselines of anchored deltas
+  /// (any frame we decoded can serve as the sender's baseline).
   StateRing decoded;
   /// Pre-teleport position sample, pinned whenever an incoming update
   /// jumps farther than physics allows (death + respawn). Used by the
@@ -269,7 +249,9 @@ struct RemoteKnowledge {
   int kill_claims_same_frame = 0; ///< splash multi-kills share a frame
 };
 
-/// Deterministic retransmit jitter: a pure hash of (origin, seq, attempt)
+/// Deterministic retransmit jitter, added to every reliable retransmit's
+/// exponential backoff (plain backoff re-aligns every peer's retries after a
+/// partition heals into one storm): a pure hash of (origin, seq, attempt)
 /// mapped into [0, backoff/2]. Same trace + seed -> same retry schedule
 /// (replay-stable); different origins -> de-correlated retry instants, so a
 /// partition heal does not release every peer's backlog on the same frame.
@@ -356,9 +338,7 @@ class WatchmenPeer {
     game::AvatarState last_state;
     Frame last_state_frame = -1;
     bool has_state = false;
-    game::AvatarState keyframe_state;  ///< delta-coding baseline
-    Frame keyframe_frame = -1;
-    StateRing decoded;          ///< ack-anchored delta baselines by frame
+    StateRing decoded;          ///< anchored delta baselines by frame
     Frame last_state_ack = -1000;  ///< frame of the last frequent-stream ack
     std::vector<PlayerId> sent_subs;  ///< subscriber-diff baseline (sorted)
     std::uint32_t sub_sends = 0;      ///< list sends; every 4th is a full refresh
@@ -379,13 +359,12 @@ class WatchmenPeer {
 
   // --- send helpers -------------------------------------------------------
   void send_wire(PlayerId to, std::vector<std::uint8_t> wire);
-  /// Single egress point: batches per destination when batching is on,
-  /// otherwise forwards straight to the network.
+  /// Single egress point: queues the wire in its destination's batch.
   void net_send(PlayerId to,
                 std::shared_ptr<const std::vector<std::uint8_t>> wire);
   /// Coalesces and sends the pending per-destination batches; called at the
-  /// end of every event slice (frame hooks and message deliveries) so batch
-  /// timing matches the unbatched send instants exactly.
+  /// end of every event slice (frame hooks and message deliveries), so a
+  /// batch leaves at the instant its messages were produced.
   void flush_batches();
   /// Drains one destination slot: a single container when no MTU is set,
   /// greedy MTU-bounded containers otherwise.
@@ -504,6 +483,12 @@ class WatchmenPeer {
                             const interest::Guidance& guidance,
                             std::vector<std::pair<Frame, Vec3>>& samples);
   bool replay_guard(RemoteKnowledge& k, const MsgHeader& h, PlayerId sender);
+  /// Decodes a state-update body, a delta against the baseline `decoded`
+  /// holds at the frame it names. Counts the outcome in metrics_.
+  enum class StateDecode : std::uint8_t { kDecoded, kNoBaseline, kRejected };
+  StateDecode decode_state(const StateRing& decoded, const MsgHeader& h,
+                           std::span<const std::uint8_t> body,
+                           game::AvatarState& out);
 
   PlayerId id_;
   WatchmenConfig cfg_;
@@ -520,12 +505,10 @@ class WatchmenPeer {
 
   // Player-side state.
   std::vector<RemoteKnowledge> know_;
-  // Delta-coding sender state: deltas are anchored to the last keyframe
-  // (not the previous frame), so one lost delta does not break the chain.
-  game::AvatarState last_keyframe_;
+  // Delta-coding sender state: the keyframe cadence, the published-state
+  // ring, the seq->frame map for resolving proxy acks, and the newest acked
+  // frame (the anchor).
   Frame last_keyframe_frame_ = -1;
-  // Ack-anchored sender state: the published-state ring, the seq->frame map
-  // for resolving proxy acks, and the newest acked frame (the anchor).
   StateRing published_;
   struct SentSeq {
     std::uint32_t seq = 0;
@@ -622,8 +605,8 @@ class WatchmenPeer {
   };
   std::deque<Delayed> outbox_;
 
-  // Per-link batch accumulator (tentpole): wires queued per destination in
-  // first-touch order, coalesced into one kBatch datagram at flush_batches().
+  // Per-link batch accumulator: wires queued per destination in first-touch
+  // order, coalesced into one kBatch datagram at flush_batches().
   struct BatchSlot {
     PlayerId to = kInvalidPlayer;
     std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> wires;

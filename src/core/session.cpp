@@ -381,11 +381,12 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
   std::uint64_t acks_sent = 0, acks_received = 0, reliable_expired = 0;
   std::uint64_t failover_adoptions = 0;
   std::uint64_t batches_sent = 0, batched_messages = 0, batch_rejects = 0;
+  std::uint64_t flushes = 0, flushed_messages = 0;
   std::uint64_t anchored_sent = 0, anchored_decodes = 0;
   std::uint64_t keyframes_decoded = 0, baseline_mismatches = 0;
   std::uint64_t state_acks_sent = 0, sub_diff_misses = 0;
   std::uint64_t watchdog_suspects = 0, watchdog_deaths = 0;
-  Samples staleness, update_ages, batch_sizes;
+  Samples staleness, update_ages;
   Samples handoff_latency, subscribe_latency;
   for (PlayerId p = 0; p < trace_->n_players; ++p) {
     if (!peers_[p]) continue;  // simulated by a sibling process
@@ -403,6 +404,8 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
     batches_sent += m.batches_sent;
     batched_messages += m.batched_messages;
     batch_rejects += m.batch_rejects;
+    flushes += m.flushes;
+    flushed_messages += m.flushed_messages;
     anchored_sent += m.anchored_sent;
     anchored_decodes += m.anchored_decodes;
     keyframes_decoded += m.keyframes_decoded;
@@ -415,7 +418,6 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
     for (double v : m.subscribe_latency_ms.values()) subscribe_latency.add(v);
     for (double v : m.staleness_frames.values()) staleness.add(v);
     for (double v : m.update_age_frames.values()) update_ages.add(v);
-    for (double v : m.batch_sizes.values()) batch_sizes.add(v);
     reg.gauge("peer.staleness_p99", p)
         .set(m.staleness_frames.count() ? m.staleness_frames.quantile(0.99)
                                         : 0.0);
@@ -447,10 +449,8 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
     reg.gauge("peer.subscribe_latency_ms_p99").set(q[1]);
   }
 
-  // Wire-format overhaul counters (no-ops unless the config flags are on).
-  // The batch-size distribution is mirrored as summary gauges: registry
-  // Samples accumulate across snapshots, so re-adding raw values from a
-  // pull collector would double-count.
+  // Batching and delta-coding counters; the batch size is the mean
+  // messages per per-link flush.
   reg.counter("peer.batches_sent").set(batches_sent);
   reg.counter("peer.batched_messages").set(batched_messages);
   reg.counter("peer.batch_rejects").set(batch_rejects);
@@ -460,12 +460,10 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
   reg.counter("peer.baseline_mismatches").set(baseline_mismatches);
   reg.counter("peer.state_acks_sent").set(state_acks_sent);
   reg.counter("peer.sub_diff_misses").set(sub_diff_misses);
-  if (batch_sizes.count()) {
-    const auto q = batch_sizes.quantiles({0.50, 0.99, 1.0});
-    reg.gauge("net.batch_size_mean").set(batch_sizes.mean());
-    reg.gauge("net.batch_size_p50").set(q[0]);
-    reg.gauge("net.batch_size_p99").set(q[1]);
-    reg.gauge("net.batch_size_max").set(q[2]);
+  if (flushes) {
+    reg.gauge("net.batch_size_mean")
+        .set(static_cast<double>(flushed_messages) /
+             static_cast<double>(flushes));
   }
   reg.gauge("session.staleness_p99")
       .set(staleness.count() ? staleness.quantile(0.99) : 0.0);
@@ -489,8 +487,9 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
 
   // Misbehavior engine. Per-penalty counters ("rep.penalty{reason=...}")
   // ride the push-model signal hook; this mirror carries the pull-side
-  // aggregates and the score distribution (summary gauges, same rationale
-  // as the batch-size histogram above).
+  // aggregates and the score distribution (summary gauges: registry
+  // Samples accumulate across snapshots, so re-adding raw values from a
+  // pull collector would double-count).
   std::uint64_t rep_reports = 0;
   for (int t = 0; t < reputation::kNumPenaltyReasons; ++t) {
     const auto reason = static_cast<reputation::PenaltyReason>(t);

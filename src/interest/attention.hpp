@@ -16,6 +16,7 @@ struct AttentionWeights {
   /// Recency decay constant in frames: a hit `tau` frames ago contributes
   /// 1/e of a fresh hit.
   double recency_tau = 100.0;
+  bool operator==(const AttentionWeights&) const = default;
 };
 
 /// Attention of `observer` towards `target`; larger = more attention.

@@ -150,9 +150,4 @@ game::AvatarState decode_delta_anchored(const game::AvatarState& prev,
   return decode_delta(prev, bytes.subspan(bytes.size() - r.remaining()));
 }
 
-Frame anchored_baseline_frame(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  return unzigzag(r.varint());
-}
-
 }  // namespace watchmen::interest

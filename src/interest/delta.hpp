@@ -68,9 +68,6 @@ game::AvatarState decode_delta_anchored(const game::AvatarState& prev,
                                         Frame baseline_frame,
                                         std::span<const std::uint8_t> bytes);
 
-/// The baseline frame stamped into an anchored payload (no state needed).
-Frame anchored_baseline_frame(std::span<const std::uint8_t> bytes);
-
 /// Full encoding (baseline = default AvatarState).
 inline std::vector<std::uint8_t> encode_full(const game::AvatarState& cur) {
   return encode_delta(game::AvatarState{}, cur);

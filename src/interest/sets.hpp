@@ -24,6 +24,7 @@ struct InterestConfig {
   /// is what makes subscriber retention effective (§VI: ~88 % of the IS is
   /// retained across a frame).
   double is_hysteresis = 1.6;
+  bool operator==(const InterestConfig&) const = default;
 };
 
 /// The three subscription levels, ordered by information richness.

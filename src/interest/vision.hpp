@@ -21,6 +21,7 @@ struct VisionConfig {
   /// avatar's vision field").
   double half_angle = 1.309;
   bool use_occlusion = true;   ///< clip against map geometry
+  bool operator==(const VisionConfig&) const = default;
 };
 
 /// Pure cone test (no occlusion): is `target` inside observer's vision cone?

@@ -53,9 +53,8 @@ void SimNetwork::send(PlayerId from, PlayerId to,
   if (payload_bits == 0 && payload) payload_bits = payload->size() * 8;
   const std::size_t wire_bits = payload_bits + kUdpOverheadBits;
 
-  // Class = the datagram's leading message-type byte. The high bit only
-  // flags the compact header encoding (core::seal), so it is masked off —
-  // a compact state-update buckets with its legacy twin.
+  // Class = the datagram's leading message-type byte, with the header tag
+  // bit core::seal sets masked off.
   const std::uint8_t lead_class =
       (payload && !payload->empty() ? (*payload)[0] : 0) & 0x7f;
   const TimeMs now_ms = clock_.now();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 #include "cheat/cheats.hpp"
@@ -61,14 +60,13 @@ void put_watchmen_config(ByteWriter& w, const core::WatchmenConfig& c) {
   w.i64(c.retransmit_backoff);
   w.i32(c.retransmit_budget);
   w.i64(c.proxy_failover_silence);
+  put_bool(w, c.liveness_watchdog);
+  w.i64(c.heartbeat_period);
+  w.i64(c.watchdog_suspect_frames);
+  w.i64(c.watchdog_dead_frames);
+  w.u32(c.mtu_bytes);
   w.f64(c.starve_loss_allowance);
   w.f64(c.starve_floor);
-  put_bool(w, c.batching);
-  put_bool(w, c.ack_anchored);
-  w.i64(c.state_ack_period);
-  put_bool(w, c.quantized_guidance);
-  put_bool(w, c.subscriber_diffs);
-  put_bool(w, c.compact_headers);
   w.u32(c.other_update_budget);
 }
 
@@ -99,15 +97,42 @@ core::WatchmenConfig get_watchmen_config(ByteReader& r) {
   c.retransmit_backoff = r.i64();
   c.retransmit_budget = r.i32();
   c.proxy_failover_silence = r.i64();
+  c.liveness_watchdog = get_bool(r);
+  c.heartbeat_period = r.i64();
+  c.watchdog_suspect_frames = r.i64();
+  c.watchdog_dead_frames = r.i64();
+  c.mtu_bytes = r.u32();
   c.starve_loss_allowance = r.f64();
   c.starve_floor = r.f64();
-  c.batching = get_bool(r);
-  c.ack_anchored = get_bool(r);
-  c.state_ack_period = r.i64();
-  c.quantized_guidance = get_bool(r);
-  c.subscriber_diffs = get_bool(r);
-  c.compact_headers = get_bool(r);
   c.other_update_budget = r.u32();
+  return c;
+}
+
+void put_engine_config(ByteWriter& w, const reputation::EngineConfig& c) {
+  w.f64(c.discouragement_threshold);
+  w.f64(c.ban_score);
+  w.i64(c.epoch_frames);
+  w.i32(c.decay_quiet_epochs);
+  w.f64(c.decay_factor);
+  w.f64(c.decay_floor);
+  w.f64(c.severity_floor);
+  w.f64(c.max_units);
+  w.f64(c.witness_bonus);
+  w.f64(c.instant_ban_min_units);
+}
+
+reputation::EngineConfig get_engine_config(ByteReader& r) {
+  reputation::EngineConfig c;
+  c.discouragement_threshold = r.f64();
+  c.ban_score = r.f64();
+  c.epoch_frames = r.i64();
+  c.decay_quiet_epochs = r.i32();
+  c.decay_factor = r.f64();
+  c.decay_floor = r.f64();
+  c.severity_floor = r.f64();
+  c.max_units = r.f64();
+  c.witness_bonus = r.f64();
+  c.instant_ban_min_units = r.f64();
   return c;
 }
 
@@ -214,6 +239,8 @@ void put_options(ByteWriter& w, const core::SessionOptions& o) {
   put_watchmen_config(w, o.watchmen);
   w.f64(o.detector.high_confidence_threshold);
   w.f64(o.detector.fault_window_discount);
+  put_engine_config(w, o.misbehavior);
+  put_bool(w, o.misbehavior_enforcement);
   w.u64(o.seed);
   w.u8(static_cast<std::uint8_t>(o.net));
   w.f64(o.fixed_latency_ms);
@@ -237,6 +264,8 @@ core::SessionOptions get_options(ByteReader& r) {
   o.watchmen = get_watchmen_config(r);
   o.detector.high_confidence_threshold = r.f64();
   o.detector.fault_window_discount = r.f64();
+  o.misbehavior = get_engine_config(r);
+  o.misbehavior_enforcement = get_bool(r);
   o.seed = r.u64();
   o.net = checked_enum<core::NetProfile>(r.u8(), 4, "net profile");
   o.fixed_latency_ms = r.f64();
@@ -344,7 +373,11 @@ Recording Recording::deserialize(std::span<const std::uint8_t> bytes) {
     }
   }
   const std::uint16_t version = r.u16();
-  if (version != kVersion) throw DecodeError("unsupported .wmrec version");
+  if (version != kVersion) {
+    throw DecodeError(".wmrec version " + std::to_string(version) +
+                      " unsupported (this build reads v" +
+                      std::to_string(kVersion) + " only)");
+  }
 
   Recording rec;
   rec.options = get_options(r);
@@ -455,53 +488,6 @@ crypto::Digest session_digest(const core::WatchmenSession& s) {
 
   const auto& reports = s.detector().reports();
   w.varint(reports.size());
-  for (const auto& r : reports) {
-    w.u32(r.verifier);
-    w.u32(r.suspect);
-    w.u8(static_cast<std::uint8_t>(r.type));
-    w.u8(static_cast<std::uint8_t>(r.vantage));
-    w.i64(r.frame);
-    w.f64(r.deviation);
-    w.f64(r.rating);
-  }
-
-  return crypto::Sha256::hash(w.data());
-}
-
-crypto::Digest logical_digest(const core::WatchmenSession& s) {
-  ByteWriter w;
-  w.i64(s.current_frame());
-
-  const std::size_t n = s.num_players();
-  for (PlayerId p = 0; p < n; ++p) {
-    put_bool(w, s.connected(p));
-    const core::PeerMetrics& m = s.peer(p).metrics();
-    w.u64(m.updates_received);
-    w.varint(m.update_age_frames.count());
-    for (PlayerId q = 0; q < n; ++q) {
-      const core::RemoteKnowledge& k = s.peer(p).knowledge_of(q);
-      w.f64(k.pos.x);
-      w.f64(k.pos.y);
-      w.f64(k.pos.z);
-      w.i64(k.pos_frame);
-      w.i64(k.state_frame);
-      put_bool(w, k.has_state);
-      w.i64(k.last_heard);
-      w.i64(k.newest_frame);
-      w.u32(k.newest_seq);
-    }
-  }
-
-  // Reports in canonical order: per-receiver processing order inside one
-  // delivery slice depends on how messages were packed into datagrams, but
-  // the *set* of verdicts must not.
-  auto reports = s.detector().reports();
-  std::sort(reports.begin(), reports.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.frame, a.verifier, a.suspect, a.type, a.vantage,
-                    a.deviation, a.rating) <
-           std::tie(b.frame, b.verifier, b.suspect, b.type, b.vantage,
-                    b.deviation, b.rating);
-  });
   for (const auto& r : reports) {
     w.u32(r.verifier);
     w.u32(r.suspect);

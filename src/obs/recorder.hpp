@@ -82,11 +82,11 @@ struct RecEvent {
 };
 
 struct Recording {
-  // v2: WatchmenConfig gained the wire-format overhaul fields (batching,
-  // ack_anchored + state_ack_period, quantized_guidance, subscriber_diffs,
-  // compact_headers, other_update_budget).
+  // v3: every field of WatchmenConfig (the six wire-encoding switches are
+  // gone; the liveness watchdog and mtu_bytes are in) plus the misbehavior
+  // EngineConfig and misbehavior_enforcement.
   // Older files are rejected, not guessed at (DESIGN.md §5e).
-  static constexpr std::uint16_t kVersion = 2;
+  static constexpr std::uint16_t kVersion = 3;
 
   core::SessionOptions options;       ///< includes seed + FaultPlan
   std::vector<CheatSpec> cheats;      ///< roster, rebuilt on replay
@@ -110,14 +110,6 @@ struct Recording {
 /// recording produce identical digests at identical frames (same binary;
 /// cross-build identity additionally needs identical FP code generation).
 crypto::Digest session_digest(const core::WatchmenSession& s);
-
-/// SHA-256 over the *logical* protocol state only: what every peer knows
-/// about every player plus the (canonically sorted) detector verdicts —
-/// no datagram counts, no delivery-order-sensitive fields. Two runs that
-/// deliver the same decoded information agree on this digest even when the
-/// transport packaged it differently; deathmatch_48 --wire-check uses it to
-/// prove per-link batching is semantics-preserving.
-crypto::Digest logical_digest(const core::WatchmenSession& s);
 
 /// Reconstructs the recording's map from trace.map_name.
 /// Unknown names throw DecodeError.

@@ -160,6 +160,7 @@ struct EngineConfig {
   /// Minimum units for an instant-ban reason to latch the ban (sub-floor
   /// proof-carrying reports still score, but don't hard-ban).
   double instant_ban_min_units = 0.5;
+  bool operator==(const EngineConfig&) const = default;
 };
 
 /// Per-reason aggregate counters (feed the obs registry mirror).

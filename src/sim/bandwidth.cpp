@@ -4,7 +4,9 @@
 #include <utility>
 
 #include "core/messages.hpp"
+#include "crypto/sig.hpp"
 #include "net/network.hpp"
+#include "util/bytes.hpp"
 
 namespace watchmen::sim {
 
@@ -12,6 +14,27 @@ namespace {
 constexpr double kUpdatesPerSecond = 1000.0 / static_cast<double>(kFrameMs);  // 20
 constexpr double kInfrequentPerSecond =
     kUpdatesPerSecond / static_cast<double>(interest::kGuidancePeriodFrames);  // 1
+
+// The paper wire the v1 model prices no longer ships, so its sizes come
+// from its layout: a fixed 21-byte header ([u8 type][u32 origin]
+// [u32 subject][i64 frame][u32 seq]), the length-prefixed body and the
+// signature.
+constexpr std::size_t kPaperHeaderBytes = 21;
+
+double paper_sealed_bits(std::size_t body_bytes) {
+  return static_cast<double>(kPaperHeaderBytes + varint_size(body_bytes) +
+                             body_bytes + crypto::kSignatureBytes) *
+             8 +
+         static_cast<double>(net::kUdpOverheadBits);
+}
+
+/// Paper-wire guidance body: version byte, i64 frame, f32 position,
+/// velocity, yaw and pitch, i32 health, u8 weapon, then the waypoint count
+/// and f32 waypoints.
+std::size_t paper_guidance_body_bytes(const interest::Guidance& g) {
+  return 1 + 8 + 8 * 4 + 4 + 1 + varint_size(g.waypoints.size()) +
+         12 * g.waypoints.size();
+}
 }  // namespace
 
 WireSizes WireSizes::measure() {
@@ -34,65 +57,38 @@ WireSizes WireSizes::measure() {
 
   WireSizes w;
   const double overhead = static_cast<double>(net::kUdpOverheadBits);
-  w.state_update =
-      static_cast<double>(
-          core::seal(h, core::encode_state_body(s), keys.key_pair(0)).size()) * 8 +
-      overhead;
-  w.position_update =
-      static_cast<double>(
-          core::seal(h, core::encode_position_body(s.pos), keys.key_pair(0)).size()) * 8 +
-      overhead;
+  w.state_update = paper_sealed_bits(core::encode_state_body(s).size());
+  w.position_update = paper_sealed_bits(core::encode_position_body(s.pos).size());
   const interest::Guidance g = interest::make_guidance(s, 100, 2);
-  w.guidance =
-      static_cast<double>(
-          core::seal(h, core::encode_guidance_body(g), keys.key_pair(0)).size()) * 8 +
-      overhead;
-  w.subscribe =
-      static_cast<double>(
-          core::seal(h, core::encode_subscribe_body(interest::SetKind::kInterest),
-                     keys.key_pair(0)).size()) * 8 +
-      overhead;
+  w.guidance = paper_sealed_bits(paper_guidance_body_bytes(g));
+  w.subscribe = paper_sealed_bits(
+      core::encode_subscribe_body(interest::SetKind::kInterest).size());
   w.state_payload = static_cast<double>(core::encode_state_body(s).size()) * 8;
   w.snapshot_overhead = 22 * 8 + overhead;  // header + UDP/IP, no signature
 
-  // Overhauled formats. The anchored delta is measured on one frame of
-  // typical motion (the steady state once the proxy acks every
-  // state_ack_period frames: baselines stay 1-5 frames old, so deltas are
-  // small).
+  // The shipped wire, measured from the encoders the peers use. The anchored
+  // delta is measured on one frame of typical motion (the steady state once
+  // the proxy acks every kStateAckPeriod frames: baselines stay 1-5 frames
+  // old, so deltas are small).
   game::AvatarState next = s;
   const double dt = static_cast<double>(kFrameMs) / 1000.0;
   next.pos.x += s.vel.x * dt;
   next.pos.y += s.vel.y * dt;
   next.pos.z += s.vel.z * dt;
   next.yaw += 0.02;
-  // v2 envelopes ride the compact varint header (seal's `compact` flag).
-  w.state_anchored =
-      static_cast<double>(
-          core::seal(h, core::encode_state_body_delta_anchored(s, h.frame - 1, 1, next),
-                     keys.key_pair(0), /*compact=*/true).size()) * 8 +
-      overhead;
-  w.guidance_q =
-      static_cast<double>(
-          core::seal(h, core::encode_guidance_body_q(g), keys.key_pair(0),
-                     /*compact=*/true).size()) * 8 +
-      overhead;
-  w.subscriber_diff =
-      static_cast<double>(
-          core::seal(h,
-                     core::encode_subscriber_list_diff_body({1, 2, 5, 8, 13},
-                                                            {1, 2, 5, 8, 21}),
-                     keys.key_pair(0), /*compact=*/true).size()) * 8 +
-      overhead;
-  w.position_update_c =
-      static_cast<double>(
-          core::seal(h, core::encode_position_body(s.pos), keys.key_pair(0),
-                     /*compact=*/true).size()) * 8 +
-      overhead;
+  const auto sealed_bits = [&](std::span<const std::uint8_t> body) {
+    return static_cast<double>(core::seal(h, body, keys.key_pair(0)).size()) *
+               8 +
+           overhead;
+  };
+  w.state_anchored = sealed_bits(
+      core::encode_state_body_delta_anchored(s, h.frame - 1, 1, next));
+  w.guidance_q = sealed_bits(core::encode_guidance_body(g));
+  w.subscriber_diff = sealed_bits(core::encode_subscriber_list_diff_body(
+      {1, 2, 5, 8, 13}, {1, 2, 5, 8, 21}));
+  w.position_update_c = sealed_bits(core::encode_position_body(s.pos));
   w.subscribe_c =
-      static_cast<double>(
-          core::seal(h, core::encode_subscribe_body(interest::SetKind::kInterest),
-                     keys.key_pair(0), /*compact=*/true).size()) * 8 +
-      overhead;
+      sealed_bits(core::encode_subscribe_body(interest::SetKind::kInterest));
 
   // Batch framing costs, measured from the container encoder itself: the
   // marginal cost of the second sub-message is the per-message framing, and
@@ -256,13 +252,15 @@ MeasuredBandwidth watchmen_measured(const game::GameTrace& trace,
   out.bytes_per_player_s =
       total_bits / 8.0 / seconds / static_cast<double>(trace.n_players);
 
-  double flushes = 0.0, flushed_messages = 0.0;
+  std::uint64_t flushes = 0, flushed_messages = 0;
   for (PlayerId p = 0; p < trace.n_players; ++p) {
     const core::PeerMetrics& m = session.peer(p).metrics();
-    flushes += static_cast<double>(m.batch_sizes.count());
-    for (double v : m.batch_sizes.values()) flushed_messages += v;
+    flushes += m.flushes;
+    flushed_messages += m.flushed_messages;
   }
-  out.avg_batch_size = flushes > 0.0 ? flushed_messages / flushes : 1.0;
+  out.avg_batch_size = flushes > 0 ? static_cast<double>(flushed_messages) /
+                                         static_cast<double>(flushes)
+                                   : 1.0;
 
   if (opts.registry) {
     opts.registry->gauge("sim.upload_kbps_per_player").set(out.kbps_per_player);

@@ -13,8 +13,9 @@
 
 namespace watchmen::sim {
 
-/// Per-message wire sizes (bits, including UDP/IP overhead), computed from
-/// the actual encoders so the model matches the packet simulation.
+/// Per-message wire sizes (bits, including UDP/IP overhead). The first
+/// group prices the paper wire (fixed 21-byte header, f32 guidance), from
+/// its layout; the second the shipped wire, from the encoders the peers use.
 struct WireSizes {
   double state_update = 0.0;
   double position_update = 0.0;
@@ -27,13 +28,11 @@ struct WireSizes {
   /// trusted server's snapshot.
   double snapshot_overhead = 0.0;
 
-  // Overhauled wire format (batched datagrams + ack-anchored deltas):
-  // steady-state per-message costs, measured from the same encoders the
-  // peers use. All include UDP/IP overhead like the fields above, so the
-  // two generations are directly comparable; the batching model subtracts
-  // the overhead back out when amortizing it across a datagram.
-  // v2 envelopes are sealed with the compact varint header (the v1 fields
-  // above keep the legacy 21-byte header, so old vs new is apples-to-apples).
+  // Shipped wire format (batched datagrams, varint headers, anchored
+  // deltas): steady-state per-message costs. All include UDP/IP overhead
+  // like the fields above, so the two generations are directly comparable;
+  // the batching model subtracts the overhead back out when amortizing it
+  // across a datagram.
   double state_anchored = 0.0;   ///< ack-anchored delta, one frame of motion
   double guidance_q = 0.0;       ///< quantized varint guidance body
   double subscriber_diff = 0.0;  ///< one-add/one-remove subscriber diff
@@ -97,8 +96,7 @@ double client_server_server_kbps(std::size_t n, const SetSizeStats& s,
 struct MeasuredBandwidth {
   double kbps_per_player = 0.0;
   double bytes_per_player_s = 0.0;
-  /// Mean messages per per-link flush (1.0 when batching is off or the
-  /// session sent nothing batched).
+  /// Mean messages per per-link flush (1.0 when the session sent nothing).
   double avg_batch_size = 1.0;
 };
 

@@ -87,6 +87,13 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
+/// Bytes ByteWriter::varint(v) writes.
+inline std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}

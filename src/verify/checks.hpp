@@ -29,6 +29,7 @@ struct Tolerance {
   double mean = 0.0;
   double stddev = 0.0;
   double threshold() const { return mean + stddev; }
+  bool operator==(const Tolerance&) const = default;
 };
 
 // ---------------------------------------------------------------- checks

@@ -33,6 +33,7 @@ struct DetectorConfig {
   /// declared fault window. 0.4 keeps a max-rating proxy report (10.0)
   /// under the default high-confidence threshold while still logging it.
   double fault_window_discount = 0.4;
+  bool operator==(const DetectorConfig&) const = default;
 };
 
 struct SuspectSummary {

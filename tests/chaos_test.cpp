@@ -178,7 +178,7 @@ TEST_F(ChaosSession, ProxyDeathUnderBurstyLossRecovers) {
   EXPECT_GT(acks, 0u);
 }
 
-// Wire-overhaul acceptance (ISSUE 6): a Gilbert–Elliott loss burst chews
+// Anchored-delta acceptance: a Gilbert–Elliott loss burst chews
 // through the ack-anchored frequent stream — baselines get dropped, deltas
 // arrive anchored to states the receiver never decoded — and the decoder
 // must recover through the acked anchor rather than stalling for a
@@ -192,7 +192,6 @@ TEST_F(ChaosSession, AnchoredDeltasRecoverFromBurstyLossWithoutKeyframes) {
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.0;
   opts.watchmen.delta_updates = true;
-  opts.watchmen.ack_anchored = true;
   opts.watchmen.keyframe_period = 1000;  // longer than the session: the
                                          // anchor is the only recovery path
 

@@ -88,9 +88,8 @@ void expect_hardened(const std::vector<std::uint8_t>& bytes, Decode decode) {
 }
 
 TEST(DecodeHardening, StateBodyKeyframe) {
-  expect_hardened(core::encode_state_body(sample_state()), [](auto b) {
-    return core::decode_state_body(b, game::AvatarState{});
-  });
+  expect_hardened(core::encode_state_body(sample_state()),
+                  [](auto b) { return core::decode_state_body(b); });
 }
 
 TEST(DecodeHardening, StateBodyDelta) {
@@ -98,10 +97,11 @@ TEST(DecodeHardening, StateBodyDelta) {
   next.pos.x += 2.0;
   next.health -= 25;
   next.weapon = game::WeaponKind::kPlasmaGun;
-  expect_hardened(core::encode_state_body_delta(sample_state(), 3, next),
-                  [](auto b) {
-                    return core::decode_state_body(b, sample_state());
-                  });
+  expect_hardened(
+      core::encode_state_body_delta_anchored(sample_state(), 1197, 3, next),
+      [](auto b) {
+        return core::decode_state_body_anchored(b, sample_state(), 1197);
+      });
 }
 
 TEST(DecodeHardening, PositionBody) {
@@ -136,7 +136,7 @@ TEST(DecodeHardening, ChurnBody) {
 
 TEST(DecodeHardening, SubscriberListBody) {
   expect_hardened(core::encode_subscriber_list_body({1, 2, 5, 8, 13}),
-                  [](auto b) { return core::decode_subscriber_list_body(b); });
+                  [](auto b) { return core::decode_subscriber_list_body(b, {}); });
 }
 
 TEST(DecodeHardening, HandoffBody) {
@@ -248,6 +248,54 @@ TEST(DecodeHardening, OutOfRangeEnumsRejected) {
     auto wire = core::seal(h, core::encode_churn_body(4), keys.key_pair(0));
     wire[0] = 250;  // header type byte past kNumMsgTypes
     EXPECT_FALSE(core::open_unverified(wire).has_value());
+  }
+}
+
+TEST(DecodeHardening, RetiredEncodingsRejected) {
+  // The seed-wire encodings are gone from the encoders; their bytes must be
+  // refused by the decoders, never half-parsed.
+  const crypto::KeyRegistry keys(42, 4);
+  {
+    // Fixed-width 21-byte header: type byte without the 0x80 tag, validly
+    // signed, so only the header layout can reject it.
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(MsgType::kStateUpdate));
+    w.u32(1);     // origin
+    w.u32(1);     // subject
+    w.i64(1200);  // frame
+    w.u32(9);     // seq
+    w.blob(core::encode_state_body(sample_state()));
+    const auto sig = crypto::sign(keys.key_pair(1), w.data()).encode();
+    w.bytes(sig);
+    EXPECT_FALSE(core::open_unverified(w.data()).has_value());
+    EXPECT_FALSE(core::open(w.data(), keys).has_value());
+  }
+  {
+    // Guidance version 0: the f32 layout.
+    const interest::Guidance g = sample_guidance();
+    ByteWriter w;
+    w.u8(0);
+    w.i64(g.frame);
+    for (const double v : {g.pos.x, g.pos.y, g.pos.z, g.vel.x, g.vel.y,
+                           g.vel.z, g.yaw, g.pitch}) {
+      w.f32(static_cast<float>(v));
+    }
+    w.i32(g.health);
+    w.u8(static_cast<std::uint8_t>(g.weapon));
+    w.varint(0);
+    EXPECT_THROW(core::decode_guidance_body(w.data()), DecodeError);
+  }
+  {
+    // State-body kind 1: a delta against the sender's last keyframe.
+    ByteWriter w;
+    w.u8(1);
+    w.u8(3);  // baseline age
+    w.bytes(interest::encode_delta(sample_state(), sample_state()));
+    EXPECT_THROW(core::parse_state_body(w.data()), DecodeError);
+    EXPECT_THROW(core::decode_state_body(w.data()), DecodeError);
+    EXPECT_THROW(
+        core::decode_state_body_anchored(w.data(), sample_state(), 1197),
+        DecodeError);
   }
 }
 

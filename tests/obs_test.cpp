@@ -338,10 +338,14 @@ TEST(FlightRecorder, MalformedInputThrowsDecodeError) {
   auto bad = bytes;
   bad[0] ^= 0xff;
   EXPECT_THROW(Recording::deserialize(bad), DecodeError);
-  // Unsupported version.
-  bad = bytes;
-  bad[5] = 0xee;
-  EXPECT_THROW(Recording::deserialize(bad), DecodeError);
+  // Unsupported versions, including v1 and v2, which predate the v3 option
+  // layout (u16 right after the 5-byte magic).
+  for (const std::uint8_t v : {1, 2, 0xee}) {
+    bad = bytes;
+    bad[5] = v;
+    bad[6] = 0;
+    EXPECT_THROW(Recording::deserialize(bad), DecodeError) << "v" << int{v};
+  }
   // Every truncation either throws or is rejected as trailing garbage —
   // never aborts or reads out of bounds.
   for (std::size_t cut : {std::size_t{1}, bytes.size() / 2, bytes.size() - 1}) {
@@ -353,6 +357,80 @@ TEST(FlightRecorder, MalformedInputThrowsDecodeError) {
   bad = bytes;
   bad.push_back(0);
   EXPECT_THROW(Recording::deserialize(bad), DecodeError);
+}
+
+TEST(FlightRecorder, EveryOptionRoundTrips) {
+  // Every recorded option set away from its default must come back: a
+  // dropped field would replay a different protocol.
+  Recording rec = chaos_recording();
+  rec.trace.frames.resize(2);
+  core::SessionOptions& o = rec.options;
+  core::WatchmenConfig& c = o.watchmen;
+  c.interest.vision.radius = 1234.5;
+  c.interest.vision.half_angle = 0.75;
+  c.interest.vision.use_occlusion = false;
+  c.interest.attention.proximity = 1.5;
+  c.interest.attention.aim = 2.5;
+  c.interest.attention.recency = 3.5;
+  c.interest.attention.recency_tau = 42.0;
+  c.interest.is_size = 7;
+  c.interest.is_hysteresis = 1.25;
+  c.renewal_frames = 60;
+  c.guidance_period = 25;
+  c.guidance_waypoints = 3;
+  c.subscription_refresh = 30;
+  c.rate_loss_allowance = 0.2;
+  c.max_update_lateness = 8;
+  c.guidance_tolerance = {150.0, 140.0};
+  c.delta_updates = true;
+  c.keyframe_period = 12;
+  c.dr_damping = 0.5;
+  c.direct_updates = true;
+  c.aim_tolerance = {0.4, 0.3};
+  c.reliable_control = true;
+  c.retransmit_backoff = 5;
+  c.retransmit_budget = 6;
+  c.proxy_failover_silence = 9;
+  c.liveness_watchdog = true;
+  c.heartbeat_period = 11;
+  c.watchdog_suspect_frames = 26;
+  c.watchdog_dead_frames = 76;
+  c.mtu_bytes = 1200;
+  c.starve_loss_allowance = 0.6;
+  c.starve_floor = 0.25;
+  c.other_update_budget = 64;
+  o.detector.high_confidence_threshold = 7.0;
+  o.detector.fault_window_discount = 0.3;
+  o.misbehavior.discouragement_threshold = 90.0;
+  o.misbehavior.ban_score = 250.0;
+  o.misbehavior.epoch_frames = 45;
+  o.misbehavior.decay_quiet_epochs = 3;
+  o.misbehavior.decay_factor = 0.5;
+  o.misbehavior.decay_floor = 0.5;
+  o.misbehavior.severity_floor = 0.2;
+  o.misbehavior.max_units = 2.0;
+  o.misbehavior.witness_bonus = 0.25;
+  o.misbehavior.instant_ban_min_units = 0.75;
+  o.misbehavior_enforcement = true;
+  o.pool_weights = {{2, 0.0}, {3, 2.0}};
+  o.upload_bps = {{4, 512000.0}};
+  o.compute_threads = 3;
+
+  const Recording back = Recording::deserialize(rec.serialize());
+  const core::SessionOptions& bo = back.options;
+  EXPECT_EQ(bo.watchmen, c);
+  EXPECT_EQ(bo.detector, o.detector);
+  EXPECT_EQ(bo.misbehavior, o.misbehavior);
+  EXPECT_TRUE(bo.misbehavior_enforcement);
+  EXPECT_EQ(bo.seed, o.seed);
+  EXPECT_EQ(bo.net, o.net);
+  EXPECT_EQ(bo.fixed_latency_ms, o.fixed_latency_ms);
+  EXPECT_EQ(bo.loss_rate, o.loss_rate);
+  EXPECT_EQ(bo.pool_weights, o.pool_weights);
+  EXPECT_EQ(bo.upload_bps, o.upload_bps);
+  EXPECT_EQ(bo.compute_threads, 3u);
+  EXPECT_EQ(bo.faults.bursts.size(), 1u);
+  EXPECT_EQ(bo.faults.crashes.size(), 1u);
 }
 
 TEST(FlightRecorder, RosterCheatCoverage) {

@@ -165,9 +165,11 @@ TEST_P(DeltaProperty, WireBodiesRoundTripThroughFraming) {
     const auto key_body = core::encode_state_body(base);
     expect_states_equal(base, core::decode_state_body(key_body));
 
-    const auto delta_body = core::encode_state_body_delta(
-        base, static_cast<std::uint8_t>(rng.between(1, 9)), cur);
-    expect_states_equal(cur, core::decode_state_body(delta_body, base));
+    const Frame base_frame = 1000 + i;
+    const auto delta_body = core::encode_state_body_delta_anchored(
+        base, base_frame, static_cast<std::uint8_t>(rng.between(1, 9)), cur);
+    expect_states_equal(
+        cur, core::decode_state_body_anchored(delta_body, base, base_frame));
   }
 }
 
