@@ -13,6 +13,7 @@
 #include "game/trace.hpp"
 #include "interest/delta.hpp"
 #include "interest/sets.hpp"
+#include "interest/subscription.hpp"
 #include "interest/visibility_cache.hpp"
 #include "net/transport.hpp"
 #include "util/rng.hpp"
@@ -270,14 +271,48 @@ void BM_SessionFrame_48players(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionFrame_48players)->Unit(benchmark::kMicrosecond);
 
-void BM_ProxyOf(benchmark::State& state) {
+// The delivery checks' pattern: each forwarded message re-derives its
+// origin's proxy at rounds r−1, r and r+1, all memo hits once warm.
+void BM_ProxyOf_Hit(benchmark::State& state) {
+  constexpr PlayerId n = 256;
+  const core::ProxySchedule sched(42, n);
+  const std::int64_t round = 10;
+  std::uint32_t i = 0;
+  for (auto _ : state) {
+    const PlayerId p = (i / 3) % n;
+    const std::int64_t r = round - 1 + static_cast<std::int64_t>(i % 3);
+    benchmark::DoNotOptimize(sched.proxy_of(p, r));
+    ++i;
+  }
+}
+BENCHMARK(BM_ProxyOf_Hit);
+
+// A fresh round per query: the weighted draw itself, O(n).
+void BM_ProxyOf_Miss(benchmark::State& state) {
   const core::ProxySchedule sched(42, 48);
   std::int64_t round = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sched.proxy_of(7, round++));
   }
 }
-BENCHMARK(BM_ProxyOf);
+BENCHMARK(BM_ProxyOf_Miss);
+
+// A proxy's per-update subscriber list from a full 256-player table, a
+// quarter of it at interest level.
+void BM_Subscribers(benchmark::State& state) {
+  constexpr PlayerId n = 256;
+  interest::SubscriptionTable tab(n);
+  for (PlayerId p = 0; p < n; ++p) {
+    tab.subscribe(p,
+                  p % 4 == 0 ? interest::SetKind::kInterest
+                             : interest::SetKind::kVision,
+                  100);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tab.subscribers(interest::SetKind::kInterest, 120));
+  }
+}
+BENCHMARK(BM_Subscribers);
 
 void BM_NetworkSendDeliver(benchmark::State& state) {
   net::TransportConfig tc;

@@ -5,13 +5,18 @@
 // Invariants checked:
 //  * decode_handoff_body() throws DecodeError or returns a payload;
 //  * a returned payload re-encodes and re-decodes to the same payload
-//    (decode∘encode fixed point, field-by-field).
+//    (decode∘encode fixed point, field-by-field);
+//  * installing its subscriptions into a 256-slot table (what a successor
+//    proxy does) keeps the table at 256 slots, holds only in-range ids, and
+//    lists only those in subscribers() and snapshot(), in id order.
 
 #include <cstdint>
 #include <cstdlib>
+#include <set>
 #include <span>
 
 #include "core/handoff.hpp"
+#include "interest/subscription.hpp"
 #include "util/bytes.hpp"
 
 using namespace watchmen;
@@ -45,6 +50,32 @@ void check_same(const PlayerSummary& a, const PlayerSummary& b) {
   }
 }
 
+void check_install(const PlayerSummary& s) {
+  constexpr std::size_t kSlots = 256;
+  interest::SubscriptionTable tab(kSlots);
+  tab.install(s.subscriptions);
+  std::set<PlayerId> in_range;
+  for (const auto& [who, sub] : s.subscriptions) {
+    if (who < kSlots) in_range.insert(who);
+  }
+  if (tab.capacity() != kSlots || tab.size() != in_range.size()) std::abort();
+  const Frame now = s.last_state_frame;  // any attacker-chosen frame
+  const auto snap = tab.snapshot(now);
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    if (!in_range.contains(snap[i].first)) std::abort();
+    if (i > 0 && snap[i - 1].first >= snap[i].first) std::abort();
+  }
+  for (const auto kind : {interest::SetKind::kInterest,
+                          interest::SetKind::kVision,
+                          interest::SetKind::kOther}) {
+    const auto subs = tab.subscribers(kind, now);
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      if (!in_range.contains(subs[i])) std::abort();
+      if (i > 0 && subs[i - 1] >= subs[i]) std::abort();
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -56,6 +87,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     check_same(h.summary, rt.summary);
     if (h.predecessor.has_value() != rt.predecessor.has_value()) std::abort();
     if (h.predecessor) check_same(*h.predecessor, *rt.predecessor);
+    check_install(h.summary);
   } catch (const DecodeError&) {
     // Malformed input: the defined rejection path.
   }

@@ -5,6 +5,7 @@
 //
 //   ./gen_corpus <corpus-root>
 
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -178,6 +179,17 @@ int main(int argc, char** argv) {
     h.predecessor = s;
     h.predecessor->round = 11;
     put(root / "fuzz_handoff", "with_predecessor", core::encode_handoff_body(h));
+    // A colluding predecessor's table: ids past a 256-player session and
+    // expiry frames at both ends of the range.
+    core::HandoffPayload hostile;
+    hostile.summary.player = 4;
+    hostile.summary.subscriptions = {
+        {0xFFFFFFFFu, {interest::SetKind::kInterest, INT64_MAX}},
+        {256, {interest::SetKind::kVision, INT64_MIN}},
+        {3, {interest::SetKind::kInterest, INT64_MIN}},
+        {255, {interest::SetKind::kVision, INT64_MAX}}};
+    put(root / "fuzz_handoff", "hostile_ids",
+        core::encode_handoff_body(hostile));
   }
 
   // --- fuzz_delta: keyframe and a small delta.

@@ -28,6 +28,7 @@ WatchmenPeer::WatchmenPeer(PlayerId id, WatchmenConfig cfg, net::Transport& net,
       report_(std::move(report)),
       misbehavior_(misbehavior ? misbehavior : &honest_behavior()),
       know_(schedule.num_players()),
+      sent_level_(schedule.num_players()),
       recv_state_in_round_(schedule.num_players(), 0),
       is_held_frames_in_round_(schedule.num_players(), 0),
       pending_starve_(schedule.num_players()),
@@ -402,7 +403,7 @@ void WatchmenPeer::begin_frame(Frame f) {
     for (PlayerId p = 0; p < schedule_.num_players(); ++p) {
       if (p == id_) continue;
       if (schedule_.proxy_of(p, r) == id_ && !proxied_.contains(p)) {
-        ProxiedState ps(cfg_.renewal_frames);
+        ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
         ps.adopted_at = f;
         proxied_.emplace(p, std::move(ps));
       }
@@ -552,16 +553,13 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     return 0;
   };
   auto want = [&](PlayerId target, interest::SetKind kind) {
-    const auto it = sent_level_.find(target);
-    const Frame last = sent_level_frame_.contains(target)
-                           ? sent_level_frame_[target]
-                           : Frame{-10000};
+    SentLevel& sent = sent_level_[target];
+    const Frame last = sent.frame;
     // The level we hold at the proxy: the last one we sent, until the
     // proxy-side retention (one renewal period) would have expired it.
-    const interest::SetKind held =
-        (it == sent_level_.end() || f - last > cfg_.renewal_frames)
-            ? interest::SetKind::kOther
-            : it->second;
+    const interest::SetKind held = f - last > cfg_.renewal_frames
+                                       ? interest::SetKind::kOther
+                                       : sent.kind;
     const bool upgrade = level_rank(kind) > level_rank(held);
     // Self-healing: if we believe we hold a frequent subscription but the
     // stream has gone silent (lost subscribe, lost handoff), re-subscribe
@@ -572,8 +570,7 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     if (upgrade || starved || f - last >= cfg_.subscription_refresh) {
       const auto body = encode_subscribe_body(kind);
       send_to_proxy(MsgType::kSubscribe, target, f, body, delay);
-      sent_level_[target] = kind;
-      sent_level_frame_[target] = f;
+      sent = {kind, f};
     }
   };
   for (PlayerId t : sets.interest) want(t, interest::SetKind::kInterest);
@@ -583,9 +580,8 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
   // about each target this round: we must both currently *want* the target
   // in our IS and hold an unexpired IS subscription for it.
   for (PlayerId t : sets.interest) {
-    const auto it = sent_level_.find(t);
-    if (it != sent_level_.end() && it->second == interest::SetKind::kInterest &&
-        f - sent_level_frame_[t] <= cfg_.renewal_frames) {
+    if (sent_level_[t].kind == interest::SetKind::kInterest &&
+        f - sent_level_[t].frame <= cfg_.renewal_frames) {
       ++is_held_frames_in_round_[t];
     }
     // Per-frame staleness of what we actually hold about each IS target —
@@ -796,10 +792,7 @@ void WatchmenPeer::end_frame(Frame f) {
       }
       my_last_summaries_[q] = std::move(s);
 
-      GraceEntry grace;
-      grace.expires = f + kGraceFrames;
-      grace.state = std::move(ps);
-      grace_.insert_or_assign(q, std::move(grace));
+      grace_.insert_or_assign(q, GraceEntry{f + kGraceFrames, std::move(ps)});
       it = proxied_.erase(it);
     } else {
       // Still the proxy next round: just reset the window counters.
@@ -940,7 +933,7 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
         // signed wire along to whoever is.
         const PlayerId cur = schedule_.proxy_at(h.subject, net_->clock().frame());
         if (cur == id_) {
-          ProxiedState ps(cfg_.renewal_frames);
+          ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
           ps.adopted_at = net_->clock().frame();
           auto [slot, _] = proxied_.emplace(h.subject, std::move(ps));
           proxy_handle_subscribe_second_hop(*parsed, slot->second);
@@ -1034,7 +1027,7 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
     // silently: over-eager routing is a loss symptom, not a cheat.
     const PlayerId cur = schedule_.proxy_of(h.origin, round_);
     if (!proxy_silent(cur)) return;
-    ProxiedState ps(cfg_.renewal_frames);
+    ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
     ps.adopted_at = frame_;
     if (const auto s = my_last_summaries_.find(h.origin);
         s != my_last_summaries_.end()) {
@@ -1602,8 +1595,7 @@ void WatchmenPeer::rejoin(Frame f) {
     is_held_frames_in_round_[q] = 0;
     pending_starve_[q].active = false;
   }
-  sent_level_.clear();
-  sent_level_frame_.clear();
+  std::fill(sent_level_.begin(), sent_level_.end(), SentLevel{});
 
   flush_batches();
 }
@@ -1645,7 +1637,7 @@ void WatchmenPeer::handle_handoff(const ParsedMessage& msg) {
     const std::int64_t now_round = schedule_.round_of(net_->clock().frame());
     if (stamp_round + protocol::kHandoffStaleRounds < now_round) return;
     if (schedule_.proxy_of(h.subject, stamp_round + 1) != id_) return;
-    ProxiedState ps(cfg_.renewal_frames);
+    ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
     ps.adopted_at = net_->clock().frame();
     it = proxied_.emplace(h.subject, std::move(ps)).first;
   }
@@ -1958,14 +1950,14 @@ verify::Vantage WatchmenPeer::vantage_towards(PlayerId suspect) const {
   if (suspect < schedule_.num_players() && proxied_.contains(suspect)) {
     return verify::Vantage::kProxy;
   }
-  const auto it = sent_level_.find(suspect);
-  if (it != sent_level_.end()) {
-    if (it->second == interest::SetKind::kInterest) {
+  if (suspect >= sent_level_.size()) return verify::Vantage::kOther;
+  switch (sent_level_[suspect].kind) {
+    case interest::SetKind::kInterest:
       return verify::Vantage::kInterestWitness;
-    }
-    if (it->second == interest::SetKind::kVision) {
+    case interest::SetKind::kVision:
       return verify::Vantage::kVisionWitness;
-    }
+    case interest::SetKind::kOther:
+      break;
   }
   return verify::Vantage::kOther;
 }

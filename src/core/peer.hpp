@@ -354,7 +354,8 @@ class WatchmenPeer {
     int kill_claims_same_frame = 0; ///< splash multi-kills share a frame
     Frame adopted_at = -1;  ///< frame this peer became the proxy
     std::optional<PlayerSummary> predecessor_summary;
-    explicit ProxiedState(Frame retention) : subs(retention) {}
+    ProxiedState(std::size_t n_players, Frame retention)
+        : subs(n_players, retention) {}
   };
 
   // --- send helpers -------------------------------------------------------
@@ -521,8 +522,14 @@ class WatchmenPeer {
   PlayerId anchor_proxy_ = kInvalidPlayer;
   // Direct-update mode: the IS subscribers our proxy told us to push to.
   std::vector<PlayerId> direct_targets_;
-  std::unordered_map<PlayerId, interest::SetKind> sent_level_;
-  std::unordered_map<PlayerId, Frame> sent_level_frame_;
+  /// Last subscription this peer sent about each target, indexed by id:
+  /// the level and the frame it went out. kOther means none since the last
+  /// reset (produce only ever sends kInterest or kVision).
+  struct SentLevel {
+    interest::SetKind kind = interest::SetKind::kOther;
+    Frame frame = -10000;
+  };
+  std::vector<SentLevel> sent_level_;
   /// Per-origin state updates received this proxy round; used to verify
   /// that proxies actually forward (paper §V-A "other players verify that
   /// proxies forward them").
@@ -555,7 +562,7 @@ class WatchmenPeer {
   // verifying + forwarding subscriptions).
   struct GraceEntry {
     Frame expires = 0;
-    ProxiedState state{ProxySchedule::kDefaultRenewalFrames};
+    ProxiedState state;
   };
   std::unordered_map<PlayerId, GraceEntry> grace_;
   // Shared with the wmcheck protocol model (core/protocol_params.hpp): the

@@ -13,7 +13,18 @@
 // The schedule also supports the paper's §VI refinements: removing players
 // from the proxy pool (churn, bans, or low-bandwidth nodes) and weighting
 // powerful nodes to serve more often.
+//
+// Memo contract. Every receiver re-derives the origin's proxy for each
+// forwarded message, so `proxy_of` answers from a lazily filled table of
+// kMemoSlots rounds × n players, slot = round mod kMemoSlots. A miss runs
+// the weighted draw, which stays the only computation; any pool or weight
+// change empties the table, so an answer never depends on what was cached.
+// The table is mutable state behind const methods: a schedule instance
+// belongs to one thread (each WatchmenPeer owns its copy, and the session's
+// copy is read only on the driving thread). Copying a schedule copies its
+// table; the copies then evolve independently.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -40,6 +51,7 @@ class ProxySchedule {
 
   /// The proxy of `player` during `round`. Pure function of
   /// (seed, player, round, pool) — this is what makes it verifiable.
+  /// O(1) on a memo hit (see the contract above).
   PlayerId proxy_of(PlayerId player, std::int64_t round) const;
 
   /// Convenience: proxy at a given frame.
@@ -47,7 +59,8 @@ class ProxySchedule {
     return proxy_of(player, round_of(frame));
   }
 
-  /// All players proxied by `proxy` during `round` (inverse mapping).
+  /// All players proxied by `proxy` during `round` (inverse mapping): n
+  /// memo lookups.
   std::vector<PlayerId> proxied_by(PlayerId proxy, std::int64_t round) const;
 
   /// Removes a player from the proxy pool (left the game, banned, or too
@@ -66,10 +79,24 @@ class ProxySchedule {
   bool in_pool(PlayerId player) const { return weights_.at(player) > 0.0; }
 
  private:
+  /// Rounds held at once: r−1, r and r+1 for the delivery checks, plus one
+  /// spare so a look-ahead to r+2 does not evict r−1.
+  static constexpr std::size_t kMemoSlots = 4;
+
+  /// The deterministic weighted draw behind proxy_of: O(n) per call.
+  PlayerId draw(PlayerId player, std::int64_t round) const;
+  /// Empties the memo; called by every pool or weight change.
+  void invalidate();
+
   std::uint64_t seed_;
   std::size_t n_;
   Frame renewal_;
   std::vector<double> weights_;
+  /// Round each memo slot holds (meaningless while its entries are empty).
+  mutable std::array<std::int64_t, kMemoSlots> memo_round_{};
+  /// kMemoSlots × n_ proxies, kInvalidPlayer where not drawn yet; empty
+  /// until the first query.
+  mutable std::vector<PlayerId> memo_;
 };
 
 }  // namespace watchmen::core

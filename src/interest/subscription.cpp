@@ -1,56 +1,73 @@
 #include "interest/subscription.hpp"
 
-#include <algorithm>
-
 namespace watchmen::interest {
 
+void SubscriptionTable::put(PlayerId who, const Subscription& sub) {
+  if (who >= slots_.size()) return;
+  Slot& s = slots_[who];
+  if (!s.present) ++size_;
+  s.expires = sub.expires;
+  s.kind = sub.kind;
+  s.present = true;
+}
+
 void SubscriptionTable::subscribe(PlayerId subscriber, SetKind kind, Frame now) {
-  subs_[subscriber] = Subscription{kind, now + retention_};
+  put(subscriber, Subscription{kind, now + retention_});
 }
 
 void SubscriptionTable::unsubscribe(PlayerId subscriber) {
-  subs_.erase(subscriber);
+  if (subscriber >= slots_.size() || !slots_[subscriber].present) return;
+  slots_[subscriber].present = false;
+  --size_;
 }
 
 void SubscriptionTable::expire(Frame now) {
-  std::erase_if(subs_, [now](const auto& kv) { return kv.second.expires < now; });
+  for (Slot& s : slots_) {
+    if (s.present && s.expires < now) {
+      s.present = false;
+      --size_;
+    }
+  }
 }
 
 std::vector<PlayerId> SubscriptionTable::subscribers(SetKind kind,
                                                      Frame now) const {
+  // Id order is the canonical order: the list feeds kSubscriberList wire
+  // bodies, which must not depend on table layout.
   std::vector<PlayerId> out;
-  for (const auto& [who, sub] : subs_) {
-    if (sub.kind == kind && sub.expires >= now) out.push_back(who);
+  for (PlayerId who = 0; who < slots_.size(); ++who) {
+    const Slot& s = slots_[who];
+    if (s.present && s.kind == kind && s.expires >= now) {
+      out.push_back(who);
+    }
   }
-  // Canonical order: the list feeds kSubscriberList wire bodies, which must
-  // not depend on hash-table iteration order.
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 SetKind SubscriptionTable::level_of(PlayerId subscriber, Frame now) const {
-  const auto it = subs_.find(subscriber);
-  if (it == subs_.end() || it->second.expires < now) return SetKind::kOther;
-  return it->second.kind;
+  if (subscriber >= slots_.size()) return SetKind::kOther;
+  const Slot& s = slots_[subscriber];
+  if (!s.present || s.expires < now) return SetKind::kOther;
+  return s.kind;
 }
 
 std::vector<std::pair<PlayerId, Subscription>> SubscriptionTable::snapshot(
     Frame now) const {
+  // Id order again: snapshots are serialized into handoff bodies.
   std::vector<std::pair<PlayerId, Subscription>> out;
-  out.reserve(subs_.size());
-  for (const auto& [who, sub] : subs_) {
-    if (sub.expires >= now) out.emplace_back(who, sub);
+  out.reserve(size_);
+  for (PlayerId who = 0; who < slots_.size(); ++who) {
+    const Slot& s = slots_[who];
+    if (s.present && s.expires >= now) {
+      out.emplace_back(who, Subscription{s.kind, s.expires});
+    }
   }
-  // Canonical order: snapshots are serialized into handoff bodies, so the
-  // bytes must not depend on hash-table iteration order.
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
 void SubscriptionTable::install(
     const std::vector<std::pair<PlayerId, Subscription>>& entries) {
-  for (const auto& [who, sub] : entries) subs_[who] = sub;
+  for (const auto& [who, sub] : entries) put(who, sub);
 }
 
 }  // namespace watchmen::interest

@@ -81,23 +81,26 @@ class ThreadPool {
     wake_.notify_all();
     drain();  // caller works too
     CvLock lock(mu_);
-    while (pending_ != 0) done_.wait(lock);
+    while (pending_ != 0 || active_ != 0) done_.wait(lock);
     job_fn_ = nullptr;
   }
 
  private:
   void drain() EXCLUDES(mu_) {
-    // Claim indices until the job is exhausted. `job_fn_` stays valid until
-    // pending_ hits 0, and parallel_for cannot return (and invalidate fn)
-    // before that.
+    // Claim indices until the job is exhausted. parallel_for returns (and
+    // invalidates fn) only once no drain holds the job: a worker that took
+    // fn just as the last index finished must not outlive the job, or its
+    // next claim would land on the following job's counter and run this
+    // job's dead fn.
     const std::function<void(std::size_t)>* fn;
     std::size_t n;
     {
       MutexLock lock(mu_);
       fn = job_fn_;
       n = job_n_;
+      if (fn == nullptr) return;
+      ++active_;
     }
-    if (fn == nullptr) return;
     std::size_t finished = 0;
     for (;;) {
       const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
@@ -105,11 +108,10 @@ class ThreadPool {
       (*fn)(i);
       ++finished;
     }
-    if (finished > 0) {
-      MutexLock lock(mu_);
-      pending_ -= finished;
-      if (pending_ == 0) done_.notify_all();
-    }
+    MutexLock lock(mu_);
+    pending_ -= finished;
+    --active_;
+    if (pending_ == 0 && active_ == 0) done_.notify_all();
   }
 
   void worker_loop() EXCLUDES(mu_) {
@@ -134,6 +136,7 @@ class ThreadPool {
   std::size_t job_n_ GUARDED_BY(mu_) = 0;
   std::atomic<std::size_t> next_{0};  ///< lock-free index claim ticket
   std::size_t pending_ GUARDED_BY(mu_) = 0;
+  std::size_t active_ GUARDED_BY(mu_) = 0;  ///< drains holding job_fn_
   std::uint64_t generation_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
 };

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -13,6 +14,7 @@
 #include "core/session.hpp"
 #include "game/map.hpp"
 #include "game/trace.hpp"
+#include "util/rng.hpp"
 
 namespace watchmen::core {
 namespace {
@@ -89,6 +91,148 @@ TEST(ProxySchedule, ProxiedByIsInverse) {
         EXPECT_EQ(sched.proxy_of(p, r), proxy);
       }
     }
+  }
+}
+
+TEST(ProxySchedule, ProxiedByIsInverseAt256) {
+  constexpr std::size_t n = 256;
+  ProxySchedule sched(42, n);
+  sched.remove_from_pool(17);
+  sched.set_weight(200, 2.5);
+  for (std::int64_t r = 0; r < 6; ++r) {
+    std::vector<int> covered(n, 0);
+    for (PlayerId proxy = 0; proxy < n; ++proxy) {
+      for (PlayerId p : sched.proxied_by(proxy, r)) {
+        EXPECT_EQ(sched.proxy_of(p, r), proxy);
+        ++covered[p];
+      }
+    }
+    // Every player has exactly one proxy per round.
+    for (PlayerId p = 0; p < n; ++p) EXPECT_EQ(covered[p], 1) << "player " << p;
+    EXPECT_TRUE(sched.proxied_by(17, r).empty());
+  }
+}
+
+// The memo is a cache, never a second source of truth: every answer must
+// equal the weighted draw. The reference is a schedule built fresh with the
+// same weights, whose first query is a memo miss and so runs the draw.
+class ScheduleModel {
+ public:
+  ScheduleModel(std::uint64_t seed, std::size_t n) : seed_(seed), w_(n, 1.0) {}
+
+  void remove(PlayerId p) { w_[p] = 0.0; }
+  void restore(PlayerId p) {
+    if (w_[p] <= 0.0) w_[p] = 1.0;
+  }
+  void set_weight(PlayerId p, double w) { w_[p] = w; }
+  std::size_t pool_size() const {
+    return static_cast<std::size_t>(
+        std::count_if(w_.begin(), w_.end(), [](double w) { return w > 0.0; }));
+  }
+  std::size_t n() const { return w_.size(); }
+
+  PlayerId proxy_of(PlayerId p, std::int64_t round) const {
+    ProxySchedule fresh(seed_, w_.size());
+    for (PlayerId q = 0; q < w_.size(); ++q) {
+      if (w_[q] != 1.0) fresh.set_weight(q, w_[q]);
+    }
+    return fresh.proxy_of(p, round);
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::vector<double> w_;
+};
+
+/// One random step against both the schedule and its model: a query
+/// (checked), or a pool / weight change applied to both.
+void random_step(Rng& rng, ProxySchedule& sched, ScheduleModel& model,
+                 std::int64_t& round) {
+  const auto n = static_cast<std::uint64_t>(model.n());
+  const auto p = static_cast<PlayerId>(rng.below(n));
+  const std::uint64_t op = rng.below(100);
+  std::int64_t q = round;
+  if (op < 50) {
+    q = round + rng.between(-1, 1);  // the delivery checks' r−1 / r / r+1
+  } else if (op < 60) {
+    q = round + 4 * rng.between(-2, 2);  // same memo slot, other round
+  } else if (op < 65) {
+    q = rng.between(-1000000, 1000000);  // far, possibly negative
+  } else if (op < 75) {
+    ++round;
+    return;
+  } else if (op < 82) {
+    if (model.pool_size() > 2) {
+      sched.remove_from_pool(p);
+      model.remove(p);
+    }
+    return;
+  } else if (op < 90) {
+    sched.restore_to_pool(p);
+    model.restore(p);
+    return;
+  } else {
+    // Non-integer weights, and now and then a zero.
+    const double w = rng.chance(0.2) ? 0.0 : rng.uniform(0.05, 4.0);
+    if (w > 0.0 || model.pool_size() > 2) {
+      sched.set_weight(p, w);
+      model.set_weight(p, w);
+    }
+    return;
+  }
+  ASSERT_EQ(sched.proxy_of(p, q), model.proxy_of(p, q))
+      << "player " << p << " round " << q;
+}
+
+TEST(ProxySchedule, MemoMatchesFreshDraw) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    constexpr std::size_t n = 40;
+    ProxySchedule sched(seed, n);
+    ScheduleModel model(seed, n);
+    Rng rng(seed * 7919);
+    std::int64_t round = 0;
+    for (int step = 0; step < 3000; ++step) {
+      random_step(rng, sched, model, round);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ProxySchedule, CopiedMemoEvolvesIndependently) {
+  constexpr std::size_t n = 48;
+  ProxySchedule source(5, n);
+  ScheduleModel source_model(5, n);
+  const auto check_warm = [&](const ProxySchedule& s, const ScheduleModel& m) {
+    for (std::int64_t r = 0; r < 3; ++r) {
+      for (PlayerId p = 0; p < n; ++p) {
+        ASSERT_EQ(s.proxy_of(p, r), m.proxy_of(p, r)) << "round " << r;
+      }
+    }
+  };
+  check_warm(source, source_model);  // fills rounds 0..2
+  ProxySchedule copy = source;
+  ScheduleModel copy_model = source_model;
+  // A change to the source must not reach the copy's warm table...
+  source.set_weight(11, 0.3);
+  source_model.set_weight(11, 0.3);
+  check_warm(copy, copy_model);
+  check_warm(source, source_model);  // re-fills the source
+  // ...nor a change to the copy the source's.
+  copy.remove_from_pool(copy.proxy_of(0, 1));
+  copy_model.remove(copy_model.proxy_of(0, 1));
+  copy.set_weight(9, 2.75);
+  copy_model.set_weight(9, 2.75);
+  check_warm(source, source_model);
+  check_warm(copy, copy_model);
+  // And random interleavings on the two afterwards.
+  Rng rng(77);
+  std::int64_t round_a = 2;
+  std::int64_t round_b = 2;
+  for (int step = 0; step < 1500; ++step) {
+    random_step(rng, source, source_model, round_a);
+    if (HasFatalFailure()) return;
+    random_step(rng, copy, copy_model, round_b);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/messages.hpp"
 #include "game/trace.hpp"
 #include "interest/delta.hpp"
+#include "interest/subscription.hpp"
 #include "util/bytes.hpp"
 
 namespace watchmen {
@@ -157,6 +159,54 @@ TEST(DecodeHardening, HandoffBody) {
   h.predecessor->round = 11;
   expect_hardened(core::encode_handoff_body(h),
                   [](auto b) { return core::decode_handoff_body(b); });
+}
+
+// A colluding predecessor controls every byte of a handoff, including the
+// subscriber ids and expiry frames it asks the successor to install. An id
+// outside the session must be dropped (the dense table neither grows nor
+// lists it), whatever its expiry.
+TEST(DecodeHardening, HandoffHostileSubscriberIds) {
+  for (const Frame expires : {INT64_MIN, INT64_MAX}) {
+    core::HandoffPayload h;
+    h.summary.player = 4;
+    h.summary.subscriptions = {
+        {0xFFFFFFFFu, {interest::SetKind::kInterest, expires}},
+        {256, {interest::SetKind::kVision, expires}},
+        {7, {interest::SetKind::kInterest, expires}}};
+    const core::HandoffPayload got =
+        core::decode_handoff_body(core::encode_handoff_body(h));
+    ASSERT_EQ(got.summary.subscriptions.size(), 3u);
+    EXPECT_EQ(got.summary.subscriptions[0].first, 0xFFFFFFFFu);
+    EXPECT_EQ(got.summary.subscriptions[0].second.expires, expires);
+
+    interest::SubscriptionTable tab(256, 40);
+    tab.install(got.summary.subscriptions);
+    EXPECT_EQ(tab.capacity(), 256u);  // sized at construction, never grown
+    EXPECT_EQ(tab.size(), 1u);
+    EXPECT_EQ(tab.level_of(0xFFFFFFFFu, 0), interest::SetKind::kOther);
+    for (const Frame now : {Frame{0}, INT64_MIN, INT64_MAX}) {
+      for (const auto kind : {interest::SetKind::kInterest,
+                              interest::SetKind::kVision}) {
+        for (const PlayerId who : tab.subscribers(kind, now)) {
+          EXPECT_LT(who, 256u);
+        }
+      }
+      for (const auto& [who, sub] : tab.snapshot(now)) EXPECT_LT(who, 256u);
+    }
+    // The in-range entry keeps the hostile expiry: it is the predecessor's
+    // word, bounded by the table, not by time.
+    EXPECT_EQ(tab.snapshot(INT64_MIN).size(), 1u);
+    EXPECT_EQ(tab.snapshot(INT64_MAX).size(), expires == INT64_MAX ? 1u : 0u);
+
+    // The decoder's maximum of hostile entries changes nothing either.
+    core::HandoffPayload flood;
+    flood.summary.subscriptions.assign(
+        4096, {0xFFFFFFFFu, {interest::SetKind::kInterest, expires}});
+    tab.install(core::decode_handoff_body(core::encode_handoff_body(flood))
+                    .summary.subscriptions);
+    EXPECT_EQ(tab.capacity(), 256u);
+    EXPECT_EQ(tab.size(), 1u);
+  }
 }
 
 TEST(DecodeHardening, DeltaBody) {

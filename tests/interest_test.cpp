@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <map>
 
 #include "game/map.hpp"
 #include "game/trace.hpp"
@@ -13,6 +15,7 @@
 #include "interest/sets.hpp"
 #include "interest/subscription.hpp"
 #include "interest/vision.hpp"
+#include "util/rng.hpp"
 
 namespace watchmen::interest {
 namespace {
@@ -298,7 +301,7 @@ TEST(DeadReckoning, ZeroDampingIsExactlyLinear) {
 // ---------------------------------------------------------------- Subscriptions
 
 TEST(Subscription, SubscribeAndQuery) {
-  SubscriptionTable tab(40);
+  SubscriptionTable tab(16, 40);
   tab.subscribe(3, SetKind::kInterest, 100);
   tab.subscribe(4, SetKind::kVision, 100);
   EXPECT_EQ(tab.level_of(3, 100), SetKind::kInterest);
@@ -308,21 +311,21 @@ TEST(Subscription, SubscribeAndQuery) {
 }
 
 TEST(Subscription, RetentionTimeout) {
-  SubscriptionTable tab(40);
+  SubscriptionTable tab(16, 40);
   tab.subscribe(3, SetKind::kInterest, 100);
   EXPECT_EQ(tab.level_of(3, 140), SetKind::kInterest);  // still retained
   EXPECT_EQ(tab.level_of(3, 141), SetKind::kOther);     // timed out
 }
 
 TEST(Subscription, RefreshExtendsLifetime) {
-  SubscriptionTable tab(40);
+  SubscriptionTable tab(16, 40);
   tab.subscribe(3, SetKind::kInterest, 100);
   tab.subscribe(3, SetKind::kInterest, 130);
   EXPECT_EQ(tab.level_of(3, 165), SetKind::kInterest);
 }
 
 TEST(Subscription, ExpirePurges) {
-  SubscriptionTable tab(40);
+  SubscriptionTable tab(16, 40);
   tab.subscribe(1, SetKind::kInterest, 0);
   tab.subscribe(2, SetKind::kVision, 100);
   tab.expire(90);
@@ -330,20 +333,136 @@ TEST(Subscription, ExpirePurges) {
 }
 
 TEST(Subscription, SnapshotAndInstallRoundTrip) {
-  SubscriptionTable a(40);
+  SubscriptionTable a(16, 40);
   a.subscribe(1, SetKind::kInterest, 100);
   a.subscribe(2, SetKind::kVision, 105);
-  SubscriptionTable b(40);
+  SubscriptionTable b(16, 40);
   b.install(a.snapshot(105));
   EXPECT_EQ(b.level_of(1, 110), SetKind::kInterest);
   EXPECT_EQ(b.level_of(2, 110), SetKind::kVision);
 }
 
 TEST(Subscription, UnsubscribeRemoves) {
-  SubscriptionTable tab(40);
+  SubscriptionTable tab(16, 40);
   tab.subscribe(1, SetKind::kInterest, 100);
   tab.unsubscribe(1);
   EXPECT_EQ(tab.level_of(1, 100), SetKind::kOther);
+}
+
+TEST(Subscription, IdsOutsideTableAreIgnored) {
+  SubscriptionTable tab(16, 40);
+  tab.subscribe(16, SetKind::kInterest, 100);
+  tab.install({{0xFFFFFFFFu, {SetKind::kInterest, 500}},
+               {3, {SetKind::kVision, 500}}});
+  EXPECT_EQ(tab.size(), 1u);
+  EXPECT_EQ(tab.level_of(16, 100), SetKind::kOther);
+  EXPECT_EQ(tab.level_of(0xFFFFFFFFu, 100), SetKind::kOther);
+  EXPECT_EQ(tab.subscribers(SetKind::kInterest, 100), std::vector<PlayerId>{});
+  tab.unsubscribe(0xFFFFFFFFu);
+  EXPECT_EQ(tab.size(), 1u);
+}
+
+/// The hash-map table the dense one replaced, as a std::map (ordered, so
+/// no sort), with the dense table's range contract: ids ≥ n are ignored.
+struct SubscriptionModel {
+  std::size_t n;
+  Frame retention;
+  std::map<PlayerId, Subscription> subs;
+
+  void put(PlayerId who, Subscription sub) {
+    if (who < n) subs[who] = sub;
+  }
+  std::vector<PlayerId> subscribers(SetKind kind, Frame now) const {
+    std::vector<PlayerId> out;
+    for (const auto& [who, sub] : subs) {
+      if (sub.kind == kind && sub.expires >= now) out.push_back(who);
+    }
+    return out;
+  }
+  SetKind level_of(PlayerId who, Frame now) const {
+    const auto it = subs.find(who);
+    return it == subs.end() || it->second.expires < now ? SetKind::kOther
+                                                        : it->second.kind;
+  }
+};
+
+TEST(Subscription, MatchesMapModel) {
+  constexpr std::size_t n = 24;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    SubscriptionTable tab(n, 40);
+    SubscriptionModel model{n, 40, {}};
+    Frame now = 0;
+    const auto any_id = [&] {
+      // Mostly in range; sometimes just past it, or the all-ones id.
+      const std::uint64_t u = rng.below(20);
+      if (u == 0) return static_cast<PlayerId>(0xFFFFFFFFu);
+      if (u == 1) return static_cast<PlayerId>(n + rng.below(4));
+      return static_cast<PlayerId>(rng.below(n));
+    };
+    const auto any_kind = [&] { return static_cast<SetKind>(rng.below(3)); };
+    for (int step = 0; step < 4000; ++step) {
+      now += rng.between(-2, 6);  // mostly forward, sometimes back
+      switch (rng.below(8)) {
+        case 0:
+        case 1: {
+          const PlayerId who = any_id();
+          const SetKind kind = any_kind();
+          tab.subscribe(who, kind, now);
+          model.put(who, {kind, now + model.retention});
+          break;
+        }
+        case 2: {
+          const PlayerId who = any_id();
+          tab.unsubscribe(who);
+          model.subs.erase(who);
+          break;
+        }
+        case 3:
+          tab.expire(now);
+          std::erase_if(model.subs,
+                        [&](const auto& kv) { return kv.second.expires < now; });
+          break;
+        case 4: {
+          std::vector<std::pair<PlayerId, Subscription>> entries;
+          for (std::uint64_t k = rng.below(5); k > 0; --k) {
+            const Frame expires =
+                rng.chance(0.1) ? (rng.chance(0.5) ? INT64_MIN : INT64_MAX)
+                                : now + rng.between(-50, 50);
+            entries.push_back({any_id(), {any_kind(), expires}});
+          }
+          tab.install(entries);
+          for (const auto& [who, sub] : entries) model.put(who, sub);
+          break;
+        }
+        case 5: {
+          const PlayerId who = any_id();
+          ASSERT_EQ(tab.level_of(who, now), model.level_of(who, now));
+          break;
+        }
+        case 6: {
+          const SetKind kind = any_kind();
+          ASSERT_EQ(tab.subscribers(kind, now), model.subscribers(kind, now));
+          break;
+        }
+        default: {
+          const auto snap = tab.snapshot(now);
+          std::vector<std::pair<PlayerId, Subscription>> want;
+          for (const auto& [who, sub] : model.subs) {
+            if (sub.expires >= now) want.emplace_back(who, sub);
+          }
+          ASSERT_EQ(snap.size(), want.size());
+          for (std::size_t i = 0; i < snap.size(); ++i) {
+            ASSERT_EQ(snap[i].first, want[i].first);
+            ASSERT_EQ(snap[i].second.kind, want[i].second.kind);
+            ASSERT_EQ(snap[i].second.expires, want[i].second.expires);
+          }
+          break;
+        }
+      }
+      ASSERT_EQ(tab.size(), model.subs.size()) << "step " << step;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Delta coding

@@ -190,6 +190,18 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   }
 }
 
+TEST(ThreadPool, BackToBackJobsNeverRunTheFinishedOne) {
+  // Tiny jobs issued back to back: a worker that picked up job k just as
+  // its last index finished must be done with it before job k+1 starts,
+  // or it claims k+1's indices and runs k's (by then destroyed) callable.
+  util::ThreadPool pool(4);
+  for (int job = 0; job < 20000; ++job) {
+    std::vector<int> hits(3, 0);
+    pool.parallel_for(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+    ASSERT_EQ(hits, std::vector<int>(3, 1)) << "job " << job;
+  }
+}
+
 /// The optimized pipeline (occluder index + visibility cache + eye table +
 /// SoA prefilter + buffer reuse) must reproduce the reference implementation
 /// exactly, including hysteresis chains across frames.
