@@ -36,9 +36,9 @@ RowResult run_with(const game::GameTrace& trace, const game::GameMap& map,
 
   RowResult r;
   if (logged) r.injected = logged->cheat_frames().size();
-  const double hc = session.detector().config().high_confidence_threshold;
   for (const auto& rep : session.detector().reports()) {
-    if (rep.suspect == cheater && rep.weighted() >= hc) {
+    if (rep.suspect == cheater &&
+        rep.weighted() >= verify::kHighConfidenceThreshold) {
       ++r.reports;
       r.by.insert(rep.verifier == session.schedule().proxy_at(cheater, rep.frame)
                       ? "proxy"

@@ -1,7 +1,8 @@
 // A full 48-player deathmatch with a mixed population of cheaters,
-// end-to-end: gameplay -> protocol replay -> verification -> reputation ->
-// bans. This is the scenario the paper's title promises: a large fast-paced
-// game that stays playable while cheaters are caught during game play.
+// end-to-end: gameplay -> protocol replay -> verification -> misbehavior
+// scoring -> discouragement and bans. This is the scenario the paper's
+// title promises: a large fast-paced game that stays playable while
+// cheaters are caught during game play.
 //
 // The scenario doubles as the flight-recorder acceptance gate (ISSUE 5):
 //   deathmatch_48 --record match.wmrec   captures the run (inputs + periodic
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -21,7 +23,6 @@
 #include "game/map.hpp"
 #include "game/trace.hpp"
 #include "obs/recorder.hpp"
-#include "reputation/reputation.hpp"
 
 using namespace watchmen;
 
@@ -80,7 +81,13 @@ int record_mode(const char* path, bool delta) {
 }
 
 int replay_mode(const char* path) {
-  const obs::Recording rec = obs::Recording::load(path);
+  obs::Recording rec;
+  try {
+    rec = obs::Recording::load(path);
+  } catch (const std::exception& e) {  // unreadable, or a DecodeError
+    std::fprintf(stderr, "cannot replay %s: %s\n", path, e.what());
+    return 2;
+  }
   const obs::ReplayReport report = obs::replay_run(rec);
   if (report.ok) {
     std::printf("replay of %s: %zu/%zu checkpoints bit-identical\n", path,
@@ -126,67 +133,30 @@ int main(int argc, char** argv) {
   core::WatchmenSession session(trace, map, opts, cheaters);
   session.run();
 
-  // Feed every verification report into the reputation system; reporters'
-  // confidence comes from their vantage, and their own standing damps
-  // bad-mouthing.
-  // Feed the reputation system chronologically, round by round, as it would
-  // run online (paper §V-B): each proxy round either passes cleanly — an
-  // acceptable interaction vouched for by the round's proxy — or draws
-  // failed-interaction reports from the verifiers that flagged the player.
-  reputation::ReputationConfig rep_cfg;
-  rep_cfg.ban_threshold = 0.4;  // calibrated to our detector's FP profile
-  reputation::ReputationSystem rep(48, rep_cfg);
-  const Frame renewal = opts.watchmen.renewal_frames;
-  const auto n_rounds = static_cast<std::int64_t>(1200 / renewal);
-  for (std::int64_t round = 0; round < n_rounds; ++round) {
-    std::vector<bool> flagged(48, false);
-    for (const auto& r : session.detector().reports()) {
-      if (r.frame / renewal != round) continue;
-      // Witness-side rate reports blame the *proxy* of a starved stream,
-      // but the witness cannot tell a dropping proxy from a suppressing
-      // player; this circumstantial evidence stays out of the tally.
-      if (r.type == verify::CheckType::kRate &&
-          r.vantage != verify::Vantage::kProxy) {
-        continue;
-      }
-      if (r.rating >= 6.0) {
-        rep.report(r.verifier, r.suspect, /*success=*/false,
-                   verify::confidence_weight(r.vantage));
-        flagged[r.suspect] = true;
-      }
-    }
-    for (PlayerId p = 0; p < 48; ++p) {
-      if (!flagged[p]) rep.report(session.schedule().proxy_of(p, round), p, true, 1.0);
-    }
-    // Round boundary: snapshot reporter credibilities for the next round —
-    // a reporter's collapsing standing mutes it from here on, and the
-    // outcome stays independent of report order within the round.
-    rep.advance_epoch();
-  }
-
-  // The misbehavior engine ran *online* inside the session (typed penalties,
-  // discouragement / instant-ban tiers); print its verdicts alongside.
+  // The misbehavior engine ran *online* inside the session (paper §V-B:
+  // typed penalties per proxy round, discouragement / instant-ban tiers).
   const reputation::MisbehaviorEngine& engine = session.misbehavior();
-  std::printf("%-8s %-12s %10s %12s %8s %9s %12s\n", "player", "cheat",
-              "hc-reports", "reputation", "banned", "m-score", "standing");
+  std::printf("%-8s %-12s %10s %9s %12s\n", "player", "cheat", "hc-reports",
+              "m-score", "standing");
   const char* labels[4] = {"speed-hack", "fake-kills", "guidance", "suppress"};
   for (PlayerId p = 0; p < 12; ++p) {
     const auto& s = session.detector().summary(p);
     const bool is_cheater = p < 4;
-    std::printf("%-8u %-12s %10llu %12.3f %8s %9.1f %12s\n", p,
+    std::printf("%-8u %-12s %10llu %9.1f %12s\n", p,
                 is_cheater ? labels[p] : "-",
                 static_cast<unsigned long long>(s.high_confidence_reports),
-                rep.reputation(p), rep.should_ban(p) ? "BANNED" : "",
                 engine.score(p), to_string(engine.standing(p)));
   }
 
-  int caught = 0, wrongly_banned = 0;
+  int caught = 0, banned = 0, wrongly_caught = 0;
   for (PlayerId p = 0; p < 48; ++p) {
-    if (p < 4 && rep.should_ban(p)) ++caught;
-    if (p >= 4 && rep.should_ban(p)) ++wrongly_banned;
+    if (p < 4 && engine.discouraged(p)) ++caught;
+    if (p < 4 && engine.standing(p) == reputation::Standing::kBanned) ++banned;
+    if (p >= 4 && engine.discouraged(p)) ++wrongly_caught;
   }
-  std::printf("\ncheaters banned: %d/4, honest players wrongly banned: %d/44\n",
-              caught, wrongly_banned);
+  std::printf("\ncheaters discouraged or banned: %d/4 (%d banned), honest "
+              "players discouraged or banned: %d/44\n",
+              caught, banned, wrongly_caught);
 
   const Samples ages = session.merged_update_ages();
   double late = 0;

@@ -71,16 +71,15 @@ void WatchmenPeer::net_send(
   batch_buf_.push_back({to, {std::move(wire)}});
 }
 
-void WatchmenPeer::send_batch_group(
-    PlayerId to,
-    std::vector<std::shared_ptr<const std::vector<std::uint8_t>>>& group) {
+void WatchmenPeer::flush_slot(BatchSlot& slot) {
+  auto& group = slot.wires;
   if (group.empty()) return;
   ++metrics_.flushes;
   metrics_.flushed_messages += group.size();
   if (group.size() == 1) {
     // A lone message rides bare: no container overhead, and the leading
     // type byte keeps per-class stats exact.
-    net_->send(id_, to, std::move(group.front()));
+    net_->send(id_, slot.to, std::move(group.front()));
     group.clear();
     return;
   }
@@ -90,37 +89,8 @@ void WatchmenPeer::send_batch_group(
   for (const auto& sub : group) w.blob(*sub);
   ++metrics_.batches_sent;
   metrics_.batched_messages += group.size();
-  net_->send(id_, to, w.take());
+  net_->send(id_, slot.to, w.take());
   group.clear();
-}
-
-void WatchmenPeer::flush_slot(BatchSlot& slot) {
-  if (slot.wires.empty()) return;
-  if (cfg_.mtu_bytes == 0) {
-    send_batch_group(slot.to, slot.wires);
-    return;
-  }
-  // MTU-aware split: greedily pack sub-wires into containers whose encoded
-  // size stays under cfg_.mtu_bytes. A sub-wire that alone busts the budget
-  // still goes out (bare, as its own group) — the transport's oversize
-  // accounting owns that case; silently holding it would lose the message
-  // with no signal at all.
-  // Container fixed cost: type byte + count varint (<= 2 bytes for the
-  // 512-message cap).
-  constexpr std::size_t kContainerOverhead = 3;
-  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> group;
-  std::size_t group_bytes = kContainerOverhead;
-  for (auto& sub : slot.wires) {
-    const std::size_t cost = varint_size(sub->size()) + sub->size();
-    if (!group.empty() && group_bytes + cost > cfg_.mtu_bytes) {
-      send_batch_group(slot.to, group);
-      group_bytes = kContainerOverhead;
-    }
-    group.push_back(std::move(sub));
-    group_bytes += cost;
-  }
-  send_batch_group(slot.to, group);
-  slot.wires.clear();
 }
 
 void WatchmenPeer::flush_batches() {
@@ -191,9 +161,9 @@ bool WatchmenPeer::proxy_silent(PlayerId px) const {
   if (px == id_ || px >= schedule_.num_players()) return false;
   const Frame silence = frame_ - std::max<Frame>(know_[px].last_heard, 0);
   // The watchdog's Suspect threshold doubles as the emergency-failover
-  // trigger: with heartbeats flowing every heartbeat_period frames, a
+  // trigger: with heartbeats flowing every kHeartbeatPeriod frames, a
   // Suspect-grade silence is already several missed beacons, not jitter.
-  if (cfg_.liveness_watchdog && silence > cfg_.watchdog_suspect_frames) {
+  if (cfg_.liveness_watchdog && silence > protocol::kWatchdogSuspectFrames) {
     return true;
   }
   if (cfg_.proxy_failover_silence <= 0) return false;
@@ -213,8 +183,7 @@ void WatchmenPeer::run_watchdog(Frame f) {
   }
   // Heartbeat on a per-player staggered cadence so beacons spread across
   // frames instead of synchronizing the whole session onto one.
-  const Frame period = std::max<Frame>(1, cfg_.heartbeat_period);
-  if ((f + static_cast<Frame>(id_)) % period == 0) {
+  if ((f + static_cast<Frame>(id_)) % protocol::kHeartbeatPeriod == 0) {
     const PlayerId px = schedule_.proxy_at(id_, f);
     const auto beacon = [&](PlayerId to) {
       if (to == id_ || to >= schedule_.num_players()) return;
@@ -230,9 +199,9 @@ void WatchmenPeer::run_watchdog(Frame f) {
     if (p == id_ || p >= schedule_.num_players()) return;
     const Frame s = silence_of(p, f);
     std::uint8_t next = static_cast<std::uint8_t>(PeerLiveness::kAlive);
-    if (s > cfg_.watchdog_dead_frames) {
+    if (s > protocol::kWatchdogDeadFrames) {
       next = static_cast<std::uint8_t>(PeerLiveness::kDead);
-    } else if (s > cfg_.watchdog_suspect_frames) {
+    } else if (s > protocol::kWatchdogSuspectFrames) {
       next = static_cast<std::uint8_t>(PeerLiveness::kSuspect);
     }
     std::uint8_t& st = watchdog_state_[p];
@@ -257,10 +226,10 @@ void WatchmenPeer::track_reliable(
   p.seq = seq;
   p.type = type;
   p.wire = std::move(wire);
-  p.backoff = std::max<Frame>(1, cfg_.retransmit_backoff);
+  p.backoff = protocol::kRetransmitBackoff;
   p.next_retry =
       frame_ + p.backoff + retransmit_jitter(origin, seq, p.attempt, p.backoff);
-  p.retries_left = cfg_.retransmit_budget;
+  p.retries_left = protocol::kRetransmitBudget;
   reliable_.push_back(std::move(p));
 }
 
@@ -513,9 +482,9 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
 
   // 2. Guidance + infrequent position update, once per guidance period
   //    (staggered by player id to spread the load across frames).
-  if ((f + static_cast<Frame>(id_) * 7) % cfg_.guidance_period == 0) {
+  if ((f + static_cast<Frame>(id_) * 7) % interest::kGuidancePeriodFrames == 0) {
     interest::Guidance g = interest::make_guidance(
-        published, f, cfg_.guidance_waypoints, cfg_.dr_damping);
+        published, f, kGuidanceWaypoints, cfg_.dr_damping);
     g = misbehavior_->mutate_guidance(g, f);
     const auto gbody = encode_guidance_body(g);
     send_to_proxy(MsgType::kGuidance, id_, f, gbody, delay);
@@ -567,7 +536,7 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     const bool starved = held == interest::SetKind::kInterest &&
                          kind == interest::SetKind::kInterest &&
                          f - last > 8 && f - know_[target].newest_frame > 8;
-    if (upgrade || starved || f - last >= cfg_.subscription_refresh) {
+    if (upgrade || starved || f - last >= kSubscriptionRefreshFrames) {
       const auto body = encode_subscribe_body(kind);
       send_to_proxy(MsgType::kSubscribe, target, f, body, delay);
       sent = {kind, f};
@@ -695,7 +664,7 @@ void WatchmenPeer::end_frame(Frame f) {
         verify::check_rate(ps.updates_in_round, expected, cfg_.rate_loss_allowance);
     // Statistical aimbot check over the round's precision samples.
     const verify::CheckResult aim =
-        verify::check_aim(ps.aim_samples, cfg_.aim_tolerance);
+        verify::check_aim(ps.aim_samples, kAimTolerance);
     if (aim.suspicious()) {
       emit(q, verify::CheckType::kAimbot, verify::Vantage::kProxy, f, aim);
       ++ps.suspicious_in_round;
@@ -1078,13 +1047,13 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
   // Time cheat: stamped long before it reached us.
   const Frame now = net_->clock().frame();
   const Frame lateness = now - h.frame;
-  if (lateness > cfg_.max_update_lateness) {
+  if (lateness > kMaxUpdateLateness) {
     verify::CheckResult res;
-    res.deviation = static_cast<double>(lateness - cfg_.max_update_lateness);
+    res.deviation = static_cast<double>(lateness - kMaxUpdateLateness);
     // Saturates at twice the allowance: consistently stamping updates
     // hundreds of ms in the past is the look-ahead cheat.
     res.rating = verify::rating_from_deviation(
-        res.deviation, static_cast<double>(cfg_.max_update_lateness));
+        res.deviation, static_cast<double>(kMaxUpdateLateness));
     emit(h.origin, verify::CheckType::kConsistency, verify::Vantage::kProxy,
          h.frame, res);
     ++ps.suspicious_in_round;
@@ -1987,7 +1956,7 @@ void WatchmenPeer::maybe_close_guidance(
     bool& has_guidance, const interest::Guidance& guidance,
     std::vector<std::pair<Frame, Vec3>>& samples) {
   if (!has_guidance) return;
-  if (observed_frame <= guidance.frame + cfg_.guidance_period + 2) return;
+  if (observed_frame <= guidance.frame + interest::kGuidancePeriodFrames + 2) return;
   if (!samples.empty()) {
     verify_guidance_window(suspect, vantage, guidance, samples);
   }
@@ -2008,7 +1977,8 @@ void WatchmenPeer::verify_guidance_window(
   // Cap the horizon at one guidance period (+ jitter): if the next guidance
   // was lost, later samples compare against a prediction the sender never
   // claimed to cover, and the area integral would grow quadratically.
-  const Frame horizon = old_guidance.frame + cfg_.guidance_period + 2;
+  const Frame horizon =
+      old_guidance.frame + interest::kGuidancePeriodFrames + 2;
   for (const auto& s : all_samples) {
     if (s.first < old_guidance.frame) continue;  // predates this window
     if (trim_death && s.first >= death) continue;

@@ -53,22 +53,27 @@ namespace watchmen::core {
 /// proxy acks one decoded state update every this many frames, and the
 /// sender's delta anchor advances to it.
 inline constexpr Frame kStateAckPeriod = 5;
+/// Waypoints per guidance message (one per guidance period ahead).
+inline constexpr std::size_t kGuidanceWaypoints = 2;
+/// Players re-send live subscriptions this often so retention never lapses.
+inline constexpr Frame kSubscriptionRefreshFrames = 20;
+/// Frames of lateness a proxy tolerates before flagging a time cheat
+/// (covers network jitter; ~3 frames = 150 ms, the playability bound).
+inline constexpr Frame kMaxUpdateLateness = 6;
+/// Honest tolerance for the statistical aim check (Table I "aimbots"):
+/// mean/stddev of honest players' per-round median angular error towards
+/// the best-aligned nearby enemy. Generous on purpose.
+inline constexpr verify::Tolerance kAimTolerance{0.30, 0.25};
 
 /// Protocol knobs. The wire encoding is not among them: every peer batches
 /// per link, seals varint headers, quantizes guidance and diffs subscriber
 /// lists (DESIGN.md §5f).
 struct WatchmenConfig {
+  // wmlint: allow(config-knob) the interest benches sweep InterestConfig
   interest::InterestConfig interest;
   Frame renewal_frames = ProxySchedule::kDefaultRenewalFrames;
-  Frame guidance_period = interest::kGuidancePeriodFrames;  ///< 20 frames = 1 s
-  std::size_t guidance_waypoints = 2;
-  /// Players re-send live subscriptions this often so retention never lapses.
-  Frame subscription_refresh = 20;
   /// Loss tolerance of the proxy's dissemination-rate check.
   double rate_loss_allowance = 0.10;
-  /// Frames of lateness a proxy tolerates before flagging a time cheat
-  /// (covers network jitter; ~3 frames = 150 ms, the playability bound).
-  Frame max_update_lateness = 6;
   /// Honest-behaviour tolerance for the guidance deviation-area check;
   /// calibrated by the harness (ā + σ_a rule). The default covers a full
   /// direction reversal against a linear predictor over one guidance period.
@@ -78,6 +83,7 @@ struct WatchmenConfig {
   /// frames), or the last keyframe until the first ack of a proxy tenure;
   /// a periodic keyframe lets forwarded receivers recover from losses.
   bool delta_updates = false;
+  // wmlint: allow(config-knob) chaos_test moves it until one delta mode remains
   Frame keyframe_period = 10;  ///< bounds the desync window after a loss
   /// Dead-reckoning predictor damping (1/s); 0 = pure linear. See
   /// interest::make_guidance and bench/ablation_dead_reckoning.
@@ -88,21 +94,15 @@ struct WatchmenConfig {
   /// players learn who subscribed to them (rate-analysis exposure returns),
   /// and direct sends can no longer be treated as protocol violations.
   bool direct_updates = false;
-  /// Honest tolerance for the statistical aim check (Table I "aimbots"):
-  /// mean/stddev of honest players' per-round median angular error towards
-  /// the best-aligned nearby enemy. Generous by default; calibrate for
-  /// tighter detection.
-  verify::Tolerance aim_tolerance{0.30, 0.25};
 
   // --- chaos-resilience knobs (all off / paper-default unless a scenario
   // opts in; the baseline protocol stays exactly the paper's) -------------
   /// Reliable delivery for control traffic (handoff, subscribe, churn and
   /// rejoin notices): receivers ack, senders retransmit with exponential
-  /// backoff and a bounded budget. State updates stay fire-and-forget —
+  /// backoff and a bounded budget (protocol::kRetransmitBackoff,
+  /// protocol::kRetransmitBudget). State updates stay fire-and-forget —
   /// freshness beats completeness for them (§II-A).
   bool reliable_control = false;
-  Frame retransmit_backoff = 3;  ///< initial retransmit delay (frames; doubles)
-  int retransmit_budget = 4;     ///< max retransmits per tracked message
   /// Emergency proxy failover: when this peer's current proxy has been
   /// fully silent for more than this many frames, proxy-bound traffic is
   /// duplicated to the successor-of-round, which adopts the player early
@@ -110,21 +110,14 @@ struct WatchmenConfig {
   /// two-round follow-up invariant). 0 disables.
   Frame proxy_failover_silence = 0;
   /// Liveness watchdog (real-network hardening): this peer heartbeats its
-  /// current proxy and proxied players every heartbeat_period frames, and
-  /// grades every such relationship Alive -> Suspect -> Dead from receive
-  /// silence. Suspect triggers the emergency failover duplication (same
-  /// path as proxy_failover_silence); Dead is terminal until traffic
-  /// resumes. Off by default — when off, behaviour is bit-identical to the
-  /// pre-watchdog protocol.
+  /// current proxy and proxied players every protocol::kHeartbeatPeriod
+  /// frames, and grades every such relationship Alive -> Suspect -> Dead
+  /// from receive silence (protocol::kWatchdogSuspectFrames,
+  /// protocol::kWatchdogDeadFrames). Suspect triggers the emergency failover
+  /// duplication (same path as proxy_failover_silence); Dead is terminal
+  /// until traffic resumes. Off by default — when off, behaviour is
+  /// bit-identical to the pre-watchdog protocol.
   bool liveness_watchdog = false;
-  Frame heartbeat_period = 10;        ///< ~2 heartbeats/s at 50 ms frames
-  Frame watchdog_suspect_frames = 25; ///< silence before Suspect (failover)
-  Frame watchdog_dead_frames = 75;    ///< silence before Dead
-  /// Max payload bytes per datagram the batcher may emit: batches split
-  /// into multiple containers under this bound (each sub-message still an
-  /// intact signed wire). 0 = unlimited (seed behaviour). Pair with
-  /// Transport::set_mtu to make the network enforce the same bound.
-  std::uint32_t mtu_bytes = 0;
   /// Witness-side starvation tolerances, loss-aware: the fraction of the
   /// expected forwarded stream a witness forgives before suspicion, and
   /// the hard floor (fraction of expected) under which the stream counts
@@ -367,15 +360,10 @@ class WatchmenPeer {
   /// end of every event slice (frame hooks and message deliveries), so a
   /// batch leaves at the instant its messages were produced.
   void flush_batches();
-  /// Drains one destination slot: a single container when no MTU is set,
-  /// greedy MTU-bounded containers otherwise.
+  /// Drains one destination slot: bare when it holds one wire, one kBatch
+  /// container otherwise.
   struct BatchSlot;
   void flush_slot(BatchSlot& slot);
-  /// Sends one group of sub-wires (bare when lone, a kBatch container
-  /// otherwise) and clears it.
-  void send_batch_group(
-      PlayerId to,
-      std::vector<std::shared_ptr<const std::vector<std::uint8_t>>>& group);
   std::vector<std::uint8_t> make_sealed(MsgType type, PlayerId subject,
                                         Frame frame,
                                         std::span<const std::uint8_t> body);

@@ -82,7 +82,11 @@ struct ModelConfig {
   int forge_budget = 1;   ///< unsigned injected messages
   int ack_budget = 1;     ///< spontaneous state-acks (exercises I3)
   int failover_budget = 1;
-  int retransmit_budget = 2;      ///< mirrors WatchmenConfig::retransmit_budget
+  /// Smaller than the shipped protocol::kRetransmitBudget (4) on purpose:
+  /// I4 holds by construction for any budget, and at 4 the
+  /// wmcheck_exhaustive space no longer exhausts inside its 20M-state cap
+  /// (DESIGN.md §5g). tests/wmcheck_test.cpp pins both values.
+  int retransmit_budget = 2;
   int failover_silence_rounds = 1;
   int settle_rounds = 2;  ///< fault-free rounds before quiescence asserts
   Variant variant = Variant::kFaithful;

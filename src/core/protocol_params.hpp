@@ -1,18 +1,22 @@
 #pragma once
-// Shared handoff/failover/churn protocol constants (DESIGN.md §5g).
+// Shared handoff/failover/churn/retransmit protocol constants (DESIGN.md §5g).
 //
 // These numbers define the timing skeleton of the proxy-transition
 // protocol: how long an outgoing proxy keeps serving in-flight traffic,
 // when an agreed churn removal / rejoin restore takes effect, and how much
-// round skew the handoff validator tolerates. They used to live as
-// literals inside WatchmenPeer; tools/wmcheck models the same protocol as
-// a pure transition system, and the model is only a *proof* about the
-// implementation if both read the very same constants — so they live here,
-// included by core/peer and by the wmcheck model.
+// round skew the handoff validator tolerates, plus the retransmit and
+// liveness-watchdog cadences of the hardened control plane. tools/wmcheck
+// models the same protocol as a pure transition system, and the model is
+// only a *proof* about the implementation if both read the very same
+// constants — so they live here, included by core/peer and by the wmcheck
+// model.
 //
 // Changing any value changes the protocol: wmcheck re-verifies the
 // exactly-one-active-proxy and termination invariants against the new
-// timing on the next CI run, which is the intended workflow for tuning.
+// handoff/churn timing on the next CI run, which is the intended workflow
+// for tuning. The retransmit and watchdog values sit outside the model
+// (its retransmit budget is deliberately smaller, DESIGN.md §5g);
+// chaos_test, transport_test and wmproc_smoke exercise them.
 
 #include "util/ids.hpp"
 
@@ -42,5 +46,22 @@ inline constexpr std::int64_t kPoolTransitionGraceRounds = 2;
 /// s + kHandoffStaleRounds >= current round (covers retransmits and
 /// boundary-crossing copies); anything older is silently dropped.
 inline constexpr std::int64_t kHandoffStaleRounds = 1;
+
+/// Reliable control: the first retransmit goes out this many frames after
+/// the send, and the delay doubles with each further attempt.
+inline constexpr Frame kRetransmitBackoff = 3;
+
+/// Reliable control: retransmits per tracked message before it expires.
+inline constexpr int kRetransmitBudget = 4;
+
+/// Liveness watchdog: heartbeat cadence in frames (~2 beats/s at 50 ms).
+inline constexpr Frame kHeartbeatPeriod = 10;
+
+/// Liveness watchdog: receive silence (frames) past which a relationship is
+/// Suspect, which also triggers the emergency failover duplication.
+inline constexpr Frame kWatchdogSuspectFrames = 25;
+
+/// Liveness watchdog: receive silence (frames) past which it is Dead.
+inline constexpr Frame kWatchdogDeadFrames = 75;
 
 }  // namespace watchmen::core::protocol

@@ -19,14 +19,6 @@ std::unique_ptr<net::LatencyModel> make_latency(NetProfile profile,
   throw std::invalid_argument("bad net profile");
 }
 
-reputation::EngineConfig engine_config(const SessionOptions& opts) {
-  reputation::EngineConfig cfg = opts.misbehavior;
-  // Default aggregation epoch: one proxy round, the natural cadence at
-  // which proxy vantage rotates and verdicts complete.
-  if (cfg.epoch_frames <= 0) cfg.epoch_frames = opts.watchmen.renewal_frames;
-  return cfg;
-}
-
 /// Lead classes the UDP send queue must never shed under backpressure: the
 /// reliable control plane (agreement state with its own retransmit budget)
 /// plus the acks that complete it.
@@ -48,8 +40,9 @@ WatchmenSession::WatchmenSession(
       opts_(opts),
       keys_(opts.seed, trace.n_players),
       schedule_(opts.seed, trace.n_players, opts.watchmen.renewal_frames),
-      detector_(opts.detector),
-      misbehavior_(trace.n_players, engine_config(opts)),
+      // One aggregation epoch per proxy round, the cadence at which proxy
+      // vantage rotates and verdicts complete.
+      misbehavior_(trace.n_players, opts.watchmen.renewal_frames),
       replayer_(trace),
       pool_(opts.compute_threads),
       connected_(trace.n_players, true),
@@ -58,7 +51,7 @@ WatchmenSession::WatchmenSession(
     net_ = opts.transport_factory(trace.n_players);
   } else {
     net::TransportConfig tc;
-    tc.kind = opts.transport ? *opts.transport : net::transport_kind_from_env();
+    tc.kind = net::transport_kind_from_env();
     tc.n_nodes = trace.n_players;
     tc.latency = make_latency(opts.net, trace.n_players, opts.fixed_latency_ms,
                               opts.seed);
@@ -70,7 +63,6 @@ WatchmenSession::WatchmenSession(
   if (net_->size() != trace.n_players) {
     throw std::invalid_argument("session: transport/trace player mismatch");
   }
-  if (opts.watchmen.mtu_bytes != 0) net_->set_mtu(opts.watchmen.mtu_bytes);
 
   local_.assign(trace.n_players, opts.local_players.empty());
   for (const PlayerId p : opts.local_players) {

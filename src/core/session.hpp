@@ -17,7 +17,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -46,16 +45,13 @@ enum class NetProfile {
 
 struct SessionOptions {
   WatchmenConfig watchmen;
-  verify::DetectorConfig detector;
-  /// Misbehavior engine (typed penalties, discouragement / instant-ban
-  /// tiers; reputation/misbehavior_engine.hpp). epoch_frames <= 0 resolves
-  /// to one proxy round. Scoring is always on — it only *observes* the
-  /// detector stream.
-  reputation::EngineConfig misbehavior;
-  /// Act on standing: discouraged/banned players lose proxy-pool and
-  /// emergency-failover eligibility at round boundaries. Off by default
-  /// because enforcement changes protocol behaviour (the schedules), which
-  /// would break bit-identical replay of recordings made without it.
+  /// Act on the misbehavior engine's standing (typed penalties scored once
+  /// per proxy round; reputation/misbehavior_engine.hpp): discouraged and
+  /// banned players lose proxy-pool and emergency-failover eligibility at
+  /// round boundaries. Scoring itself is always on — it only *observes* the
+  /// detector stream. Off by default because enforcement changes protocol
+  /// behaviour (the schedules), which would break bit-identical replay of
+  /// recordings made without it.
   bool misbehavior_enforcement = false;
   std::uint64_t seed = 42;
   NetProfile net = NetProfile::kKing;
@@ -88,13 +84,12 @@ struct SessionOptions {
   /// instants. Null pointers compile the hooks down to cheap branches.
   obs::Registry* registry = nullptr;
   obs::Tracer* tracer = nullptr;
-  /// Transport backend. Unset resolves from the WATCHMEN_TRANSPORT
-  /// environment selector (sim when absent), which is how the unchanged
-  /// chaos suite re-runs over real UDP sockets (ctest chaos_test_udp).
-  std::optional<net::TransportKind> transport;
   /// Overrides transport construction entirely; receives the player count.
   /// The multi-process harness (tools/wmproc) injects a UdpTransport over
-  /// pre-bound inherited sockets here. Takes precedence over `transport`.
+  /// pre-bound inherited sockets here. Unset, the backend comes from the
+  /// WATCHMEN_TRANSPORT environment selector (sim when absent), which is how
+  /// the unchanged chaos suite re-runs over real UDP sockets (ctest
+  /// chaos_test_udp).
   std::function<std::unique_ptr<net::Transport>(std::size_t)> transport_factory;
   /// Players simulated by THIS process; empty means all of them. Non-local
   /// players get no peer object — their traffic originates in sibling

@@ -1,6 +1,7 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -45,26 +46,15 @@ void put_watchmen_config(ByteWriter& w, const core::WatchmenConfig& c) {
   w.varint(c.interest.is_size);
   w.f64(c.interest.is_hysteresis);
   w.i64(c.renewal_frames);
-  w.i64(c.guidance_period);
-  w.varint(c.guidance_waypoints);
-  w.i64(c.subscription_refresh);
   w.f64(c.rate_loss_allowance);
-  w.i64(c.max_update_lateness);
   put_tolerance(w, c.guidance_tolerance);
   put_bool(w, c.delta_updates);
   w.i64(c.keyframe_period);
   w.f64(c.dr_damping);
   put_bool(w, c.direct_updates);
-  put_tolerance(w, c.aim_tolerance);
   put_bool(w, c.reliable_control);
-  w.i64(c.retransmit_backoff);
-  w.i32(c.retransmit_budget);
   w.i64(c.proxy_failover_silence);
   put_bool(w, c.liveness_watchdog);
-  w.i64(c.heartbeat_period);
-  w.i64(c.watchdog_suspect_frames);
-  w.i64(c.watchdog_dead_frames);
-  w.u32(c.mtu_bytes);
   w.f64(c.starve_loss_allowance);
   w.f64(c.starve_floor);
   w.u32(c.other_update_budget);
@@ -82,57 +72,18 @@ core::WatchmenConfig get_watchmen_config(ByteReader& r) {
   c.interest.is_size = r.varint();
   c.interest.is_hysteresis = r.f64();
   c.renewal_frames = r.i64();
-  c.guidance_period = r.i64();
-  c.guidance_waypoints = r.varint();
-  c.subscription_refresh = r.i64();
   c.rate_loss_allowance = r.f64();
-  c.max_update_lateness = r.i64();
   c.guidance_tolerance = get_tolerance(r);
   c.delta_updates = get_bool(r);
   c.keyframe_period = r.i64();
   c.dr_damping = r.f64();
   c.direct_updates = get_bool(r);
-  c.aim_tolerance = get_tolerance(r);
   c.reliable_control = get_bool(r);
-  c.retransmit_backoff = r.i64();
-  c.retransmit_budget = r.i32();
   c.proxy_failover_silence = r.i64();
   c.liveness_watchdog = get_bool(r);
-  c.heartbeat_period = r.i64();
-  c.watchdog_suspect_frames = r.i64();
-  c.watchdog_dead_frames = r.i64();
-  c.mtu_bytes = r.u32();
   c.starve_loss_allowance = r.f64();
   c.starve_floor = r.f64();
   c.other_update_budget = r.u32();
-  return c;
-}
-
-void put_engine_config(ByteWriter& w, const reputation::EngineConfig& c) {
-  w.f64(c.discouragement_threshold);
-  w.f64(c.ban_score);
-  w.i64(c.epoch_frames);
-  w.i32(c.decay_quiet_epochs);
-  w.f64(c.decay_factor);
-  w.f64(c.decay_floor);
-  w.f64(c.severity_floor);
-  w.f64(c.max_units);
-  w.f64(c.witness_bonus);
-  w.f64(c.instant_ban_min_units);
-}
-
-reputation::EngineConfig get_engine_config(ByteReader& r) {
-  reputation::EngineConfig c;
-  c.discouragement_threshold = r.f64();
-  c.ban_score = r.f64();
-  c.epoch_frames = r.i64();
-  c.decay_quiet_epochs = r.i32();
-  c.decay_factor = r.f64();
-  c.decay_floor = r.f64();
-  c.severity_floor = r.f64();
-  c.max_units = r.f64();
-  c.witness_bonus = r.f64();
-  c.instant_ban_min_units = r.f64();
   return c;
 }
 
@@ -237,9 +188,6 @@ net::FaultPlan get_fault_plan(ByteReader& r) {
 
 void put_options(ByteWriter& w, const core::SessionOptions& o) {
   put_watchmen_config(w, o.watchmen);
-  w.f64(o.detector.high_confidence_threshold);
-  w.f64(o.detector.fault_window_discount);
-  put_engine_config(w, o.misbehavior);
   put_bool(w, o.misbehavior_enforcement);
   w.u64(o.seed);
   w.u8(static_cast<std::uint8_t>(o.net));
@@ -262,9 +210,6 @@ void put_options(ByteWriter& w, const core::SessionOptions& o) {
 core::SessionOptions get_options(ByteReader& r) {
   core::SessionOptions o;
   o.watchmen = get_watchmen_config(r);
-  o.detector.high_confidence_threshold = r.f64();
-  o.detector.fault_window_discount = r.f64();
-  o.misbehavior = get_engine_config(r);
   o.misbehavior_enforcement = get_bool(r);
   o.seed = r.u64();
   o.net = checked_enum<core::NetProfile>(r.u8(), 4, "net profile");
@@ -285,16 +230,35 @@ core::SessionOptions get_options(ByteReader& r) {
   return o;
 }
 
-/// Player references the session will index with must stay in range; a
-/// decoded recording that violates this is malformed, not a crash.
-void validate_players(const Recording& rec) {
+/// Everything the session would refuse, and every player reference it will
+/// index with, is checked here: a decoded recording that violates this is
+/// malformed, not a crash or an exception from deep inside replay_run.
+void validate(const Recording& rec) {
   const auto n = rec.trace.n_players;
-  const auto check = [n](PlayerId p, const char* what) {
-    if (p >= n) throw DecodeError(std::string(".wmrec ") + what +
-                                  " references player out of range");
+  const auto fail = [](const std::string& what) {
+    throw DecodeError(".wmrec " + what);
+  };
+  if (n < 2) fail("trace needs at least 2 players");
+  if (rec.trace.frames.empty()) fail("trace has no frames");
+  if (rec.options.watchmen.renewal_frames <= 0) {
+    fail("renewal_frames must be positive");
+  }
+  const auto check = [&](PlayerId p, const char* what) {
+    if (p >= n) fail(std::string(what) + " references player out of range");
   };
   for (const auto& c : rec.cheats) check(c.player, "cheat");
-  for (const auto& [p, w] : rec.options.pool_weights) check(p, "pool weight");
+  // The weighted proxy draw needs finite, non-negative weights and, for
+  // every player, at least one other member with positive weight.
+  std::vector<double> weights(n, 1.0);
+  for (const auto& [p, w] : rec.options.pool_weights) {
+    check(p, "pool weight");
+    if (!std::isfinite(w) || w < 0.0) fail("pool weight out of range");
+    weights[p] = w;
+  }
+  if (std::count_if(weights.begin(), weights.end(),
+                    [](double w) { return w > 0.0; }) < 2) {
+    fail("proxy pool has fewer than 2 members");
+  }
   for (const auto& [p, b] : rec.options.upload_bps) check(p, "upload cap");
   for (const auto& c : rec.options.faults.crashes) check(c.player, "crash");
   for (const auto& e : rec.events) {
@@ -417,7 +381,7 @@ Recording Recording::deserialize(std::span<const std::uint8_t> bytes) {
     rec.events.push_back(e);
   }
   if (!r.done()) throw DecodeError("trailing bytes after .wmrec payload");
-  validate_players(rec);
+  validate(rec);
   return rec;
 }
 

@@ -82,11 +82,12 @@ struct RecEvent {
 };
 
 struct Recording {
-  // v3: every field of WatchmenConfig (the six wire-encoding switches are
-  // gone; the liveness watchdog and mtu_bytes are in) plus the misbehavior
-  // EngineConfig and misbehavior_enforcement.
-  // Older files are rejected, not guessed at (DESIGN.md §5e).
-  static constexpr std::uint16_t kVersion = 3;
+  // v4: every field of WatchmenConfig plus misbehavior_enforcement. The
+  // protocol constants (guidance cadence, retransmit and watchdog timing,
+  // misbehavior scoring, detector thresholds) are not recorded: they are
+  // part of the binary. Older files are rejected, not guessed at
+  // (DESIGN.md §5e).
+  static constexpr std::uint16_t kVersion = 4;
 
   core::SessionOptions options;       ///< includes seed + FaultPlan
   std::vector<CheatSpec> cheats;      ///< roster, rebuilt on replay

@@ -1,6 +1,7 @@
 #include "reputation/misbehavior_engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 
 namespace watchmen::reputation {
@@ -82,11 +83,9 @@ bool is_silence_driven(PenaltyReason r) {
          r == PenaltyReason::kRateViolation;
 }
 
-MisbehaviorEngine::MisbehaviorEngine(std::size_t n_players, EngineConfig cfg)
-    : cfg_(cfg), players_(n_players) {
-  // Default epoch: one proxy round at the paper's renewal cadence. The
-  // session overrides this with its actual renewal_frames.
-  if (cfg_.epoch_frames <= 0) cfg_.epoch_frames = 40;
+MisbehaviorEngine::MisbehaviorEngine(std::size_t n_players, Frame epoch_frames)
+    : epoch_frames_(epoch_frames), players_(n_players) {
+  if (epoch_frames <= 0) throw std::invalid_argument("epoch must be positive");
 }
 
 void MisbehaviorEngine::set_permissions(PlayerId p, PermissionFlags flags) {
@@ -111,7 +110,7 @@ void MisbehaviorEngine::submit(const verify::CheatReport& r, double discount) {
   // instead of corrupting the tally.
   const double rating = std::clamp(r.rating, 1.0, 10.0);
   const double severity = (rating - 1.0) / 9.0 * std::clamp(discount, 0.0, 1.0);
-  if (severity < cfg_.severity_floor) return;
+  if (severity < kSeverityFloor) return;
   // Evidence from an absolved crash gap: the silence was churn, not cheating.
   if (is_silence_driven(reason) &&
       r.frame < players_[r.suspect].absolve_silence_before) {
@@ -129,7 +128,7 @@ void MisbehaviorEngine::submit(const verify::CheatReport& r, double discount) {
 }
 
 void MisbehaviorEngine::advance_to_frame(Frame f) {
-  while ((epoch_ + 1) * cfg_.epoch_frames <= f) close_epoch();
+  while ((epoch_ + 1) * epoch_frames_ <= f) close_epoch();
 }
 
 void MisbehaviorEngine::add_score(PlayerState& st, double delta) {
@@ -147,7 +146,7 @@ void MisbehaviorEngine::apply_penalty(PlayerId subject, PenaltyReason reason,
   add_score(st, amount);
   st.history.push_back({epoch_, reason, amount});
   penalized[subject] = true;
-  if (is_instant_ban(reason) && units >= cfg_.instant_ban_min_units) {
+  if (is_instant_ban(reason) && units >= kInstantBanMinUnits) {
     st.ban_latch = true;
   }
   ReasonStats& rs = stats_[static_cast<std::size_t>(reason)];
@@ -237,9 +236,9 @@ void MisbehaviorEngine::close_epoch() {
       // choose to be its victim's proxy, so requiring the proxy component
       // caps what a witness clique of any size can do at exactly nothing.
       units = std::min(
-          cfg_.max_units,
+          kMaxUnits,
           proxy_sev *
-              (1.0 + cfg_.witness_bonus * std::min(1.0, witness_support)));
+              (1.0 + kWitnessBonus * std::min(1.0, witness_support)));
     }
     apply_penalty(subject, reason, units, penalized);
   }
@@ -255,7 +254,7 @@ void MisbehaviorEngine::close_epoch() {
     double count = 0.0;
     for (; j < forgers.size() && forgers[j].first == who; ++j) count += 1.0;
     apply_penalty(who, PenaltyReason::kFalseAccusation,
-                  std::min(cfg_.max_units, count), penalized);
+                  std::min(kMaxUnits, count), penalized);
   }
 
   // Decay after sustained quiet, then snapshot next epoch's credibility.
@@ -268,15 +267,15 @@ void MisbehaviorEngine::close_epoch() {
       st.quiet_epochs = 0;
     } else {
       ++st.quiet_epochs;
-      if (st.quiet_epochs > cfg_.decay_quiet_epochs) {
-        double s = st.score.load(std::memory_order_relaxed) * cfg_.decay_factor;
-        if (s < cfg_.decay_floor) s = 0.0;
+      if (st.quiet_epochs > kDecayQuietEpochs) {
+        double s = st.score.load(std::memory_order_relaxed) * kDecayFactor;
+        if (s < kDecayFloor) s = 0.0;
         st.score.store(s, std::memory_order_relaxed);
       }
     }
     st.credibility = std::clamp(
         1.0 - st.score.load(std::memory_order_relaxed) /
-                  cfg_.discouragement_threshold,
+                  kDiscouragementThreshold,
         0.0, 1.0);
   }
 
@@ -296,7 +295,7 @@ void MisbehaviorEngine::on_rejoin(PlayerId p, Frame f) {
   st.frozen = false;
   st.absolve_silence_before = std::max(st.absolve_silence_before, f);
   const std::int64_t gap_epoch =
-      st.frozen_at >= 0 ? st.frozen_at / cfg_.epoch_frames : epoch_;
+      st.frozen_at >= 0 ? st.frozen_at / epoch_frames_ : epoch_;
   // Refund the silence-driven penalties the crash gap produced — the
   // detector's churn absolution, mirrored. Frozen players skip decay, so
   // the refund is exact; everything else (deliberate cheating before the
@@ -326,8 +325,8 @@ Standing MisbehaviorEngine::standing(PlayerId p) const {
   const PlayerState& st = players_[p];
   if (has_permission(st.perms, PermissionFlags::kNoBan)) return Standing::kGood;
   const double s = st.score.load(std::memory_order_relaxed);
-  if (st.ban_latch || s >= cfg_.ban_score) return Standing::kBanned;
-  if (s >= cfg_.discouragement_threshold) return Standing::kDiscouraged;
+  if (st.ban_latch || s >= kBanScore) return Standing::kBanned;
+  if (s >= kDiscouragementThreshold) return Standing::kDiscouraged;
   return Standing::kGood;
 }
 

@@ -12,7 +12,7 @@
 //
 // Robustness against reporter abuse is structural, not statistical:
 //  * Epoch buffering. Reports are queued and aggregated only at epoch
-//    boundaries (one proxy round by default), after a canonical sort — the
+//    boundaries (one proxy round), after a canonical sort — the
 //    outcome is a pure function of the report *multiset*, independent of
 //    arrival order, so replayed sessions and permuted report streams score
 //    identically.
@@ -86,6 +86,32 @@ inline constexpr double kProtocol = 100.0;
 inline constexpr double kFalseAccusation = 25.0;
 }  // namespace penalty
 
+/// Score at which standing drops to kDiscouraged (bitcoin's
+/// DISCOURAGEMENT_THRESHOLD shape: ~several nuisance offenses or one
+/// proof-carrying one).
+inline constexpr double kDiscouragementThreshold = 100.0;
+/// Accumulated score at which standing drops to kBanned even without an
+/// instant-ban conviction.
+inline constexpr double kBanScore = 300.0;
+/// Consecutive penalty-free epochs before decay starts.
+inline constexpr int kDecayQuietEpochs = 2;
+/// Multiplicative score decay per quiet epoch past the threshold.
+inline constexpr double kDecayFactor = 0.75;
+/// Scores below this snap to zero during decay.
+inline constexpr double kDecayFloor = 0.25;
+/// Severity below this (post-discount) is noise, not evidence: an honest
+/// check that barely fired must not accrete into standing loss.
+inline constexpr double kSeverityFloor = 0.15;
+/// Cap on conviction units per (subject, reason) per epoch. Bounds what a
+/// burst of duplicate evidence — honest or hostile — can cost.
+inline constexpr double kMaxUnits = 1.5;
+/// How much corroborating witness support can scale a proxy conviction
+/// (1 + bonus at full support).
+inline constexpr double kWitnessBonus = 0.5;
+/// Minimum units for an instant-ban reason to latch the ban (sub-floor
+/// proof-carrying reports still score, but don't hard-ban).
+inline constexpr double kInstantBanMinUnits = 0.5;
+
 double penalty_weight(PenaltyReason r);
 
 /// Proof-carrying reasons: the report corresponds to evidence the reporter
@@ -131,38 +157,6 @@ enum class Standing : std::uint8_t {
 
 const char* to_string(Standing s);
 
-struct EngineConfig {
-  /// Score at which standing drops to kDiscouraged (bitcoin's
-  /// DISCOURAGEMENT_THRESHOLD shape: ~several nuisance offenses or one
-  /// proof-carrying one).
-  double discouragement_threshold = 100.0;
-  /// Accumulated score at which standing drops to kBanned even without an
-  /// instant-ban conviction.
-  double ban_score = 300.0;
-  /// Frames per aggregation epoch; <= 0 means "one proxy round" (the
-  /// session substitutes its renewal_frames).
-  Frame epoch_frames = 0;
-  /// Consecutive penalty-free epochs before decay starts.
-  int decay_quiet_epochs = 2;
-  /// Multiplicative score decay per quiet epoch past the threshold.
-  double decay_factor = 0.75;
-  /// Scores below this snap to zero during decay.
-  double decay_floor = 0.25;
-  /// Severity below this (post-discount) is noise, not evidence: an honest
-  /// check that barely fired must not accrete into standing loss.
-  double severity_floor = 0.15;
-  /// Cap on conviction units per (subject, reason) per epoch. Bounds what a
-  /// burst of duplicate evidence — honest or hostile — can cost.
-  double max_units = 1.5;
-  /// How much corroborating witness support can scale a proxy conviction
-  /// (1 + bonus at full support).
-  double witness_bonus = 0.5;
-  /// Minimum units for an instant-ban reason to latch the ban (sub-floor
-  /// proof-carrying reports still score, but don't hard-ban).
-  double instant_ban_min_units = 0.5;
-  bool operator==(const EngineConfig&) const = default;
-};
-
 /// Per-reason aggregate counters (feed the obs registry mirror).
 struct ReasonStats {
   std::uint64_t reports = 0;        ///< reports submitted under this reason
@@ -182,9 +176,11 @@ class MisbehaviorEngine {
   using PenaltySignalFn = std::function<void(
       PlayerId subject, PenaltyReason reason, double amount, double score)>;
 
-  explicit MisbehaviorEngine(std::size_t n_players, EngineConfig cfg = {});
+  /// `epoch_frames` is the aggregation epoch; the session passes its
+  /// renewal_frames (one proxy round). Throws std::invalid_argument unless
+  /// it is positive.
+  MisbehaviorEngine(std::size_t n_players, Frame epoch_frames);
 
-  const EngineConfig& config() const { return cfg_; }
   std::size_t num_players() const { return players_.size(); }
 
   void set_proxy_vantage_check(ProxyVantageFn fn) { vantage_ok_ = std::move(fn); }
@@ -267,7 +263,7 @@ class MisbehaviorEngine {
                      std::vector<bool>& penalized);
   void add_score(PlayerState& st, double delta);
 
-  EngineConfig cfg_;
+  Frame epoch_frames_;
   ProxyVantageFn vantage_ok_;
   PenaltySignalFn signal_;
   std::vector<PlayerState> players_;

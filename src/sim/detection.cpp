@@ -101,7 +101,6 @@ DetectionOutcome run_detection(const game::GameTrace& trace,
   session.run();
 
   const verify::CheckType want = check_type_of(v);
-  const double hc = session.detector().config().high_confidence_threshold;
 
   DetectionOutcome out;
   out.injected = cheat->cheat_frames().size();
@@ -109,7 +108,8 @@ DetectionOutcome run_detection(const game::GameTrace& trace,
   // Sort high-confidence report frames per suspect for window matching.
   std::vector<Frame> vs_cheater;
   for (const verify::CheatReport& r : session.detector().reports()) {
-    if (r.type != want || r.weighted() < hc) continue;
+    if (r.type != want) continue;
+    if (r.weighted() < verify::kHighConfidenceThreshold) continue;
     if (r.suspect == cfg.cheater) {
       vs_cheater.push_back(r.frame);
     } else {

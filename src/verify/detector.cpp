@@ -6,7 +6,7 @@ namespace watchmen::verify {
 
 double Detector::effective_weight(const CheatReport& r) const {
   double w = r.weighted();
-  if (in_fault_window(r.frame)) w *= cfg_.fault_window_discount;
+  if (in_fault_window(r.frame)) w *= kFaultWindowDiscount;
   return w;
 }
 
@@ -14,7 +14,7 @@ void Detector::accumulate(SuspectSummary& s, const CheatReport& r) const {
   ++s.reports;
   if (r.rating > 1.0) ++s.suspicious_reports;
   const double w = effective_weight(r);
-  if (w >= cfg_.high_confidence_threshold) ++s.high_confidence_reports;
+  if (w >= kHighConfidenceThreshold) ++s.high_confidence_reports;
   if (w > s.max_weighted) s.max_weighted = w;
   s.total_weighted += w;
 }
@@ -24,7 +24,7 @@ void Detector::report(const CheatReport& r) {
   accumulate(by_suspect_[r.suspect], r);
   ++reports_by_type_[static_cast<std::size_t>(r.type)];
   if (sink_) {
-    sink_(r, in_fault_window(r.frame) ? cfg_.fault_window_discount : 1.0);
+    sink_(r, in_fault_window(r.frame) ? kFaultWindowDiscount : 1.0);
   }
 }
 

@@ -22,19 +22,16 @@
 
 namespace watchmen::verify {
 
-struct DetectorConfig {
-  /// Weighted rating (rating x confidence) at or above which a report counts
-  /// as a high-confidence detection. With proxy confidence 1.0 this means a
-  /// rating >= 6; a distant "other" witness (c=0.2) can never trigger one
-  /// alone.
-  double high_confidence_threshold = 6.0;
+/// Weighted rating (rating x confidence) at or above which a report counts
+/// as a high-confidence detection. With proxy confidence 1.0 this means a
+/// rating >= 6; a distant "other" witness (c=0.2) can never trigger one
+/// alone.
+inline constexpr double kHighConfidenceThreshold = 6.0;
 
-  /// Multiplier applied to a report's weight when its frame falls inside a
-  /// declared fault window. 0.4 keeps a max-rating proxy report (10.0)
-  /// under the default high-confidence threshold while still logging it.
-  double fault_window_discount = 0.4;
-  bool operator==(const DetectorConfig&) const = default;
-};
+/// Multiplier applied to a report's weight when its frame falls inside a
+/// declared fault window. 0.4 keeps a max-rating proxy report (10.0) under
+/// the high-confidence threshold while still logging it.
+inline constexpr double kFaultWindowDiscount = 0.4;
 
 struct SuspectSummary {
   std::uint64_t reports = 0;
@@ -46,10 +43,6 @@ struct SuspectSummary {
 
 class Detector {
  public:
-  explicit Detector(DetectorConfig cfg = {}) : cfg_(cfg) {}
-
-  const DetectorConfig& config() const { return cfg_; }
-
   /// Downstream punishment hook: every verdict is forwarded with the
   /// loss-aware discount the detector would weight it by (the fault-window
   /// multiplier, 1.0 outside declared windows), so a reputation engine
@@ -92,7 +85,6 @@ class Detector {
   double effective_weight(const CheatReport& r) const;
   void accumulate(SuspectSummary& s, const CheatReport& r) const;
 
-  DetectorConfig cfg_;
   PenaltySink sink_;
   std::vector<std::pair<Frame, Frame>> fault_windows_;
   std::unordered_map<PlayerId, SuspectSummary> by_suspect_;

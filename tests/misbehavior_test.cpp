@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "reputation/misbehavior_engine.hpp"
@@ -17,11 +18,8 @@ using verify::CheatReport;
 using verify::CheckType;
 using verify::Vantage;
 
-EngineConfig test_config() {
-  EngineConfig cfg;
-  cfg.epoch_frames = 10;
-  return cfg;
-}
+/// Short epochs keep the tests' frame arithmetic readable.
+constexpr Frame kEpoch = 10;
 
 CheatReport make_report(PlayerId verifier, PlayerId suspect, CheckType type,
                         Vantage vantage, Frame frame, double rating) {
@@ -36,7 +34,7 @@ CheatReport make_report(PlayerId verifier, PlayerId suspect, CheckType type,
 }
 
 TEST(MisbehaviorEngine, ZeroAndNegativeConfidenceClampToNoEvidence) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   // Zero and negative discounts clamp to 0 severity: dropped, never scored.
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0),
              0.0);
@@ -51,7 +49,7 @@ TEST(MisbehaviorEngine, ZeroAndNegativeConfidenceClampToNoEvidence) {
 }
 
 TEST(MisbehaviorEngine, OverRangeRatingAndDiscountClampToFullSeverity) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   // rating 50 / discount 3 clamp to severity exactly 1.0, not beyond.
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 50.0),
              3.0);
@@ -60,11 +58,10 @@ TEST(MisbehaviorEngine, OverRangeRatingAndDiscountClampToFullSeverity) {
 }
 
 TEST(MisbehaviorEngine, SubFloorSeverityIsNoiseNotEvidence) {
-  EngineConfig cfg = test_config();
-  cfg.severity_floor = 0.15;
-  MisbehaviorEngine eng(4, cfg);
-  // rating 2 -> severity 1/9 ~ 0.11 < floor: an honest check that barely
-  // fired must not accrete into standing loss over a long session.
+  MisbehaviorEngine eng(4, kEpoch);
+  // rating 2 -> severity 1/9 ~ 0.11 < kSeverityFloor: an honest check that
+  // barely fired must not accrete into standing loss over a long session.
+  static_assert(1.0 / 9.0 < kSeverityFloor);
   for (Frame f = 0; f < 100; ++f) {
     eng.submit(make_report(1, 0, CheckType::kGuidance, Vantage::kProxy, f, 2.0));
   }
@@ -72,8 +69,13 @@ TEST(MisbehaviorEngine, SubFloorSeverityIsNoiseNotEvidence) {
   EXPECT_DOUBLE_EQ(eng.score(0), 0.0);
 }
 
+TEST(MisbehaviorEngine, EpochMustBePositive) {
+  EXPECT_THROW(MisbehaviorEngine(4, 0), std::invalid_argument);
+  EXPECT_THROW(MisbehaviorEngine(4, -40), std::invalid_argument);
+}
+
 TEST(MisbehaviorEngine, SelfReportsRejected) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.submit(make_report(2, 2, CheckType::kPosition, Vantage::kProxy, 1, 10.0));
   eng.advance_to_frame(10);
   EXPECT_EQ(eng.rejected_reports(), 1u);
@@ -81,7 +83,7 @@ TEST(MisbehaviorEngine, SelfReportsRejected) {
 }
 
 TEST(MisbehaviorEngine, QueriesAreTotalOnOutOfRangeIds) {
-  MisbehaviorEngine eng(2, test_config());
+  MisbehaviorEngine eng(2, kEpoch);
   eng.submit(make_report(0, 99, CheckType::kPosition, Vantage::kProxy, 1, 10.0));
   eng.submit(make_report(99, 1, CheckType::kPosition, Vantage::kProxy, 1, 10.0));
   EXPECT_EQ(eng.rejected_reports(), 2u);
@@ -95,11 +97,11 @@ TEST(MisbehaviorEngine, QueriesAreTotalOnOutOfRangeIds) {
 }
 
 TEST(MisbehaviorEngine, DecayReachesExactlyZeroAfterQuietEpochs) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
   eng.advance_to_frame(10);
   ASSERT_DOUBLE_EQ(eng.score(0), penalty::kPosition);
-  // Grace epochs first (decay_quiet_epochs = 2), then geometric decay with a
+  // Grace epochs first (kDecayQuietEpochs = 2), then geometric decay with a
   // snap-to-zero floor: a reformed player ends at exactly 0, not an epsilon.
   eng.advance_to_frame(10 * 30);
   EXPECT_DOUBLE_EQ(eng.score(0), 0.0);
@@ -108,7 +110,7 @@ TEST(MisbehaviorEngine, DecayReachesExactlyZeroAfterQuietEpochs) {
 }
 
 TEST(MisbehaviorEngine, DecayWaitsOutTheGraceEpochs) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
   eng.advance_to_frame(10);
   const double s0 = eng.score(0);
@@ -119,7 +121,7 @@ TEST(MisbehaviorEngine, DecayWaitsOutTheGraceEpochs) {
 }
 
 TEST(MisbehaviorEngine, InstantBanOnProofCarryingOffense) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.submit(make_report(1, 0, CheckType::kSignature, Vantage::kOther, 3, 10.0));
   eng.advance_to_frame(10);
   EXPECT_EQ(eng.standing(0), Standing::kBanned);
@@ -129,7 +131,7 @@ TEST(MisbehaviorEngine, InstantBanOnProofCarryingOffense) {
 }
 
 TEST(MisbehaviorEngine, NoBanPermissionOverridesInstantBan) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.set_permissions(0, PermissionFlags::kNoBan);
   eng.submit(make_report(1, 0, CheckType::kSignature, Vantage::kOther, 3, 10.0));
   eng.submit(make_report(1, 2, CheckType::kSignature, Vantage::kOther, 3, 10.0));
@@ -142,24 +144,34 @@ TEST(MisbehaviorEngine, NoBanPermissionOverridesInstantBan) {
 }
 
 TEST(MisbehaviorEngine, ThresholdCrossingExactlyAtBoundary) {
-  EngineConfig cfg = test_config();
-  cfg.discouragement_threshold = penalty::kPosition;  // one full conviction
-  MisbehaviorEngine at(4, cfg);
-  at.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
-  at.advance_to_frame(10);
-  ASSERT_DOUBLE_EQ(at.score(0), cfg.discouragement_threshold);
+  // One full position conviction per epoch: consecutive penalized epochs
+  // never decay, so the score climbs in exact steps of penalty::kPosition.
+  static_assert(kDiscouragementThreshold / penalty::kPosition == 5.0);
+  const auto convict = [](MisbehaviorEngine& eng, int epochs, double last) {
+    for (int e = 0; e < epochs; ++e) {
+      const Frame f = e * kEpoch + 3;
+      eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, f,
+                             10.0),
+                 e + 1 == epochs ? last : 1.0);
+      eng.advance_to_frame((e + 1) * kEpoch);
+    }
+  };
+  MisbehaviorEngine at(4, kEpoch);
+  convict(at, 5, 1.0);
+  ASSERT_DOUBLE_EQ(at.score(0), kDiscouragementThreshold);
   EXPECT_EQ(at.standing(0), Standing::kDiscouraged)
       << "score == threshold discourages (>= semantics)";
 
-  cfg.discouragement_threshold = penalty::kPosition + 1e-9;
-  MisbehaviorEngine below(4, cfg);
-  below.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
-  below.advance_to_frame(10);
+  // The last conviction a hair short of full severity.
+  MisbehaviorEngine below(4, kEpoch);
+  convict(below, 5, 1.0 - 1e-9);
+  ASSERT_LT(below.score(0), kDiscouragementThreshold);
+  EXPECT_GT(below.score(0), kDiscouragementThreshold - 1e-6);
   EXPECT_EQ(below.standing(0), Standing::kGood) << "just under stays good";
 }
 
 TEST(MisbehaviorEngine, WitnessEvidenceAloneNeverConvicts) {
-  MisbehaviorEngine eng(16, test_config());
+  MisbehaviorEngine eng(16, kEpoch);
   // A 14-strong clique floods witness-vantage fabrications against player 0
   // for many epochs. Without the (unforgeable) proxy component this caps at
   // exactly zero, not "small".
@@ -177,22 +189,20 @@ TEST(MisbehaviorEngine, WitnessEvidenceAloneNeverConvicts) {
 }
 
 TEST(MisbehaviorEngine, WitnessSupportScalesProxyConvictionUpToCap) {
-  EngineConfig cfg = test_config();
-  MisbehaviorEngine eng(16, cfg);
+  MisbehaviorEngine eng(16, kEpoch);
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
   for (PlayerId w = 2; w < 16; ++w) {
     eng.submit(make_report(w, 0, CheckType::kPosition,
                            Vantage::kInterestWitness, 3, 10.0));
   }
   eng.advance_to_frame(10);
-  // Full witness support: units = min(max_units, 1 * (1 + witness_bonus)).
-  const double expect_units =
-      std::min(cfg.max_units, 1.0 + cfg.witness_bonus);
+  // Full witness support: units = min(kMaxUnits, 1 * (1 + kWitnessBonus)).
+  const double expect_units = std::min(kMaxUnits, 1.0 + kWitnessBonus);
   EXPECT_DOUBLE_EQ(eng.score(0), expect_units * penalty::kPosition);
 }
 
 TEST(MisbehaviorEngine, ForgedProxyVantageReboundsOnReporter) {
-  MisbehaviorEngine eng(8, test_config());
+  MisbehaviorEngine eng(8, kEpoch);
   // The verifiable schedule says the reporter never proxied these subjects.
   eng.set_proxy_vantage_check(
       [](PlayerId, PlayerId, Frame) { return false; });
@@ -202,14 +212,13 @@ TEST(MisbehaviorEngine, ForgedProxyVantageReboundsOnReporter) {
   EXPECT_DOUBLE_EQ(eng.score(0), 0.0);
   EXPECT_DOUBLE_EQ(eng.score(1), 0.0);
   EXPECT_EQ(eng.forged_vantage_reports(), 2u);
-  // One false-accusation unit per framed subject, capped at max_units.
+  // One false-accusation unit per framed subject, capped at kMaxUnits.
   EXPECT_DOUBLE_EQ(eng.score(5),
-                   std::min(eng.config().max_units, 2.0) *
-                       penalty::kFalseAccusation);
+                   std::min(kMaxUnits, 2.0) * penalty::kFalseAccusation);
 }
 
 TEST(MisbehaviorEngine, ProofCarryingReasonsExemptFromVantageCheck) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.set_proxy_vantage_check(
       [](PlayerId, PlayerId, Frame) { return false; });
   // Any receiver holds a failed signature; a kProxy claim on it is neither
@@ -233,7 +242,7 @@ TEST(MisbehaviorEngine, EpochOutcomeIsOrderIndependent) {
   batch.push_back(make_report(1, 3, CheckType::kSignature, Vantage::kOther, 7, 10.0));
 
   const auto run = [&](bool reversed) {
-    MisbehaviorEngine eng(4, test_config());
+    MisbehaviorEngine eng(4, kEpoch);
     std::vector<CheatReport> b = batch;
     if (reversed) std::reverse(b.begin(), b.end());
     for (const CheatReport& r : b) eng.submit(r, 0.9);
@@ -249,7 +258,7 @@ TEST(MisbehaviorEngine, EpochOutcomeIsOrderIndependent) {
 }
 
 TEST(MisbehaviorEngine, CrashRejoinRefundsOnlySilencePenalties) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   // Epoch 0: a genuine position conviction — deliberate cheating.
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
   eng.advance_to_frame(10);
@@ -282,7 +291,7 @@ TEST(MisbehaviorEngine, CrashRejoinRefundsOnlySilencePenalties) {
 }
 
 TEST(MisbehaviorEngine, FrozenPlayersSkipDecay) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
   eng.advance_to_frame(10);
   const double s = eng.score(0);
@@ -292,18 +301,22 @@ TEST(MisbehaviorEngine, FrozenPlayersSkipDecay) {
 }
 
 TEST(MisbehaviorEngine, CredibilityCollapsesWithStanding) {
-  EngineConfig cfg = test_config();
-  cfg.discouragement_threshold = 40.0;
-  MisbehaviorEngine eng(4, cfg);
+  MisbehaviorEngine eng(4, kEpoch);
   EXPECT_DOUBLE_EQ(eng.credibility(0), 1.0);
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
   eng.advance_to_frame(10);
-  // score 20 against threshold 40: credibility snapshot 0.5 for next epoch.
-  EXPECT_DOUBLE_EQ(eng.credibility(0), 0.5);
+  // score 20 against threshold 100: credibility snapshot 0.8 for next epoch.
+  EXPECT_DOUBLE_EQ(eng.credibility(0),
+                   1.0 - penalty::kPosition / kDiscouragementThreshold);
+  // A second conviction: score 40 against 100 -> 0.6.
+  eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 13, 10.0));
+  eng.advance_to_frame(20);
+  EXPECT_DOUBLE_EQ(eng.credibility(0),
+                   1.0 - 2 * penalty::kPosition / kDiscouragementThreshold);
 }
 
 TEST(MisbehaviorEngine, StatsCountReportsAndConvictions) {
-  MisbehaviorEngine eng(4, test_config());
+  MisbehaviorEngine eng(4, kEpoch);
   eng.submit(make_report(1, 0, CheckType::kPosition, Vantage::kProxy, 3, 10.0));
   eng.submit(make_report(2, 0, CheckType::kPosition,
                          Vantage::kInterestWitness, 3, 9.0));

@@ -229,6 +229,16 @@ TEST(WmcheckModel, RetransmitBudgetTerminates) {
   EXPECT_EQ(s.violations, 0);
 }
 
+TEST(WmcheckModel, RetransmitBudgetPinnedToProtocolParams) {
+  // The model checks a prefix of the shipped retry sequence: a budget of
+  // protocol::kRetransmitBudget does not exhaust inside wmcheck_exhaustive's
+  // state cap (DESIGN.md §5g). A change to either value must revisit that.
+  const ModelConfig cfg;
+  EXPECT_EQ(cfg.retransmit_budget, 2);
+  EXPECT_EQ(protocol::kRetransmitBudget, 4);
+  EXPECT_LE(cfg.retransmit_budget, protocol::kRetransmitBudget);
+}
+
 // ---------------------------------------------------------------------------
 // The explorer on the faithful protocol.
 

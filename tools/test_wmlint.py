@@ -463,6 +463,96 @@ class PenaltyReasonTest(unittest.TestCase):
             self.assertEqual(wmlint.check_penalty_reason(Path(td)), [])
 
 
+class ConfigKnobTest(unittest.TestCase):
+    PEER = ("#pragma once\n"
+            "struct WatchmenConfig {\n"
+            "  interest::InterestConfig interest;\n"
+            "  Frame renewal_frames = 40;\n"
+            "  verify::Tolerance guidance_tolerance{160.0, 160.0};\n"
+            "  bool operator==(const WatchmenConfig&) const = default;\n"
+            "};\n")
+    SESSION = ("#pragma once\n"
+               "struct SessionOptions {\n"
+               "  WatchmenConfig watchmen;\n"
+               "  std::vector<std::pair<PlayerId, double>> pool_weights;\n"
+               "  std::function<std::unique_ptr<T>(std::size_t)> factory;\n"
+               "};\n")
+    # Sets every field above from bench code.
+    BENCH = ("void f(SessionOptions& o) {\n"
+             "  o.watchmen.interest.is_size = 5;\n"
+             "  o.watchmen.renewal_frames = 60;\n"
+             "  o.watchmen.guidance_tolerance = {1, 2};\n"
+             "  o.pool_weights.emplace_back(1, 0.0);\n"
+             "  o.factory = nullptr;\n"
+             "}\n")
+
+    @staticmethod
+    def knob_tree(files: dict) -> list:
+        with tempfile.TemporaryDirectory() as td:
+            root = Path(td)
+            for rel, content in files.items():
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(content)
+            return wmlint.check_config_knob(root)
+
+    def tree(self, bench=BENCH, peer=PEER, **extra) -> list:
+        files = {"src/core/peer.hpp": peer,
+                 "src/core/session.hpp": self.SESSION,
+                 "bench/b.cpp": bench}
+        files.update(extra)
+        return self.knob_tree(files)
+
+    def test_fields_are_parsed(self):
+        lines = self.PEER.split("\n")
+        self.assertEqual(
+            [f for _, f in wmlint.struct_fields(lines, "WatchmenConfig")],
+            ["interest", "renewal_frames", "guidance_tolerance"])
+        lines = self.SESSION.split("\n")
+        self.assertEqual(
+            [f for _, f in wmlint.struct_fields(lines, "SessionOptions")],
+            ["watchmen", "pool_weights", "factory"])
+
+    def test_every_field_set_is_clean(self):
+        self.assertEqual(self.tree(), [])
+
+    def test_field_set_only_by_tests_examples_recorder_flagged(self):
+        only_elsewhere = "  o.watchmen.renewal_frames = 60;\n"
+        fs = self.tree(
+            bench=self.BENCH.replace(only_elsewhere, ""),
+            **{"tests/t.cpp": only_elsewhere,
+               "examples/e.cpp": only_elsewhere,
+               "src/obs/recorder.cpp": only_elsewhere})
+        self.assertEqual([f.check for f in fs], ["config-knob"])
+        self.assertIn("WatchmenConfig::renewal_frames", fs[0].msg)
+        self.assertEqual(fs[0].line, 4)
+
+    def test_comparison_and_comment_are_not_assignments(self):
+        bench = self.BENCH.replace(
+            "  o.watchmen.renewal_frames = 60;\n",
+            "  bool b = o.watchmen.renewal_frames == 60;\n"
+            "  // o.watchmen.renewal_frames = 60;\n")
+        fs = self.tree(bench=bench)
+        self.assertEqual([f.check for f in fs], ["config-knob"])
+
+    def test_allow_annotation_needs_a_reason(self):
+        bench = self.BENCH.replace("  o.watchmen.renewal_frames = 60;\n", "")
+        with_reason = self.PEER.replace(
+            "  Frame renewal_frames = 40;\n",
+            "  // wmlint: allow(config-knob) the chaos suite moves it\n"
+            "  Frame renewal_frames = 40;\n")
+        self.assertEqual(self.tree(bench=bench, peer=with_reason), [])
+        bare = self.PEER.replace(
+            "  Frame renewal_frames = 40;\n",
+            "  Frame renewal_frames = 40;  // wmlint: allow(config-knob)\n")
+        fs = self.tree(bench=bench, peer=bare)
+        self.assertEqual([f.check for f in fs], ["config-knob"])
+        self.assertIn("needs a reason", fs[0].msg)
+
+    def test_missing_files_skip_silently(self):
+        with tempfile.TemporaryDirectory() as td:
+            self.assertEqual(wmlint.check_config_knob(Path(td)), [])
+
+
 class CliTest(unittest.TestCase):
     def test_exit_codes(self):
         with tempfile.TemporaryDirectory() as td:

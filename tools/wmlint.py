@@ -47,6 +47,15 @@ transport-factory
                 net::make_transport (net/transport.hpp) so the
                 WATCHMEN_TRANSPORT selector, the control-class shed
                 protection and the UDP/FaultShim wiring apply everywhere.
+config-knob     Every field of WatchmenConfig (src/core/peer.hpp) and
+                SessionOptions (src/core/session.hpp) must be set by some
+                file outside tests/, examples/ and src/obs/recorder.cpp
+                (matched by member name; sub-field writes and mutating
+                calls count): a value only tests, examples or the .wmrec
+                codec ever set is a knob nothing runs with, so it should be
+                a constexpr. An exempt field carries
+                `// wmlint: allow(config-knob) <reason>`; the reason is
+                required.
 format          (--format only) clang-format --dry-run over src/; skipped
                 with a notice when clang-format is not installed.
 
@@ -461,6 +470,92 @@ def check_penalty_reason(root: Path) -> list[Finding]:
     return out
 
 
+# Structs whose fields are protocol/session options, and the places whose
+# assignments do not count as a real caller: tests and examples exercise
+# options, and the .wmrec codec copies every field by construction.
+KNOB_STRUCTS = (("src/core/peer.hpp", "WatchmenConfig"),
+                ("src/core/session.hpp", "SessionOptions"))
+KNOB_EXEMPT_PREFIXES = ("tests/", "examples/")
+KNOB_EXEMPT_FILES = ("src/obs/recorder.cpp",)
+# Assignment callers are searched here (every C++ tree that builds a session).
+KNOB_CALLER_DIRS = CPP_DIRS + ("tools", "perfbench")
+KNOB_FIELD_RE = re.compile(
+    r"^\s*[A-Za-z_][\w:<>,\s*&()]*?[\w>*&]\s+([a-z_]\w*)"
+    r"\s*(?:=[^;]*|\{[^;]*\})?;\s*(?://.*)?$")
+KNOB_ALLOW_RE = re.compile(r"wmlint:\s*allow\(config-knob\)(.*)$")
+
+
+def knob_assign_re(field: str) -> re.Pattern:
+    """`x.field = v`, `x->field.sub += v`, `x.field.push_back(v)`, ..."""
+    return re.compile(
+        rf"(?:\.|->)\s*{field}\b\s*(?:(?:\.\w+|\[[^\]]*\])\s*)*"
+        r"(?:[-+*/|&]?=(?!=)|\.(?:push_back|emplace_back|insert|emplace|"
+        r"assign|resize)\s*\()")
+
+
+def struct_fields(lines: list[str], name: str) -> list[tuple[int, str]]:
+    """(line idx, field name) of the data members declared directly in
+    `struct name { ... };` (nested braces are skipped)."""
+    start = next((i for i, line in enumerate(lines)
+                  if re.match(rf"\s*struct\s+{name}\s*\{{", line)), None)
+    if start is None:
+        return []
+    fields = []
+    depth = 0
+    for i in range(start, len(lines)):
+        code = re.sub(r"//.*$", "", lines[i])
+        if depth == 1 and "operator" not in code:
+            m = KNOB_FIELD_RE.match(code)
+            if m:
+                fields.append((i, m.group(1)))
+        depth += code.count("{") - code.count("}")
+        if depth <= 0 and i > start:
+            break
+    return fields
+
+
+def check_config_knob(root: Path) -> list[Finding]:
+    """Every option field must have a caller outside tests/, examples/ and
+    the recorder codec, or an allow annotation that says why not."""
+    structs = [(root / rel, name) for rel, name in KNOB_STRUCTS
+               if (root / rel).exists()]
+    if not structs:
+        return []  # layout not present (e.g. partial checkout): nothing to do
+    callers = []
+    for d in KNOB_CALLER_DIRS:
+        base = root / d
+        for f in sorted(base.rglob("*")) if base.is_dir() else []:
+            rel = f.relative_to(root).as_posix()
+            if (f.suffix in CPP_EXTS and not rel.startswith(KNOB_EXEMPT_PREFIXES)
+                    and rel not in KNOB_EXEMPT_FILES):
+                callers.append(re.sub(r"//[^\n]*", "", f.read_text(encoding="utf-8")))
+    caller_text = "\n".join(callers)
+    out = []
+    for path, name in structs:
+        lines = path.read_text(encoding="utf-8").split("\n")
+        for i, field in struct_fields(lines, name):
+            # On the field's line, or on a comment line directly above it.
+            above = lines[i - 1] if lines[i - 1].lstrip().startswith("//") else ""
+            allow = (KNOB_ALLOW_RE.search(lines[i]) or
+                     KNOB_ALLOW_RE.search(above))
+            if allow and allow.group(1).strip():
+                continue
+            if allow:
+                out.append(Finding(
+                    path, i + 1, "config-knob",
+                    f"allow(config-knob) on {name}::{field} needs a reason "
+                    "after the annotation"))
+                continue
+            if knob_assign_re(field).search(caller_text):
+                continue
+            out.append(Finding(
+                path, i + 1, "config-knob",
+                f"{name}::{field} is set only by tests/, examples/ or the "
+                ".wmrec codec — make it a constexpr, or annotate "
+                "`// wmlint: allow(config-knob) <reason>`"))
+    return out
+
+
 def run_clang_format(root: Path) -> tuple[list[Finding], bool]:
     """Returns (findings, ran). Skips when clang-format is unavailable."""
     binary = shutil.which("clang-format")
@@ -544,6 +639,7 @@ def main(argv: list[str]) -> int:
     findings += check_msgtype_corpus(root)
     findings += check_record_corpus(root)
     findings += check_penalty_reason(root)
+    findings += check_config_knob(root)
 
     if args.format:
         fmt_findings, ran = run_clang_format(root)

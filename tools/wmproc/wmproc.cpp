@@ -59,7 +59,7 @@ constexpr std::size_t kPlayers = 6;
 constexpr std::size_t kGroupSize = 3;  // players [0,3) and [3,6)
 constexpr Frame kFrames = 360;
 constexpr Frame kCrashFrame = 150;   // mid-round (rounds are 40 frames)
-constexpr Frame kRejoinFrame = 240;  // > crash + watchdog_dead_frames
+constexpr Frame kRejoinFrame = 240;  // > crash + kWatchdogDeadFrames
 constexpr std::uint64_t kSeed = 42;
 constexpr auto kFramePeriod = std::chrono::milliseconds(5);
 
