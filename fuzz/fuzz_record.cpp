@@ -8,7 +8,8 @@
 //  * deserialize() throws DecodeError or returns a structurally valid
 //    recording (arity-correct cheat params, every referenced player inside
 //    the trace roster, positive checkpoint period, and nothing the session
-//    would refuse: at least 2 players and 1 frame, positive renewal_frames);
+//    would refuse: at least 2 players and 1 frame, positive renewal_frames,
+//    no more compute threads than players);
 //  * a returned recording survives serialize → deserialize byte-exactly.
 
 #include <cstdint>
@@ -28,6 +29,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     if (rec.checkpoint_period <= 0) std::abort();
     if (rec.trace.n_players < 2 || rec.trace.frames.empty()) std::abort();
     if (rec.options.watchmen.renewal_frames <= 0) std::abort();
+    if (rec.options.compute_threads > rec.trace.n_players) std::abort();
     for (const obs::CheatSpec& c : rec.cheats) {
       if (c.params.size() != obs::roster_cheat_arity(c.kind)) std::abort();
       if (c.player >= rec.trace.n_players) std::abort();

@@ -132,6 +132,45 @@ int main(int argc, char** argv) {
                                                       sample_state())));
   }
 
+  // --- fuzz_peer: [type, sender, receiver, subject | flags] + body, one
+  // well-formed body per typed message, over both legs (receiver 4 names the
+  // sender's proxy; subject bit 7 relays through it, bit 6 hardens the wire).
+  {
+    const auto dir = root / "fuzz_peer";
+    const auto input = [](core::MsgType t, std::uint8_t sender,
+                          std::uint8_t receiver, std::uint8_t subject,
+                          const std::vector<std::uint8_t>& body) {
+      ByteWriter w;
+      w.u8(static_cast<std::uint8_t>(t));
+      w.u8(sender);
+      w.u8(receiver);
+      w.u8(subject);
+      w.bytes(body);
+      return w.take();
+    };
+    core::KillClaim kc;
+    kc.victim = 2;
+    kc.weapon = game::WeaponKind::kRocketLauncher;
+    kc.distance = 320.0;
+    kc.victim_pos = {50.0, 60.0, 8.0};
+    put(dir, "state_direct",
+        input(core::MsgType::kStateUpdate, 1, 4, 1,
+              core::encode_state_body(sample_state())));
+    put(dir, "guidance_direct",
+        input(core::MsgType::kGuidance, 1, 4, 1,
+              core::encode_guidance_body(sample_guidance())));
+    put(dir, "position_forwarded",
+        input(core::MsgType::kPositionUpdate, 1, 2, 0x81,
+              core::encode_position_body({10.0, 20.0, 30.0})));
+    put(dir, "kill_claim_direct",
+        input(core::MsgType::kKillClaim, 1, 4, 2, core::encode_kill_body(kc)));
+    put(dir, "kill_claim_forwarded",
+        input(core::MsgType::kKillClaim, 1, 3, 0x82, core::encode_kill_body(kc)));
+    put(dir, "subscribe_hardened",
+        input(core::MsgType::kSubscribe, 1, 4, 0x43,
+              core::encode_subscribe_body(interest::SetKind::kInterest)));
+  }
+
   // --- fuzz_batch: MsgType::kBatch containers — empty, a pair of sealed
   // envelopes (the common per-link coalescing case), and a singleton.
   {

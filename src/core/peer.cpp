@@ -289,12 +289,9 @@ void WatchmenPeer::handle_ack(const net::Envelope& env,
     // Only a plausible proxy-of-round may steer our anchor: a forged ack
     // from anyone else could pin deltas to baselines the proxy never held.
     if (!cfg_.delta_updates || a.acked_origin != id_) return;
-    const std::int64_t r = schedule_.round_of(frame_);
-    const bool from_proxy =
-        env.from == schedule_.proxy_of(id_, r) ||
-        env.from == schedule_.proxy_of(id_, r + 1) ||
-        (r > 0 && env.from == schedule_.proxy_of(id_, r - 1));
-    if (!from_proxy) return;
+    if (!schedule_.proxy_near(env.from, id_, schedule_.round_of(frame_))) {
+      return;
+    }
     const SentSeq& slot = sent_seqs_[a.acked_seq % sent_seqs_.size()];
     if (slot.frame >= 0 && slot.seq == a.acked_seq &&
         slot.frame > acked_frame_) {
@@ -372,9 +369,7 @@ void WatchmenPeer::begin_frame(Frame f) {
     for (PlayerId p = 0; p < schedule_.num_players(); ++p) {
       if (p == id_) continue;
       if (schedule_.proxy_of(p, r) == id_ && !proxied_.contains(p)) {
-        ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
-        ps.adopted_at = f;
-        proxied_.emplace(p, std::move(ps));
+        adopt(p, f);
       }
     }
   }
@@ -559,8 +554,8 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     // the freshness signal the chaos suite compares against its baseline.
     // Players agreed departed (their trace avatar lingers as a ghost no
     // node animates) would grow without bound and are excluded.
-    if (know_[t].state_frame >= 0 && churn_removal_round_[t] < 0) {
-      metrics_.staleness_frames.add(static_cast<double>(f - know_[t].state_frame));
+    if (know_[t].track.state_frame >= 0 && churn_removal_round_[t] < 0) {
+      metrics_.staleness_frames.add(static_cast<double>(f - know_[t].track.state_frame));
     }
   }
 
@@ -716,23 +711,19 @@ void WatchmenPeer::end_frame(Frame f) {
     if (schedule_.proxy_of(q, next) != id_) {
       // Close out the pending dead-reckoning window before letting go: the
       // next guidance will arrive at the successor, never here.
-      if (ps.has_guidance && !ps.path_samples.empty()) {
-        verify_guidance_window(q, verify::Vantage::kProxy, ps.guidance,
-                               ps.path_samples);
-        ps.path_samples.clear();
-      }
+      close_guidance_window(q, verify::Vantage::kProxy, ps.track);
 
       // Handoff to the successor proxy: summary + predecessor's summary.
       PlayerSummary s;
       s.player = q;
       s.round = r;
-      s.has_state = ps.has_state;
-      s.last_state = ps.last_state;
-      s.last_state_frame = ps.last_state_frame;
+      s.has_state = ps.track.has_state;
+      s.last_state = ps.track.state;
+      s.last_state_frame = ps.track.state_frame;
       s.updates_received = ps.updates_in_round;
       s.suspicious_events = ps.suspicious_in_round;
-      s.has_guidance = ps.has_guidance;
-      if (ps.has_guidance) s.guidance = ps.guidance;
+      s.has_guidance = ps.track.has_guidance;
+      if (ps.track.has_guidance) s.guidance = ps.track.guidance;
       s.subscriptions = ps.subs.snapshot(f);
 
       HandoffPayload payload;
@@ -805,11 +796,8 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
     // cryptographic certainty, not a probabilistic sanity check — full
     // confidence regardless of the game-level vantage.
     ++metrics_.sig_rejects;
-    verify::CheckResult res;
-    res.deviation = 1.0;
-    res.rating = 10.0;
-    emit(env.from, verify::CheckType::kSignature, verify::Vantage::kProxy,
-         net_->clock().frame(), res);
+    emit_certain(env.from, verify::CheckType::kSignature,
+                 net_->clock().frame(), 10.0);
     return;
   }
   const MsgHeader& h = parsed->header;
@@ -817,6 +805,10 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
       h.origin >= schedule_.num_players()) {
     return;
   }
+  // A valid signature over a malformed body is dropped whole, before it
+  // can touch any state. Whom to blame for it is left open.
+  TypedBody typed;
+  if (!decode_typed_body(*parsed, typed)) return;
 
   if (h.type == MsgType::kHeartbeat) {
     // Pure liveness beacon: refresh the receive watchdog, nothing else. A
@@ -880,7 +872,7 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
       h.type == MsgType::kStateUpdate && !proxied_.contains(h.origin) &&
       !grace_.contains(h.origin)) {
     // 1-hop direct update from a player whose stream we subscribed to.
-    handle_as_player(env, *parsed, /*direct_path=*/true);
+    handle_as_player(env, *parsed, typed, /*direct_path=*/true);
     return;
   }
 
@@ -889,40 +881,69 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
         std::max<TimeMs>(0, net_->clock().now() - time_of(h.frame))));
     if (env.from == h.origin) {
       // First hop: we are (supposed to be) the subscriber's proxy.
-      proxy_handle_subscribe_first_hop(wire, *parsed);
-    } else {
-      // Second hop: we are (supposed to be) the target's proxy.
-      const auto it = proxied_.find(h.subject);
-      if (it != proxied_.end()) {
-        proxy_handle_subscribe_second_hop(*parsed, it->second);
-      } else {
-        // Round-boundary races: the subscription chased a proxy that just
-        // handed off. Everyone can compute the current proxy, so either
-        // adopt early (we are it, begin_frame just hasn't run) or pass the
-        // signed wire along to whoever is.
-        const PlayerId cur = schedule_.proxy_at(h.subject, net_->clock().frame());
-        if (cur == id_) {
-          ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
-          ps.adopted_at = net_->clock().frame();
-          auto [slot, _] = proxied_.emplace(h.subject, std::move(ps));
-          proxy_handle_subscribe_second_hop(*parsed, slot->second);
-        } else if (env.from != cur) {  // no ping-pong
+      proxy_handle_subscribe_first_hop(wire, h, typed.kind);
+      return;
+    }
+    // Second hop: we are (supposed to be) the target's proxy.
+    const Frame now = net_->clock().frame();
+    const auto it = proxied_.find(h.subject);
+    ProxiedState* ps = it != proxied_.end() ? &it->second : nullptr;
+    if (!ps) {
+      // Round-boundary races: the subscription chased a proxy that just
+      // handed off. Everyone can compute the current proxy, so either
+      // adopt early (we are it, begin_frame just hasn't run) or pass the
+      // signed wire along to whoever is.
+      const PlayerId cur = schedule_.proxy_at(h.subject, now);
+      if (cur != id_) {
+        if (env.from != cur) {  // no ping-pong
           ++metrics_.forwarded;
           net_send(cur, std::make_shared<const std::vector<std::uint8_t>>(
                             wire.begin(), wire.end()));
         }
+        return;
       }
+      ps = &adopt(h.subject, now);
+    }
+    if (typed.kind == interest::SetKind::kOther) {
+      ps->subs.unsubscribe(h.origin);
+    } else {
+      ps->subs.subscribe(h.origin, typed.kind, now);
     }
     return;
   }
 
   if (env.from == h.origin) {
     // Direct leg: player -> its proxy.
-    handle_as_proxy(env, wire, *parsed);
+    handle_as_proxy(env, wire, *parsed, typed);
   } else {
     // Forwarded leg: proxy -> subscriber.
-    handle_as_player(env, *parsed);
+    handle_as_player(env, *parsed, typed);
   }
+}
+
+bool WatchmenPeer::decode_typed_body(const ParsedMessage& msg,
+                                     TypedBody& out) {
+  try {
+    switch (msg.header.type) {
+      case MsgType::kGuidance:
+        out.guidance = decode_guidance_body(msg.body);
+        break;
+      case MsgType::kPositionUpdate:
+        out.pos = decode_position_body(msg.body);
+        break;
+      case MsgType::kKillClaim:
+        out.kill = decode_kill_body(msg.body);
+        break;
+      case MsgType::kSubscribe:
+        out.kind = decode_subscribe_body(msg.body);
+        break;
+      default:
+        break;
+    }
+  } catch (const DecodeError&) {
+    return false;
+  }
+  return true;
 }
 
 WatchmenPeer::StateDecode WatchmenPeer::decode_state(
@@ -980,10 +1001,12 @@ bool WatchmenPeer::replay_guard(RemoteKnowledge& k, const MsgHeader& h,
 
 void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
                                    std::span<const std::uint8_t> wire,
-                                   const ParsedMessage& msg) {
+                                   const ParsedMessage& msg,
+                                   const TypedBody& typed) {
   const MsgHeader& h = msg.header;
-  auto it = proxied_.find(h.origin);
-  if (it == proxied_.end() &&
+  const auto it = proxied_.find(h.origin);
+  ProxiedState* psp = it != proxied_.end() ? &it->second : nullptr;
+  if (!psp &&
       (cfg_.proxy_failover_silence > 0 || cfg_.liveness_watchdog) &&
       schedule_.proxy_of(h.origin, round_) != id_ &&
       schedule_.proxy_of(h.origin, round_ + 1) == id_ &&
@@ -996,35 +1019,18 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
     // silently: over-eager routing is a loss symptom, not a cheat.
     const PlayerId cur = schedule_.proxy_of(h.origin, round_);
     if (!proxy_silent(cur)) return;
-    ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
-    ps.adopted_at = frame_;
+    psp = &adopt(h.origin, frame_);
     if (const auto s = my_last_summaries_.find(h.origin);
         s != my_last_summaries_.end()) {
-      ps.subs.install(s->second.subscriptions);
-      if (s->second.has_state) {
-        ps.last_state = s->second.last_state;
-        ps.last_state_frame = s->second.last_state_frame;
-        ps.has_state = true;
-      }
-      ps.predecessor_summary = s->second;
+      psp->seed(s->second);
     }
     ++metrics_.failover_adoptions;
-    it = proxied_.emplace(h.origin, std::move(ps)).first;
   }
-  if (it == proxied_.end()) {
+  if (!psp) {
     // Grace window: keep serving players just handed off, don't verify.
     const auto git = grace_.find(h.origin);
     if (git != grace_.end()) {
-      const Frame now = net_->clock().frame();
-      if (h.type == MsgType::kStateUpdate && !cfg_.direct_updates) {
-        forward_to(git->second.state.subs.subscribers(
-                       interest::SetKind::kInterest, now),
-                   wire, h.origin);
-      } else if (h.type == MsgType::kGuidance) {
-        forward_to(git->second.state.subs.subscribers(
-                       interest::SetKind::kVision, now),
-                   wire, h.origin);
-      }
+      forward_stream(git->second.state, h, wire);
       return;
     }
     // Not our player at all: the sender bypassed the proxy scheme (direct
@@ -1032,16 +1038,12 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
     // knowledge, so this violation is certain, not probabilistic — except
     // briefly around churn pool changes, when schedules may diverge.
     if (!pool_transition_grace()) {
-      verify::CheckResult res;
-      res.deviation = 1.0;
-      res.rating = 10.0;
-      emit(env.from, verify::CheckType::kConsistency, verify::Vantage::kProxy,
-           h.frame, res);
+      emit_certain(env.from, verify::CheckType::kConsistency, h.frame, 10.0);
     }
     return;
   }
 
-  ProxiedState& ps = it->second;
+  ProxiedState& ps = *psp;
   if (!replay_guard(know_[h.origin], h, env.from)) return;
 
   // Time cheat: stamped long before it reached us.
@@ -1063,10 +1065,10 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
     case MsgType::kStateUpdate:
     case MsgType::kPositionUpdate:
     case MsgType::kGuidance:
-      proxy_handle_update(env, wire, msg, ps);
+      proxy_handle_update(env, wire, msg, typed, ps);
       break;
     case MsgType::kKillClaim:
-      proxy_handle_kill_claim(wire, msg, ps);
+      proxy_handle_kill_claim(wire, h, typed.kill, ps);
       break;
     default:
       break;
@@ -1076,66 +1078,51 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
 void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
                                        std::span<const std::uint8_t> wire,
                                        const ParsedMessage& msg,
+                                       const TypedBody& typed,
                                        ProxiedState& ps) {
   const MsgHeader& h = msg.header;
   const Frame now = net_->clock().frame();
+  SubjectTrack& t = ps.track;
 
   switch (h.type) {
     case MsgType::kStateUpdate: {
       game::AvatarState s;
-      const StateDecode decoded = decode_state(ps.decoded, h, msg.body, s);
+      const StateDecode decoded = decode_state(t.decoded, h, msg.body, s);
       if (decoded == StateDecode::kRejected) break;
       if (decoded == StateDecode::kNoBaseline) {
         // The message still arrived on time — it counts for rate policing —
         // and subscribers with an intact chain can still use the forward.
         ++ps.updates_in_round;
-        if (!cfg_.direct_updates) {
-          forward_to(ps.subs.subscribers(interest::SetKind::kInterest, now),
-                     wire, h.origin);
-        }
+        forward_stream(ps, h, wire);
         break;
       }
-      if (ps.has_state && ps.last_state.alive && !s.alive) {
+      if (t.has_state && t.state.alive && !s.alive) {
         know_[h.origin].last_death = h.frame;  // alive-flag transition
         // Redundant obituary: broadcast the (signed) dead-state update so
         // every verifier learns of the death even if the killer's claim was
         // lost — a respawn teleport must never look like a speed hack.
-        std::vector<PlayerId> all;
-        all.reserve(schedule_.num_players());
-        for (PlayerId w = 0; w < schedule_.num_players(); ++w) {
-          if (w != id_ && w != h.origin) all.push_back(w);
-        }
-        forward_to(all, wire, h.origin);
+        forward_to_all(wire, h.origin);
       }
-      // Position / physics check against the previous verified update;
-      // suppressed across a known death-respawn window.
-      if (ps.has_state && h.frame > ps.last_state_frame &&
-          ps.last_state.alive && s.alive &&
-          !in_death_window(h.origin, ps.last_state_frame)) {
-        const verify::CheckResult res = verify::check_position(
-            ps.last_state.pos, ps.last_state_frame, s.pos, h.frame, map_);
-        if (res.suspicious()) {
-          emit(h.origin, verify::CheckType::kPosition, verify::Vantage::kProxy,
-               h.frame, res);
-          ++ps.suspicious_in_round;
-        }
+      // Position / physics check against the previous verified update.
+      if (t.has_state && t.state.alive && s.alive &&
+          check_move(h.origin, verify::Vantage::kProxy, t.state.pos,
+                     t.state_frame, s.pos, h.frame)) {
+        ++ps.suspicious_in_round;
       }
-      maybe_close_guidance(h.origin, verify::Vantage::kProxy, h.frame,
-                           ps.has_guidance, ps.guidance, ps.path_samples);
+      maybe_close_guidance(h.origin, verify::Vantage::kProxy, t, h.frame, s.pos);
       // Aim analysis (Table I "aimbots: detection by proxy (statistical
       // analysis)"). Two signals:
       //  1. Turn rate: published aim must respect the engine's angular
       //     speed limit — instant snaps are mechanically impossible.
-      if (ps.has_state && s.alive && ps.last_state.alive &&
-          !in_death_window(h.origin, ps.last_state_frame)) {
-        const auto frames =
-            std::max<Frame>(1, h.frame - ps.last_state_frame);
+      if (t.has_state && s.alive && t.state.alive &&
+          !in_death_window(h.origin, t.state_frame)) {
+        const auto frames = std::max<Frame>(1, h.frame - t.state_frame);
         if (frames <= 3) {
           const double allowed = game::kDefaultPhysics.max_angular_speed *
                                      game::kDefaultPhysics.dt *
                                      static_cast<double>(frames) +
                                  0.02;
-          const double turned = std::fabs(wrap_angle(s.yaw - ps.last_state.yaw));
+          const double turned = std::fabs(wrap_angle(s.yaw - t.state.yaw));
           if (turned > allowed) {
             verify::CheckResult res;
             res.deviation = turned - allowed;
@@ -1163,21 +1150,18 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
         if (best < 1.0) ps.aim_samples.push_back(best);
       }
 
-      if (ps.has_guidance) ps.path_samples.emplace_back(h.frame, s.pos);
-      ps.last_state = s;
-      ps.last_state_frame = h.frame;
-      ps.has_state = true;
+      t.state = s;
+      t.state_frame = h.frame;
+      t.has_state = true;
       ++ps.updates_in_round;
       // The direct stream also satisfies this peer's own witness-side
       // forwarding expectation (it never receives its own forwards).
-      if (h.origin < recv_state_in_round_.size()) {
-        ++recv_state_in_round_[h.origin];
-      }
+      ++recv_state_in_round_[h.origin];
 
       if (cfg_.delta_updates) {
         // Every decoded state is a candidate anchor; ack the stream every
         // kStateAckPeriod frames so the sender's anchor keeps advancing.
-        ps.decoded.put(h.frame, s);
+        t.decoded.put(h.frame, s);
         if (h.frame - ps.last_state_ack >= kStateAckPeriod) {
           AckBody a;
           a.acked_origin = h.origin;
@@ -1191,42 +1175,20 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
       }
 
       // The proxy holds complete information about its player.
-      RemoteKnowledge& k = know_[h.origin];
-      checkpoint_pos(k, s.pos, h.frame);
-      k.state = s;
-      k.state_frame = h.frame;
-      k.has_state = true;
-      k.pos = s.pos;
-      k.pos_frame = h.frame;
-      k.last_heard = now;
-
-      // In direct-update mode the player pushed to its IS subscribers
-      // itself; the proxy copy exists for verification only.
-      if (!cfg_.direct_updates) {
-        forward_to(ps.subs.subscribers(interest::SetKind::kInterest, now),
-                   wire, h.origin);
-      }
+      observe_state(know_[h.origin], s, h.frame, now);
+      forward_stream(ps, h, wire);
       break;
     }
     case MsgType::kGuidance: {
-      const interest::Guidance g = decode_guidance_body(msg.body);
-      if (ps.has_guidance && !ps.path_samples.empty()) {
-        verify_guidance_window(h.origin, verify::Vantage::kProxy, ps.guidance,
-                               ps.path_samples);
-      }
-      ps.guidance = g;
-      ps.has_guidance = true;
-      ps.path_samples.clear();
+      const interest::Guidance& g = typed.guidance;
+      roll_guidance(h.origin, verify::Vantage::kProxy, t, g);
       // Keep the player-side knowledge consistent: a new guidance anchor
       // invalidates any path samples collected against the previous one.
-      RemoteKnowledge& k = know_[h.origin];
-      k.guidance = g;
-      k.has_guidance = true;
-      k.path_samples.clear();
-      k.path_samples.emplace_back(g.frame, g.pos);
-
-      forward_to(ps.subs.subscribers(interest::SetKind::kVision, now), wire,
-                 h.origin);
+      SubjectTrack& kt = know_[h.origin].track;
+      kt.guidance = g;
+      kt.has_guidance = true;
+      kt.path_samples.assign(1, {g.frame, g.pos});
+      forward_stream(ps, h, wire);
       break;
     }
     case MsgType::kPositionUpdate: {
@@ -1266,8 +1228,8 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
 }
 
 void WatchmenPeer::proxy_handle_subscribe_first_hop(
-    std::span<const std::uint8_t> wire, const ParsedMessage& msg) {
-  const MsgHeader& h = msg.header;
+    std::span<const std::uint8_t> wire, const MsgHeader& h,
+    interest::SetKind kind) {
   ProxiedState* psp = nullptr;
   if (const auto it = proxied_.find(h.origin); it != proxied_.end()) {
     psp = &it->second;
@@ -1276,8 +1238,8 @@ void WatchmenPeer::proxy_handle_subscribe_first_hop(
   }
   if (!psp) return;  // not our player at all
   ProxiedState& ps = *psp;
+  const game::AvatarState& sub_state = ps.track.state;
 
-  const interest::SetKind kind = decode_subscribe_body(msg.body);
   const PlayerId target = h.subject;
   if (target >= schedule_.num_players() || target == h.origin) return;
 
@@ -1285,7 +1247,7 @@ void WatchmenPeer::proxy_handle_subscribe_first_hop(
   // about the subscriber and our best knowledge of the target. Respawn
   // teleports of either party make stale comparisons meaningless, so skip
   // inside their death windows.
-  if (ps.has_state && !in_death_window(h.origin, h.frame) &&
+  if (ps.track.has_state && !in_death_window(h.origin, h.frame) &&
       !in_death_window(target, h.frame)) {
     const RemoteKnowledge& tk = know_[target];
     const Vec3 target_pos = tk.pos_frame >= 0 ? tk.pos : Vec3{1e9, 1e9, 1e9};
@@ -1301,7 +1263,7 @@ void WatchmenPeer::proxy_handle_subscribe_first_hop(
       // IS stickiness allowance honest subscribers legitimately use
       // (compute_sets keeps current IS members in a slightly relaxed cone).
       interest::VisionConfig vision = cfg_.interest.vision;
-      const Frame aim_gap = std::llabs(h.frame - ps.last_state_frame);
+      const Frame aim_gap = std::llabs(h.frame - ps.track.state_frame);
       vision.half_angle +=
           0.16 + game::kDefaultPhysics.max_angular_speed *
                      game::kDefaultPhysics.dt * static_cast<double>(aim_gap);
@@ -1321,13 +1283,13 @@ void WatchmenPeer::proxy_handle_subscribe_first_hop(
           if (res.rating > 5.0 && tk.pos_frame < h.frame) {
             pending_subs_.push_back({h.origin, target, type, h.frame,
                                      h.frame + 2 * kDeathWindowFrames, res,
-                                     ps.last_state, vision, slack});
+                                     sub_state, vision, slack});
             return;
           }
           emit(h.origin, type, verify::Vantage::kProxy, h.frame, res);
         };
         const verify::CheckResult vs = verify::check_vs_subscription(
-            ps.last_state, target_pos, vision, slack);
+            sub_state, target_pos, vision, slack);
         if (vs.suspicious()) {
           emit_sub(kind == interest::SetKind::kInterest
                        ? verify::CheckType::kSubscriptionIS
@@ -1336,7 +1298,7 @@ void WatchmenPeer::proxy_handle_subscribe_first_hop(
         } else if (kind == interest::SetKind::kInterest) {
           // Inside the cone: check the attention rank as well.
           auto snapshot = knowledge_snapshot();
-          snapshot[h.origin] = ps.last_state;
+          snapshot[h.origin] = sub_state;
           interest::InterestConfig icfg = cfg_.interest;
           icfg.vision = vision;
           const verify::CheckResult isr = verify::check_is_subscription(
@@ -1366,30 +1328,37 @@ void WatchmenPeer::proxy_handle_subscribe_first_hop(
   }
 }
 
-void WatchmenPeer::proxy_handle_subscribe_second_hop(const ParsedMessage& msg,
-                                                     ProxiedState& ps) {
-  const MsgHeader& h = msg.header;
-  const interest::SetKind kind = decode_subscribe_body(msg.body);
-  if (kind == interest::SetKind::kOther) {
-    ps.subs.unsubscribe(h.origin);
-  } else {
-    ps.subs.subscribe(h.origin, kind, net_->clock().frame());
-  }
-}
-
 void WatchmenPeer::proxy_handle_kill_claim(std::span<const std::uint8_t> wire,
-                                           const ParsedMessage& msg,
+                                           const MsgHeader& h,
+                                           const KillClaim& claim,
                                            ProxiedState& ps) {
-  const MsgHeader& h = msg.header;
-  const KillClaim claim = decode_kill_body(msg.body);
   if (claim.victim >= schedule_.num_players()) return;
 
+  // The proxy judges from the last verified state, at eye height.
+  const SubjectTrack& t = ps.track;
   verify::KillClaimEvidence ev;
+  ev.shooter_pos = t.has_state ? t.state.pos : Vec3{};
+  ev.shooter_pos_age =
+      t.has_state ? std::max<Frame>(0, frame_ - t.state_frame) : 200;
+  ev.line_of_sight =
+      !t.has_state ||
+      los_with_slack(t.state.eye(), claim.victim_pos + Vec3{0, 0, 56});
+  if (judge_kill_claim(h, claim, ps.track, verify::Vantage::kProxy, ev)) {
+    ++ps.suspicious_in_round;
+  }
+
+  // Obituary broadcast: every player learns about the death (scoreboard /
+  // kill feed in the real game). Witnesses also re-verify the claim, and
+  // everyone can legitimize the victim's upcoming respawn teleport.
+  forward_to_all(wire, h.origin);
+}
+
+bool WatchmenPeer::judge_kill_claim(const MsgHeader& h, const KillClaim& claim,
+                                    SubjectTrack& shooter,
+                                    verify::Vantage vantage,
+                                    verify::KillClaimEvidence ev) {
   ev.weapon = claim.weapon;
   ev.claimed_distance = claim.distance;
-  ev.shooter_pos = ps.has_state ? ps.last_state.pos : Vec3{};
-  ev.shooter_pos_age =
-      ps.has_state ? std::max<Frame>(0, frame_ - ps.last_state_frame) : 200;
   if (in_death_window(h.origin, h.frame)) ev.shooter_pos_age = 200;
   const RemoteKnowledge& vk = know_[claim.victim];
   ev.victim_pos = vk.pos_frame >= 0 ? vk.pos : claim.victim_pos;
@@ -1400,40 +1369,15 @@ void WatchmenPeer::proxy_handle_kill_claim(std::span<const std::uint8_t> wire,
     // does not fire on honest claims.
     ev.victim_pos_age = 200;
   }
-  // One trigger pull can kill several players at once (rocket splash,
-  // shotgun spread): same-frame claims are legal up to a splash-plausible
-  // count; the refire bound applies between *distinct* shots.
-  if (h.frame == ps.last_kill_claim) {
-    ++ps.kill_claims_same_frame;
-    ev.frames_since_last_fire = ps.kill_claims_same_frame <= 5 ? 1000 : 0;
-  } else {
-    ev.frames_since_last_fire = h.frame - ps.last_kill_claim;
-    ps.kill_claims_same_frame = 1;
-  }
-  ps.last_kill_claim = h.frame;
-  ev.frames_victim_in_shooter_is = 1000;  // proxies don't track IS residency
-  ev.line_of_sight =
-      !ps.has_state ||
-      los_with_slack(ps.last_state.eye(), claim.victim_pos + Vec3{0, 0, 56});
-  ev.shooter_ammo = ps.has_state ? ps.last_state.ammo + 1 : 1;
+  ev.frames_since_last_fire = shooter.note_kill_claim(h.frame);
+  ev.frames_victim_in_shooter_is = 1000;  // verifiers don't track IS residency
+  ev.shooter_ammo = shooter.has_state ? shooter.state.ammo + 1 : 1;
 
   const verify::CheckResult res = verify::check_kill(ev);
-  if (res.suspicious()) {
-    emit(h.origin, verify::CheckType::kKill, verify::Vantage::kProxy, h.frame,
-         res);
-    ++ps.suspicious_in_round;
-  }
-
-  // Obituary broadcast: every player learns about the death (scoreboard /
-  // kill feed in the real game). Witnesses also re-verify the claim, and
-  // everyone can legitimize the victim's upcoming respawn teleport.
+  if (res.suspicious()) emit(h.origin, verify::CheckType::kKill, vantage, h.frame, res);
+  // Record the obituary only after judging the claim itself.
   know_[claim.victim].last_death = h.frame;
-  std::vector<PlayerId> all;
-  all.reserve(schedule_.num_players());
-  for (PlayerId q = 0; q < schedule_.num_players(); ++q) {
-    if (q != id_ && q != h.origin) all.push_back(q);
-  }
-  forward_to(all, wire, h.origin);
+  return res.suspicious();
 }
 
 void WatchmenPeer::handle_churn_notice(const ParsedMessage& msg) {
@@ -1455,11 +1399,7 @@ void WatchmenPeer::handle_churn_notice(const ParsedMessage& msg) {
     // Around pool transitions (and partition heals) peers' pools — and so
     // their idea of "the proxy" — may legitimately diverge; don't blame.
     if (!pool_transition_grace()) {
-      verify::CheckResult res;
-      res.deviation = 1.0;
-      res.rating = 8.0;
-      emit(h.origin, verify::CheckType::kConsistency, verify::Vantage::kProxy,
-           h.frame, res);
+      emit_certain(h.origin, verify::CheckType::kConsistency, h.frame, 8.0);
     }
     return;
   }
@@ -1587,17 +1527,14 @@ void WatchmenPeer::handle_handoff(const ParsedMessage& msg) {
   const std::int64_t stamp_round = schedule_.round_of(h.frame);
   if (schedule_.proxy_of(h.subject, stamp_round) != h.origin) {
     if (!pool_transition_grace()) {
-      verify::CheckResult res;
-      res.deviation = 1.0;
-      res.rating = 8.0;
-      emit(h.origin, verify::CheckType::kConsistency, verify::Vantage::kProxy,
-           h.frame, res);
+      emit_certain(h.origin, verify::CheckType::kConsistency, h.frame, 8.0);
     }
     return;
   }
 
-  auto it = proxied_.find(h.subject);
-  if (it == proxied_.end()) {
+  const auto it = proxied_.find(h.subject);
+  ProxiedState* psp = it != proxied_.end() ? &it->second : nullptr;
+  if (!psp) {
     // Round-boundary race: the handoff outran our begin_frame adoption (it
     // is sent in the last instants of the old round, so on a fast link it
     // lands before the new round's first begin_frame). If we are the
@@ -1606,11 +1543,9 @@ void WatchmenPeer::handle_handoff(const ParsedMessage& msg) {
     const std::int64_t now_round = schedule_.round_of(net_->clock().frame());
     if (stamp_round + protocol::kHandoffStaleRounds < now_round) return;
     if (schedule_.proxy_of(h.subject, stamp_round + 1) != id_) return;
-    ProxiedState ps(schedule_.num_players(), cfg_.renewal_frames);
-    ps.adopted_at = net_->clock().frame();
-    it = proxied_.emplace(h.subject, std::move(ps)).first;
+    psp = &adopt(h.subject, net_->clock().frame());
   }
-  ProxiedState& ps = it->second;
+  ProxiedState& ps = *psp;
 
   HandoffPayload payload;
   try {
@@ -1620,25 +1555,29 @@ void WatchmenPeer::handle_handoff(const ParsedMessage& msg) {
   }
   if (payload.summary.player != h.subject) return;
 
-  ps.subs.install(payload.summary.subscriptions);
-  if (payload.summary.has_state && !ps.has_state) {
-    ps.last_state = payload.summary.last_state;
-    ps.last_state_frame = payload.summary.last_state_frame;
-    ps.has_state = true;
-  }
-  if (payload.summary.has_guidance && !ps.has_guidance) {
+  ps.seed(payload.summary);
+  if (payload.summary.has_guidance && !ps.track.has_guidance) {
     // Continue the dead-reckoning window that spans the renewal: path
     // samples collected from here on are still compared against the
     // predecessor-era guidance.
-    ps.guidance = payload.summary.guidance;
-    ps.has_guidance = true;
+    ps.track.guidance = payload.summary.guidance;
+    ps.track.has_guidance = true;
   }
-  ps.predecessor_summary = payload.summary;
+}
+
+void WatchmenPeer::ProxiedState::seed(const PlayerSummary& s) {
+  subs.install(s.subscriptions);
+  if (s.has_state && !track.has_state) {
+    track.state = s.last_state;
+    track.state_frame = s.last_state_frame;
+    track.has_state = true;
+  }
+  predecessor_summary = s;
 }
 
 void WatchmenPeer::handle_as_player(const net::Envelope& env,
                                     const ParsedMessage& msg,
-                                    bool direct_path) {
+                                    const TypedBody& typed, bool direct_path) {
   const MsgHeader& h = msg.header;
   const Frame now = net_->clock().frame();
 
@@ -1648,13 +1587,8 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
   // on_message by the from==origin path ending at a non-proxy) or a replay
   // by a third party. Direct-update mode deliberately waives this for
   // 1-hop state updates — part of its "lower security" trade.
-  const std::int64_t msg_round = schedule_.round_of(h.frame);
-  const bool from_valid_proxy =
-      direct_path ||
-      env.from == schedule_.proxy_of(h.origin, msg_round) ||
-      env.from == schedule_.proxy_of(h.origin, msg_round + 1) ||
-      (msg_round > 0 && env.from == schedule_.proxy_of(h.origin, msg_round - 1));
-  if (!from_valid_proxy) {
+  if (!direct_path &&
+      !schedule_.proxy_near(env.from, h.origin, schedule_.round_of(h.frame))) {
     // Forward from a node that is not the origin's proxy for any plausible
     // round: a certain protocol violation by the sender (outside churn
     // transitions, when peers' pools may briefly diverge).
@@ -1667,16 +1601,13 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
     Frame& heard = know_[h.origin].last_heard;
     heard = std::max(heard, std::min(h.frame, now));
     if (!pool_transition_grace()) {
-      verify::CheckResult res;
-      res.deviation = 1.0;
-      res.rating = 10.0;
-      emit(env.from, verify::CheckType::kConsistency, verify::Vantage::kProxy,
-           h.frame, res);
+      emit_certain(env.from, verify::CheckType::kConsistency, h.frame, 10.0);
       return;
     }
   }
 
   RemoteKnowledge& k = know_[h.origin];
+  SubjectTrack& t = k.track;
   if (!replay_guard(k, h, env.from)) return;
 
   const verify::Vantage vantage = vantage_towards(h.origin);
@@ -1684,123 +1615,64 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
   switch (h.type) {
     case MsgType::kStateUpdate: {
       game::AvatarState s;
-      const StateDecode decoded = decode_state(k.decoded, h, msg.body, s);
-      if (decoded == StateDecode::kNoBaseline &&
-          h.origin < recv_state_in_round_.size()) {
-        // The arrival still counts for the witness-side forwarding
-        // expectation; the next keyframe recovers us.
-        ++recv_state_in_round_[h.origin];
-      }
+      const StateDecode decoded = decode_state(t.decoded, h, msg.body, s);
+      // An arrival counts for the witness-side forwarding expectation even
+      // when its baseline is missing; the next keyframe recovers us.
+      if (decoded != StateDecode::kRejected) ++recv_state_in_round_[h.origin];
       if (decoded != StateDecode::kDecoded) break;
-      if (cfg_.delta_updates) k.decoded.put(h.frame, s);
+      if (cfg_.delta_updates) t.decoded.put(h.frame, s);
       metrics_.update_age_frames.add(static_cast<double>(now - h.frame));
       ++metrics_.updates_received;
 
-      if (h.origin < recv_state_in_round_.size()) {
-        ++recv_state_in_round_[h.origin];
-      }
-      if ((k.has_state && k.state.alive && !s.alive) ||
+      if ((t.has_state && t.state.alive && !s.alive) ||
           (!s.alive && h.frame > k.last_death + kDeathWindowFrames)) {
         k.last_death = h.frame;  // transition, or first news of this death
       }
-      if (k.pos_frame >= 0 && h.frame > k.pos_frame &&
-          (!k.has_state || k.state.alive) && s.alive &&
-          !in_death_window(h.origin, k.pos_frame)) {
-        const verify::CheckResult res =
-            verify::check_position(k.pos, k.pos_frame, s.pos, h.frame, map_);
-        if (res.suspicious()) {
-          emit(h.origin, verify::CheckType::kPosition, vantage, h.frame, res);
-        }
+      if (k.pos_frame >= 0 && (!t.has_state || t.state.alive) && s.alive) {
+        check_move(h.origin, vantage, k.pos, k.pos_frame, s.pos, h.frame);
       }
-      maybe_close_guidance(h.origin, vantage, h.frame, k.has_guidance,
-                           k.guidance, k.path_samples);
-      if (k.has_guidance) k.path_samples.emplace_back(h.frame, s.pos);
-      checkpoint_pos(k, s.pos, h.frame);
-      k.state = s;
-      k.state_frame = h.frame;
-      k.has_state = true;
-      k.pos = s.pos;
-      k.pos_frame = h.frame;
-      k.last_heard = now;
+      maybe_close_guidance(h.origin, vantage, t, h.frame, s.pos);
+      observe_state(k, s, h.frame, now);
       break;
     }
     case MsgType::kGuidance: {
-      const interest::Guidance g = decode_guidance_body(msg.body);
+      const interest::Guidance& g = typed.guidance;
       metrics_.update_age_frames.add(static_cast<double>(now - h.frame));
       ++metrics_.updates_received;
 
-      if (k.has_guidance && !k.path_samples.empty()) {
-        verify_guidance_window(h.origin, vantage, k.guidance, k.path_samples);
-      }
-      k.guidance = g;
-      k.has_guidance = true;
-      k.path_samples.clear();
-      k.path_samples.emplace_back(g.frame, g.pos);
-      checkpoint_pos(k, g.pos, h.frame);
-      k.pos = g.pos;
-      k.pos_frame = h.frame;
-      k.last_heard = now;
+      roll_guidance(h.origin, vantage, t, g);
+      t.path_samples.emplace_back(g.frame, g.pos);
+      observe_pos(k, g.pos, h.frame, now);
       break;
     }
     case MsgType::kPositionUpdate: {
-      const Vec3 pos = decode_position_body(msg.body);
+      const Vec3& pos = typed.pos;
       metrics_.update_age_frames.add(static_cast<double>(now - h.frame));
       ++metrics_.updates_received;
 
-      if (k.pos_frame >= 0 && h.frame > k.pos_frame &&
-          !in_death_window(h.origin, k.pos_frame)) {
-        const verify::CheckResult res =
-            verify::check_position(k.pos, k.pos_frame, pos, h.frame, map_);
-        if (res.suspicious()) {
-          emit(h.origin, verify::CheckType::kPosition, vantage, h.frame, res);
-        }
+      if (k.pos_frame >= 0) {
+        check_move(h.origin, vantage, k.pos, k.pos_frame, pos, h.frame);
       }
-      maybe_close_guidance(h.origin, vantage, h.frame, k.has_guidance,
-                           k.guidance, k.path_samples);
-      if (k.has_guidance) k.path_samples.emplace_back(h.frame, pos);
-      checkpoint_pos(k, pos, h.frame);
-      k.pos = pos;
-      k.pos_frame = h.frame;
-      k.last_heard = now;
+      maybe_close_guidance(h.origin, vantage, t, h.frame, pos);
+      observe_pos(k, pos, h.frame, now);
       break;
     }
     case MsgType::kKillClaim: {
       // Witness verification of a forwarded kill claim.
-      const KillClaim claim = decode_kill_body(msg.body);
+      const KillClaim& claim = typed.kill;
       if (claim.victim >= schedule_.num_players()) break;
+      // Witnesses know the shooter's position less precisely than the proxy
+      // does: they judge from the last position at a fixed eye offset, and
+      // only fresh knowledge supports an LOS judgement, with slack.
       verify::KillClaimEvidence ev;
-      ev.weapon = claim.weapon;
-      ev.claimed_distance = claim.distance;
       ev.shooter_pos = k.pos_frame >= 0 ? k.pos : Vec3{};
       ev.shooter_pos_age =
           k.pos_frame >= 0 ? std::max<Frame>(0, frame_ - k.pos_frame) : 200;
-      if (in_death_window(h.origin, h.frame)) ev.shooter_pos_age = 200;
-      const RemoteKnowledge& vk = know_[claim.victim];
-      ev.victim_pos = vk.pos_frame >= 0 ? vk.pos : claim.victim_pos;
-      ev.victim_pos_age = vk.pos_frame >= 0 ? frame_ - vk.pos_frame : 0;
-      if (in_death_window(claim.victim, h.frame)) ev.victim_pos_age = 200;
-      // Witnesses know the shooter's position less precisely than the proxy
-      // does; only fresh knowledge supports an LOS judgement, with slack.
       ev.line_of_sight =
           k.pos_frame < 0 || frame_ - k.pos_frame > 2 ||
           los_with_slack(k.pos + Vec3{0, 0, 56},
                          claim.victim_pos + Vec3{0, 0, 56});
-      if (h.frame == k.last_kill_claim) {
-        ++k.kill_claims_same_frame;
-        ev.frames_since_last_fire = k.kill_claims_same_frame <= 5 ? 1000 : 0;
-      } else {
-        ev.frames_since_last_fire = h.frame - k.last_kill_claim;
-        k.kill_claims_same_frame = 1;
-      }
-      k.last_kill_claim = h.frame;
-      ev.frames_victim_in_shooter_is = 1000;
-      ev.shooter_ammo = k.has_state ? k.state.ammo + 1 : 1;
-      const verify::CheckResult res = verify::check_kill(ev);
-      if (res.suspicious()) {
-        emit(h.origin, verify::CheckType::kKill, vantage, h.frame, res);
-      }
-      // Record the obituary only after judging the claim itself.
-      know_[claim.victim].last_death = h.frame;
+      judge_kill_claim(h, claim, t, vantage, ev);
       break;
     }
     default:
@@ -1826,6 +1698,37 @@ void WatchmenPeer::forward_to(const std::vector<PlayerId>& recipients,
   }
 }
 
+void WatchmenPeer::forward_to_all(std::span<const std::uint8_t> wire,
+                                  PlayerId subject) {
+  std::vector<PlayerId> all;
+  all.reserve(schedule_.num_players());
+  for (PlayerId q = 0; q < schedule_.num_players(); ++q) {
+    if (q != id_ && q != subject) all.push_back(q);
+  }
+  forward_to(all, wire, subject);
+}
+
+void WatchmenPeer::forward_stream(const ProxiedState& ps, const MsgHeader& h,
+                                  std::span<const std::uint8_t> wire) {
+  const Frame now = net_->clock().frame();
+  if (h.type == MsgType::kStateUpdate) {
+    // In direct-update mode the player pushed to its IS subscribers itself;
+    // the proxy copy exists for verification only.
+    if (cfg_.direct_updates) return;
+    forward_to(ps.subs.subscribers(interest::SetKind::kInterest, now), wire,
+               h.origin);
+  } else if (h.type == MsgType::kGuidance) {
+    forward_to(ps.subs.subscribers(interest::SetKind::kVision, now), wire,
+               h.origin);
+  }
+}
+
+WatchmenPeer::ProxiedState& WatchmenPeer::adopt(PlayerId p, Frame at) {
+  return proxied_
+      .try_emplace(p, schedule_.num_players(), cfg_.renewal_frames, at)
+      .first->second;
+}
+
 // --------------------------------------------------------------- helpers
 
 void WatchmenPeer::emit(PlayerId suspect, verify::CheckType type,
@@ -1843,8 +1746,26 @@ void WatchmenPeer::emit(PlayerId suspect, verify::CheckType type,
   report_(r);
 }
 
+void WatchmenPeer::emit_certain(PlayerId suspect, verify::CheckType type,
+                                Frame frame, double rating) {
+  verify::CheckResult res;
+  res.deviation = 1.0;
+  res.rating = rating;
+  emit(suspect, type, verify::Vantage::kProxy, frame, res);
+}
+
 bool WatchmenPeer::in_death_window(PlayerId q, Frame baseline_frame) const {
   return know_[q].last_death + kDeathWindowFrames >= baseline_frame;
+}
+
+bool WatchmenPeer::check_move(PlayerId q, verify::Vantage vantage,
+                              const Vec3& from, Frame from_frame,
+                              const Vec3& to, Frame frame) {
+  if (frame <= from_frame || in_death_window(q, from_frame)) return false;
+  const verify::CheckResult res =
+      verify::check_position(from, from_frame, to, frame, map_);
+  if (res.suspicious()) emit(q, verify::CheckType::kPosition, vantage, frame, res);
+  return res.suspicious();
 }
 
 bool WatchmenPeer::los_with_slack(const Vec3& from_eye, const Vec3& to_eye) const {
@@ -1855,6 +1776,22 @@ bool WatchmenPeer::los_with_slack(const Vec3& from_eye, const Vec3& to_eye) cons
     if (map_->visible(from_eye + off, to_eye)) return true;
   }
   return false;
+}
+
+void WatchmenPeer::observe_pos(RemoteKnowledge& k, const Vec3& pos,
+                               Frame frame, Frame now) {
+  checkpoint_pos(k, pos, frame);
+  k.pos = pos;
+  k.pos_frame = frame;
+  k.last_heard = now;
+}
+
+void WatchmenPeer::observe_state(RemoteKnowledge& k, const game::AvatarState& s,
+                                 Frame frame, Frame now) {
+  observe_pos(k, s.pos, frame, now);
+  k.track.state = s;
+  k.track.state_frame = frame;
+  k.track.has_state = true;
 }
 
 void WatchmenPeer::checkpoint_pos(RemoteKnowledge& k, const Vec3& next_pos,
@@ -1939,9 +1876,9 @@ std::vector<game::AvatarState> WatchmenPeer::knowledge_snapshot() const {
       continue;
     }
     const RemoteKnowledge& k = know_[q];
-    if (k.has_state) {
-      snap[q] = k.state;
-      if (k.pos_frame > k.state_frame) snap[q].pos = k.pos;
+    if (k.track.has_state) {
+      snap[q] = k.track.state;
+      if (k.pos_frame > k.track.state_frame) snap[q].pos = k.pos;
     } else if (k.pos_frame >= 0) {
       snap[q].pos = k.pos;
     } else {
@@ -1951,23 +1888,38 @@ std::vector<game::AvatarState> WatchmenPeer::knowledge_snapshot() const {
   return snap;
 }
 
-void WatchmenPeer::maybe_close_guidance(
-    PlayerId suspect, verify::Vantage vantage, Frame observed_frame,
-    bool& has_guidance, const interest::Guidance& guidance,
-    std::vector<std::pair<Frame, Vec3>>& samples) {
-  if (!has_guidance) return;
-  if (observed_frame <= guidance.frame + interest::kGuidancePeriodFrames + 2) return;
-  if (!samples.empty()) {
-    verify_guidance_window(suspect, vantage, guidance, samples);
+void WatchmenPeer::maybe_close_guidance(PlayerId suspect,
+                                        verify::Vantage vantage,
+                                        SubjectTrack& t, Frame observed_frame,
+                                        const Vec3& observed_pos) {
+  if (!t.has_guidance) return;
+  if (observed_frame >
+      t.guidance.frame + interest::kGuidancePeriodFrames + 2) {
+    close_guidance_window(suspect, vantage, t);
+    t.has_guidance = false;
+    return;
   }
-  has_guidance = false;
-  samples.clear();
+  t.path_samples.emplace_back(observed_frame, observed_pos);
 }
 
-void WatchmenPeer::verify_guidance_window(
-    PlayerId suspect, verify::Vantage vantage,
-    const interest::Guidance& old_guidance,
-    const std::vector<std::pair<Frame, Vec3>>& all_samples) {
+void WatchmenPeer::close_guidance_window(PlayerId suspect,
+                                         verify::Vantage vantage,
+                                         SubjectTrack& t) {
+  if (t.has_guidance) verify_guidance_window(suspect, vantage, t);
+  t.path_samples.clear();
+}
+
+void WatchmenPeer::roll_guidance(PlayerId suspect, verify::Vantage vantage,
+                                 SubjectTrack& t, const interest::Guidance& g) {
+  close_guidance_window(suspect, vantage, t);
+  t.guidance = g;
+  t.has_guidance = true;
+}
+
+void WatchmenPeer::verify_guidance_window(PlayerId suspect,
+                                          verify::Vantage vantage,
+                                          const SubjectTrack& t) {
+  const interest::Guidance& old_guidance = t.guidance;
   // A death inside (or just before) the window makes the respawn teleport
   // pollute the comparison: keep only samples from before the death. The
   // time-normalized metric keeps trimmed windows comparable.
@@ -1979,7 +1931,7 @@ void WatchmenPeer::verify_guidance_window(
   // claimed to cover, and the area integral would grow quadratically.
   const Frame horizon =
       old_guidance.frame + interest::kGuidancePeriodFrames + 2;
-  for (const auto& s : all_samples) {
+  for (const auto& s : t.path_samples) {
     if (s.first < old_guidance.frame) continue;  // predates this window
     if (trim_death && s.first >= death) continue;
     if (s.first > horizon) continue;
@@ -2009,14 +1961,6 @@ void WatchmenPeer::verify_guidance_window(
   }
   const verify::CheckResult res = verify::check_guidance(
       old_guidance, path, first, cfg_.guidance_tolerance);
-#ifdef WATCHMEN_DEBUG_GUIDANCE
-  if (res.deviation > 400) {
-    std::fprintf(stderr,
-                 "GUID v=%u s=%u gframe=%lld first=%lld last=%lld n=%zu dev=%.0f\n",
-                 id_, suspect, (long long)old_guidance.frame, (long long)first,
-                 (long long)samples.back().first, path.size(), res.deviation);
-  }
-#endif
   if (res.suspicious()) {
     emit(suspect, verify::CheckType::kGuidance, vantage, old_guidance.frame, res);
   }

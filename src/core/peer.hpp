@@ -183,7 +183,7 @@ struct PeerMetrics {
 
 /// Fixed-size ring of recently decoded (or published) states keyed by frame
 /// — the candidate baselines for anchored deltas. Slots allocate lazily
-/// on first use: every RemoteKnowledge holds one, but only frequent-stream
+/// on first use: every SubjectTrack holds one, but only frequent-stream
 /// endpoints ever pay for it.
 struct StateRing {
   static constexpr std::size_t kSlots = 64;
@@ -207,18 +207,50 @@ struct StateRing {
   }
 };
 
+/// One verifier's track of one subject's stream (paper §V): proxies and
+/// witnesses run the same sanity checks on a player's updates, only from
+/// different vantages. ProxiedState holds the proxy's track of a player it
+/// serves, RemoteKnowledge a witness's track of anyone it hears about.
+struct SubjectTrack {
+  game::AvatarState state;  ///< last verified state
+  Frame state_frame = -1;
+  bool has_state = false;
+  /// Recently decoded states by frame: the baselines of anchored deltas
+  /// (any frame we decoded can serve as the sender's baseline).
+  StateRing decoded;
+  /// The open dead-reckoning window: the newest guidance, and the
+  /// (frame, position) samples observed since; the guidance check consumes
+  /// them when the window closes.
+  interest::Guidance guidance;
+  bool has_guidance = false;
+  std::vector<std::pair<Frame, Vec3>> path_samples;
+  Frame last_kill_claim = -1000;  ///< previous kill claim (refire check)
+  int kill_claims_same_frame = 0; ///< splash multi-kills share a frame
+
+  /// Refire bookkeeping for a kill claim stamped `frame`: the frames since
+  /// the previous distinct shot. One trigger pull can kill several players
+  /// at once (rocket splash, shotgun spread), so same-frame claims read as
+  /// a long gap up to a splash-plausible count, and as an instant refire
+  /// beyond it.
+  Frame note_kill_claim(Frame frame) {
+    Frame gap = 0;
+    if (frame == last_kill_claim) {
+      ++kill_claims_same_frame;
+      gap = kill_claims_same_frame <= 5 ? 1000 : 0;
+    } else {
+      gap = frame - last_kill_claim;
+      kill_claims_same_frame = 1;
+    }
+    last_kill_claim = frame;
+    return gap;
+  }
+};
+
 /// What a peer currently knows about another player.
 struct RemoteKnowledge {
   Vec3 pos;
   Frame pos_frame = -1;
-  game::AvatarState state;
-  Frame state_frame = -1;
-  bool has_state = false;
-  interest::Guidance guidance;
-  bool has_guidance = false;
-  /// Recently decoded states by frame: the baselines of anchored deltas
-  /// (any frame we decoded can serve as the sender's baseline).
-  StateRing decoded;
+  SubjectTrack track;
   /// Pre-teleport position sample, pinned whenever an incoming update
   /// jumps farther than physics allows (death + respawn). Used by the
   /// subscription checks to tell "aimed at where the target recently was"
@@ -227,9 +259,6 @@ struct RemoteKnowledge {
   /// (the maphack harvest).
   Vec3 old_pos;
   Frame old_pos_frame = -1;
-  /// (frame, position) samples observed since the current guidance message;
-  /// consumed by the guidance check when the next guidance arrives.
-  std::vector<std::pair<Frame, Vec3>> path_samples;
   Frame last_heard = -1;
   Frame newest_frame = -1;   ///< replay window tracking
   std::uint32_t newest_seq = 0;
@@ -238,8 +267,6 @@ struct RemoteKnowledge {
   /// suppressed across the death-to-respawn window — the respawn teleport
   /// is the one legal discontinuity.
   Frame last_death = -1000;
-  Frame last_kill_claim = -1000;  ///< previous kill claim by this player
-  int kill_claims_same_frame = 0; ///< splash multi-kills share a frame
 };
 
 /// Deterministic retransmit jitter, added to every reliable retransmit's
@@ -328,27 +355,23 @@ class WatchmenPeer {
  private:
   struct ProxiedState {
     interest::SubscriptionTable subs;
-    game::AvatarState last_state;
-    Frame last_state_frame = -1;
-    bool has_state = false;
-    StateRing decoded;          ///< anchored delta baselines by frame
+    SubjectTrack track;
     Frame last_state_ack = -1000;  ///< frame of the last frequent-stream ack
     std::vector<PlayerId> sent_subs;  ///< subscriber-diff baseline (sorted)
     std::uint32_t sub_sends = 0;      ///< list sends; every 4th is a full refresh
-    interest::Guidance guidance;
-    bool has_guidance = false;
-    std::vector<std::pair<Frame, Vec3>> path_samples;
     std::uint32_t updates_in_round = 0;
     std::uint32_t suspicious_in_round = 0;
     /// Angular-error samples for the statistical aimbot check (§Table I).
     std::vector<double> aim_samples;
     std::size_t other_cursor = 0;   ///< round-robin start for budgeted fan-out
-    Frame last_kill_claim = -1000;  ///< previous kill claim (refire check)
-    int kill_claims_same_frame = 0; ///< splash multi-kills share a frame
     Frame adopted_at = -1;  ///< frame this peer became the proxy
     std::optional<PlayerSummary> predecessor_summary;
-    ProxiedState(std::size_t n_players, Frame retention)
-        : subs(n_players, retention) {}
+    ProxiedState(std::size_t n_players, Frame retention, Frame adopted)
+        : subs(n_players, retention), adopted_at(adopted) {}
+    /// Seeds a tenure from the summary a previous proxy handed over:
+    /// subscriptions, the last verified state (unless we already hold one)
+    /// and the two-round follow-up chain.
+    void seed(const PlayerSummary& s);
   };
 
   // --- send helpers -------------------------------------------------------
@@ -404,25 +427,58 @@ class WatchmenPeer {
   /// own bytes — either the whole datagram or one sub-wire of a kBatch
   /// container (env then carries the batch; from/timing fields still apply).
   void handle_wire(const net::Envelope& env, std::span<const std::uint8_t> wire);
+  /// A message's typed body, decoded once on receipt, before any state
+  /// changes. State updates decode later, against their delta baseline.
+  struct TypedBody {
+    interest::Guidance guidance;                         ///< kGuidance
+    Vec3 pos;                                            ///< kPositionUpdate
+    KillClaim kill;                                      ///< kKillClaim
+    interest::SetKind kind = interest::SetKind::kOther;  ///< kSubscribe
+  };
+  /// False when a signed message's body is malformed: it is dropped whole.
+  static bool decode_typed_body(const ParsedMessage& msg, TypedBody& out);
   void handle_as_proxy(const net::Envelope& env,
                        std::span<const std::uint8_t> wire,
-                       const ParsedMessage& msg);
+                       const ParsedMessage& msg, const TypedBody& typed);
   /// `direct_path` marks a 1-hop update received straight from its origin
   /// under direct-update mode (skips the sender-is-the-proxy validation).
   void handle_as_player(const net::Envelope& env, const ParsedMessage& msg,
-                        bool direct_path = false);
+                        const TypedBody& typed, bool direct_path = false);
   void proxy_handle_update(const net::Envelope& env,
                            std::span<const std::uint8_t> wire,
-                           const ParsedMessage& msg, ProxiedState& ps);
+                           const ParsedMessage& msg, const TypedBody& typed,
+                           ProxiedState& ps);
   void proxy_handle_subscribe_first_hop(std::span<const std::uint8_t> wire,
-                                        const ParsedMessage& msg);
-  void proxy_handle_subscribe_second_hop(const ParsedMessage& msg,
-                                         ProxiedState& ps);
+                                        const MsgHeader& h,
+                                        interest::SetKind kind);
   void proxy_handle_kill_claim(std::span<const std::uint8_t> wire,
-                               const ParsedMessage& msg, ProxiedState& ps);
+                               const MsgHeader& h, const KillClaim& claim,
+                               ProxiedState& ps);
+  /// Starts this peer's proxy tenure over p at frame `at`, unseeded.
+  ProxiedState& adopt(PlayerId p, Frame at);
+  /// Forwards a subject's frequent stream to its IS subscribers and its
+  /// guidance to its VS subscribers; other types are not streamed.
+  void forward_stream(const ProxiedState& ps, const MsgHeader& h,
+                      std::span<const std::uint8_t> wire);
+  /// Records an observed position of k's subject, stamped `frame`.
+  static void observe_pos(RemoteKnowledge& k, const Vec3& pos, Frame frame,
+                          Frame now);
+  /// Records a verified state of k's subject, stamped `frame`.
+  static void observe_state(RemoteKnowledge& k, const game::AvatarState& s,
+                            Frame frame, Frame now);
+  /// Judges a kill claim by h.origin from `vantage`, given the shooter
+  /// evidence the role holds in `ev`; then records the victim's death.
+  /// True when the claim looked suspicious.
+  bool judge_kill_claim(const MsgHeader& h, const KillClaim& claim,
+                        SubjectTrack& shooter, verify::Vantage vantage,
+                        verify::KillClaimEvidence ev);
   /// True if a known death of q makes physics discontinuities legal around
   /// updates following `baseline_frame`.
   bool in_death_window(PlayerId q, Frame baseline_frame) const;
+  /// Physics check of q's move from `from` (stamped `from_frame`) to `to`,
+  /// skipped across a known death-respawn window; true when suspicious.
+  bool check_move(PlayerId q, verify::Vantage vantage, const Vec3& from,
+                  Frame from_frame, const Vec3& to, Frame frame);
   /// Pins `k.old_pos` to the pre-jump sample when an incoming position
   /// update teleports (death + respawn). Call before `k.pos` is
   /// overwritten with `next_pos` stamped `next_frame`.
@@ -454,23 +510,36 @@ class WatchmenPeer {
   void handle_handoff(const ParsedMessage& msg);
   void forward_to(const std::vector<PlayerId>& recipients,
                   std::span<const std::uint8_t> wire, PlayerId subject);
+  /// Obituary broadcast: forwards to every player but this peer and the
+  /// subject.
+  void forward_to_all(std::span<const std::uint8_t> wire, PlayerId subject);
 
   // --- verification helpers -----------------------------------------------
   void emit(PlayerId suspect, verify::CheckType type, verify::Vantage vantage,
             Frame frame, const verify::CheckResult& res);
+  /// A verdict that is certain, not a sanity-check deviation: a failed
+  /// signature or a send the verifiable schedule rules out.
+  void emit_certain(PlayerId suspect, verify::CheckType type, Frame frame,
+                    double rating);
   verify::Vantage vantage_towards(PlayerId suspect) const;
   /// Best-effort avatar snapshot of all players from this peer's knowledge.
   std::vector<game::AvatarState> knowledge_snapshot() const;
   void verify_guidance_window(PlayerId suspect, verify::Vantage vantage,
-                              const interest::Guidance& old_guidance,
-                              const std::vector<std::pair<Frame, Vec3>>& samples);
-  /// Eagerly closes a dead-reckoning window once observations pass its
-  /// horizon, instead of waiting for the next guidance message (which may
-  /// be lost, or never come if the sender got promoted into the IS).
+                              const SubjectTrack& t);
+  /// Checks the path sampled in the open dead-reckoning window against its
+  /// guidance, then drops the samples.
+  void close_guidance_window(PlayerId suspect, verify::Vantage vantage,
+                             SubjectTrack& t);
+  /// Closes the open window and opens one on newly received guidance `g`.
+  void roll_guidance(PlayerId suspect, verify::Vantage vantage,
+                     SubjectTrack& t, const interest::Guidance& g);
+  /// Feeds one observed position to the window: closes it eagerly once
+  /// observations pass its horizon, instead of waiting for the next
+  /// guidance message (which may be lost, or never come if the sender got
+  /// promoted into the IS); otherwise samples the path.
   void maybe_close_guidance(PlayerId suspect, verify::Vantage vantage,
-                            Frame observed_frame, bool& has_guidance,
-                            const interest::Guidance& guidance,
-                            std::vector<std::pair<Frame, Vec3>>& samples);
+                            SubjectTrack& t, Frame observed_frame,
+                            const Vec3& observed_pos);
   bool replay_guard(RemoteKnowledge& k, const MsgHeader& h, PlayerId sender);
   /// Decodes a state-update body, a delta against the baseline `decoded`
   /// holds at the frame it names. Counts the outcome in metrics_.

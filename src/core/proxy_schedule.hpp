@@ -54,6 +54,15 @@ class ProxySchedule {
   /// O(1) on a memo hit (see the contract above).
   PlayerId proxy_of(PlayerId player, std::int64_t round) const;
 
+  /// True when `node` is `player`'s proxy in round r−1, r or r+1 (r−1 only
+  /// when ≥ 0): the one-round tolerance every delivery-side check grants
+  /// boundary-crossing messages, handoff grace and early failover adoption.
+  bool proxy_near(PlayerId node, PlayerId player, std::int64_t round) const {
+    return node == proxy_of(player, round) ||
+           node == proxy_of(player, round + 1) ||
+           (round > 0 && node == proxy_of(player, round - 1));
+  }
+
   /// Convenience: proxy at a given frame.
   PlayerId proxy_at(PlayerId player, Frame frame) const {
     return proxy_of(player, round_of(frame));

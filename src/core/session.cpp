@@ -83,12 +83,8 @@ WatchmenSession::WatchmenSession(
   // ±1 round covers the handoff grace window and early failover adoption.
   misbehavior_.set_proxy_vantage_check(
       [this](PlayerId reporter, PlayerId subject, Frame frame) {
-        const std::int64_t r = schedule_.round_of(frame);
-        for (std::int64_t d = -1; d <= 1; ++d) {
-          if (r + d < 0) continue;
-          if (schedule_.proxy_of(subject, r + d) == reporter) return true;
-        }
-        return false;
+        return schedule_.proxy_near(reporter, subject,
+                                    schedule_.round_of(frame));
       });
   if (opts_.registry) {
     misbehavior_.set_penalty_signal(

@@ -259,6 +259,11 @@ void validate(const Recording& rec) {
                     [](double w) { return w > 0.0; }) < 2) {
     fail("proxy pool has fewer than 2 members");
   }
+  // The session starts this many interest workers: a hostile file must not
+  // be able to ask for thousands. More workers than players never helps.
+  if (rec.options.compute_threads > n) {
+    fail("compute_threads exceeds the player count");
+  }
   for (const auto& [p, b] : rec.options.upload_bps) check(p, "upload cap");
   for (const auto& c : rec.options.faults.crashes) check(c.player, "crash");
   for (const auto& e : rec.events) {
@@ -442,8 +447,8 @@ crypto::Digest session_digest(const core::WatchmenSession& s) {
       w.f64(k.pos.y);
       w.f64(k.pos.z);
       w.i64(k.pos_frame);
-      w.i64(k.state_frame);
-      put_bool(w, k.has_state);
+      w.i64(k.track.state_frame);
+      put_bool(w, k.track.has_state);
       w.i64(k.last_heard);
       w.i64(k.newest_frame);
       w.u32(k.newest_seq);

@@ -229,8 +229,8 @@ TEST_F(ChaosSession, AnchoredDeltasRecoverFromBurstyLossWithoutKeyframes) {
   for (PlayerId p = 0; p < trace_->n_players; ++p) {
     for (PlayerId q = 0; q < trace_->n_players; ++q) {
       if (p == q) continue;
-      const RemoteKnowledge& a = lossy.peer(p).knowledge_of(q);
-      const RemoteKnowledge& b = lossless.peer(p).knowledge_of(q);
+      const SubjectTrack& a = lossy.peer(p).knowledge_of(q).track;
+      const SubjectTrack& b = lossless.peer(p).knowledge_of(q).track;
       if (!a.has_state || !b.has_state) continue;
       ++holders;
       if (a.state_frame != b.state_frame) continue;
@@ -331,9 +331,9 @@ TEST_F(ChaosSession, HandoffLossRecoversViaResubscribeWithoutReliability) {
   for (PlayerId a = 0; a < small_trace_->n_players; ++a) {
     for (PlayerId b = 0; b < small_trace_->n_players; ++b) {
       if (a == b) continue;
-      if (base.peer(a).knowledge_of(b).state_frame < F - 10) continue;
+      if (base.peer(a).knowledge_of(b).track.state_frame < F - 10) continue;
       ++hot;
-      EXPECT_GE(fault.peer(a).knowledge_of(b).state_frame, F - 15)
+      EXPECT_GE(fault.peer(a).knowledge_of(b).track.state_frame, F - 15)
           << "pair " << a << " <- " << b << " never recovered";
     }
   }

@@ -236,6 +236,55 @@ TEST(ProxySchedule, CopiedMemoEvolvesIndependently) {
   }
 }
 
+TEST(ProxySchedule, ProxyNearMatchesThreeWayExpression) {
+  // proxy_near is the one definition of the delivery checks' one-round
+  // tolerance; the reference is the explicit expression, on a separate
+  // schedule so the memo of one cannot shape the other's answers.
+  constexpr std::size_t n = 256;
+  const ProxySchedule sched(42, n);
+  const ProxySchedule ref(42, n);
+  const auto explicit_near = [&](PlayerId node, PlayerId p, std::int64_t r) {
+    return node == ref.proxy_of(p, r) || node == ref.proxy_of(p, r + 1) ||
+           (r > 0 && node == ref.proxy_of(p, r - 1));
+  };
+  Rng rng(256);
+  std::size_t hits = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::int64_t r = i % 8 == 0 ? 0 : static_cast<std::int64_t>(rng.below(1000));
+    const auto p = static_cast<PlayerId>(rng.below(n));
+    // The three candidate proxies (round r−1 too, even at round 0) and a
+    // random node.
+    std::vector<PlayerId> nodes = {static_cast<PlayerId>(rng.below(n)),
+                                   ref.proxy_of(p, r), ref.proxy_of(p, r + 1),
+                                   ref.proxy_of(p, r - 1)};
+    for (const PlayerId node : nodes) {
+      const bool want = explicit_near(node, p, r);
+      ASSERT_EQ(sched.proxy_near(node, p, r), want)
+          << "node " << node << " player " << p << " round " << r;
+      if (want) ++hits;
+    }
+  }
+  EXPECT_GE(hits, 2u * 4000);  // the proxies of rounds r and r+1 always hit
+}
+
+TEST(SubjectTrack, KillClaimRefireBookkeeping) {
+  SubjectTrack t;
+  // The first claim measures its gap from the -1000 sentinel.
+  EXPECT_EQ(t.note_kill_claim(500), 1500);
+  // Splash: claims 2 to 5 on the same frame read as a long gap...
+  for (int claim = 2; claim <= 5; ++claim) {
+    EXPECT_EQ(t.note_kill_claim(500), 1000) << "claim " << claim;
+  }
+  // ...and the 6th as an instant refire.
+  EXPECT_EQ(t.note_kill_claim(500), 0);
+  EXPECT_EQ(t.kill_claims_same_frame, 6);
+  // The next distinct frame gives the real gap and resets the count.
+  EXPECT_EQ(t.note_kill_claim(512), 12);
+  EXPECT_EQ(t.kill_claims_same_frame, 1);
+  EXPECT_EQ(t.last_kill_claim, 512);
+  EXPECT_EQ(t.note_kill_claim(512), 1000);
+}
+
 TEST(ProxySchedule, RemovedPlayersNeverServe) {
   ProxySchedule sched(42, 16);
   sched.remove_from_pool(3);

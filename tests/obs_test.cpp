@@ -393,6 +393,19 @@ TEST(FlightRecorder, MalformedInputThrowsDecodeError) {
       r.options.pool_weights.emplace_back(p, 0.0);
     }
   });
+  // The session would start one interest worker per requested thread; the
+  // decoder caps the request at the player count (decode only: no session
+  // is built, no thread started).
+  rejects("more compute threads than players", [](Recording& r) {
+    r.options.compute_threads = r.trace.n_players + 1;
+  });
+  rejects("thread bomb", [](Recording& r) {
+    r.options.compute_threads = std::size_t{1} << 40;
+  });
+  Recording at_cap = rec;
+  at_cap.options.compute_threads = at_cap.trace.n_players;
+  EXPECT_EQ(Recording::deserialize(at_cap.serialize()).options.compute_threads,
+            at_cap.trace.n_players);
 }
 
 TEST(FlightRecorder, EveryOptionRoundTrips) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cheat/cheats.hpp"
 #include "core/session.hpp"
 #include "game/map.hpp"
@@ -308,6 +310,111 @@ TEST_F(PeerProtocol, MetricsAccounting) {
     EXPECT_EQ(m.sent_by_type[static_cast<int>(MsgType::kPositionUpdate)], 20u);
     EXPECT_EQ(m.sig_rejects, 0u);
     EXPECT_EQ(m.dropped_replays, 0u);
+  }
+}
+
+TEST_F(PeerProtocol, MalformedSignedBodiesAreDropped) {
+  // A player seals malformed bodies under its own key: the signature holds,
+  // the body does not decode. Every receiver must drop the message instead
+  // of letting the decode error escape the session, on the direct leg
+  // (origin -> its proxy) and on the forwarded leg (non-origin -> witness).
+  SessionOptions opts;
+  opts.net = NetProfile::kLan;
+  opts.loss_rate = 0.0;
+  WatchmenSession session(*trace_, *map_, opts);
+  session.run_frames(100);
+
+  const PlayerId origin = 4;
+  const PlayerId target = 7;  // the kill victim / subscription target
+  const auto truncated = [](std::vector<std::uint8_t> body, std::size_t n) {
+    body.resize(std::min(body.size(), n));
+    return body;
+  };
+  KillClaim claim;
+  claim.victim = target;
+  claim.distance = 300.0;
+  auto bad_weapon_kill = encode_kill_body(claim);
+  bad_weapon_kill[4] = 0xff;  // after the u32 victim
+  interest::Guidance g;
+  g.frame = 99;
+  g.waypoints = {{1.0, 2.0, 3.0}};
+  auto bad_weapon_guidance = encode_guidance_body(g);
+  // The weapon byte is where two bodies differing only in weapon differ.
+  interest::Guidance railgun = g;
+  railgun.weapon = game::WeaponKind::kRailgun;
+  const auto other = encode_guidance_body(railgun);
+  ASSERT_EQ(other.size(), bad_weapon_guidance.size());
+  const auto weapon_at = static_cast<std::size_t>(
+      std::mismatch(other.begin(), other.end(), bad_weapon_guidance.begin())
+          .first -
+      other.begin());
+  ASSERT_LT(weapon_at, other.size());
+  bad_weapon_guidance[weapon_at] = 0xff;
+
+  struct Case {
+    const char* name;
+    MsgType type;
+    PlayerId subject;
+    std::vector<std::uint8_t> body;
+  };
+  const std::vector<Case> cases = {
+      {"kill/truncated", MsgType::kKillClaim, target,
+       truncated(encode_kill_body(claim), 3)},
+      {"kill/weapon 0xff", MsgType::kKillClaim, target, bad_weapon_kill},
+      {"guidance/truncated", MsgType::kGuidance, origin,
+       truncated(encode_guidance_body(g), 3)},
+      {"guidance/weapon 0xff", MsgType::kGuidance, origin, bad_weapon_guidance},
+      {"position/truncated", MsgType::kPositionUpdate, origin,
+       truncated(encode_position_body({1.0, 2.0, 3.0}), 3)},
+      {"subscribe/truncated", MsgType::kSubscribe, target, {}},
+      {"subscribe/set kind 7", MsgType::kSubscribe, target, {7}},
+  };
+
+  std::uint32_t seq = 1u << 20;
+  for (const Case& c : cases) {
+    for (const bool direct : {true, false}) {
+      const Frame f = session.current_frame();
+      const ProxySchedule& sched = session.peer(0).schedule();
+      const PlayerId proxy = sched.proxy_at(origin, f);
+      PlayerId from = origin;
+      PlayerId to = proxy;
+      if (!direct) {
+        // A forward from the origin's proxy passes the forwarder check; a
+        // second-hop subscribe goes to the target's proxy.
+        from = proxy;
+        if (c.type == MsgType::kSubscribe) {
+          to = sched.proxy_at(c.subject, f);
+        } else {
+          to = 0;
+          while (to == origin || to == proxy) ++to;
+        }
+        if (from == to) {
+          from = 0;
+          while (from == origin || from == to) ++from;
+        }
+      }
+      MsgHeader h;
+      h.type = c.type;
+      h.origin = origin;
+      h.subject = c.subject;
+      h.frame = f;
+      h.seq = seq++;
+      session.network().send(
+          from, to, seal(h, c.body, session.keys().key_pair(origin)));
+      EXPECT_NO_THROW(session.run_frames(2))
+          << c.name << (direct ? " on the direct leg" : " on the forwarded leg");
+    }
+  }
+
+  // The session keeps running: every peer keeps receiving updates.
+  std::vector<std::uint64_t> before(12);
+  for (PlayerId p = 0; p < 12; ++p) {
+    before[p] = session.peer(p).metrics().updates_received;
+  }
+  session.run_frames(40);
+  for (PlayerId p = 0; p < 12; ++p) {
+    EXPECT_GT(session.peer(p).metrics().updates_received, before[p])
+        << "peer " << p;
   }
 }
 
