@@ -1,5 +1,7 @@
 #include "core/session.hpp"
 
+#include <array>
+#include <iterator>
 #include <stdexcept>
 
 namespace watchmen::core {
@@ -29,6 +31,36 @@ constexpr std::uint32_t control_class_mask() {
          (1u << static_cast<unsigned>(MsgType::kAck)) |
          (1u << static_cast<unsigned>(MsgType::kRejoinNotice));
 }
+
+/// The summed PeerMetrics counters the registry exports, each under its
+/// registry name.
+struct PeerCounter {
+  const char* name;
+  std::uint64_t PeerMetrics::*field;
+};
+constexpr PeerCounter kPeerCounters[] = {
+    {"peer.updates_received", &PeerMetrics::updates_received},
+    {"peer.messages_sent", &PeerMetrics::messages_sent},
+    {"peer.forwarded", &PeerMetrics::forwarded},
+    {"peer.sig_rejects", &PeerMetrics::sig_rejects},
+    {"peer.dropped_replays", &PeerMetrics::dropped_replays},
+    {"peer.acks_sent", &PeerMetrics::acks_sent},
+    {"peer.acks_received", &PeerMetrics::acks_received},
+    {"peer.reliable_expired", &PeerMetrics::reliable_expired},
+    {"peer.failover_adoptions", &PeerMetrics::failover_adoptions},
+    {"peer.watchdog_suspects", &PeerMetrics::watchdog_suspects},
+    {"peer.watchdog_deaths", &PeerMetrics::watchdog_deaths},
+    // Batching and delta coding.
+    {"peer.batches_sent", &PeerMetrics::batches_sent},
+    {"peer.batched_messages", &PeerMetrics::batched_messages},
+    {"peer.batch_rejects", &PeerMetrics::batch_rejects},
+    {"peer.anchored_sent", &PeerMetrics::anchored_sent},
+    {"peer.anchored_decodes", &PeerMetrics::anchored_decodes},
+    {"peer.keyframes_decoded", &PeerMetrics::keyframes_decoded},
+    {"peer.baseline_mismatches", &PeerMetrics::baseline_mismatches},
+    {"peer.state_acks_sent", &PeerMetrics::state_acks_sent},
+    {"peer.sub_diff_misses", &PeerMetrics::sub_diff_misses},
+};
 
 }  // namespace
 
@@ -342,8 +374,9 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
   reg.counter("net.shed").set(ns.shed);
   reg.counter("net.rx_rejects").set(ns.rx_rejects);
   // In-flight age of every delivered message (the latency-SLO headline
-  // number). Summary gauges, not raw samples: registry Samples accumulate
-  // across snapshots and a pull collector re-adding them would double-count.
+  // number). Summary gauges: the registry keeps no distributions, since a
+  // pull collector re-adding raw samples at each snapshot would
+  // double-count.
   if (ns.delivery_age_ms.count()) {
     const auto q = ns.delivery_age_ms.quantiles({0.50, 0.95, 0.99});
     reg.gauge("net.delivery_age_ms_mean").set(ns.delivery_age_ms.mean());
@@ -364,44 +397,19 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
   }
 
   // Peers: fleet-wide aggregates plus a per-player staleness gauge.
-  std::uint64_t updates_received = 0, messages_sent = 0, forwarded = 0;
-  std::uint64_t sig_rejects = 0, dropped_replays = 0, retransmits = 0;
-  std::uint64_t acks_sent = 0, acks_received = 0, reliable_expired = 0;
-  std::uint64_t failover_adoptions = 0;
-  std::uint64_t batches_sent = 0, batched_messages = 0, batch_rejects = 0;
-  std::uint64_t flushes = 0, flushed_messages = 0;
-  std::uint64_t anchored_sent = 0, anchored_decodes = 0;
-  std::uint64_t keyframes_decoded = 0, baseline_mismatches = 0;
-  std::uint64_t state_acks_sent = 0, sub_diff_misses = 0;
-  std::uint64_t watchdog_suspects = 0, watchdog_deaths = 0;
+  std::array<std::uint64_t, std::size(kPeerCounters)> sums{};
+  std::uint64_t retransmits = 0, flushes = 0, flushed_messages = 0;
   Samples staleness, update_ages;
   Samples handoff_latency, subscribe_latency;
   for (PlayerId p = 0; p < trace_->n_players; ++p) {
     if (!peers_[p]) continue;  // simulated by a sibling process
     const PeerMetrics& m = peers_[p]->metrics();
-    updates_received += m.updates_received;
-    messages_sent += m.messages_sent;
-    forwarded += m.forwarded;
-    sig_rejects += m.sig_rejects;
-    dropped_replays += m.dropped_replays;
+    for (std::size_t i = 0; i < sums.size(); ++i) {
+      sums[i] += m.*kPeerCounters[i].field;
+    }
     for (std::uint64_t v : m.retransmits_by_type) retransmits += v;
-    acks_sent += m.acks_sent;
-    acks_received += m.acks_received;
-    reliable_expired += m.reliable_expired;
-    failover_adoptions += m.failover_adoptions;
-    batches_sent += m.batches_sent;
-    batched_messages += m.batched_messages;
-    batch_rejects += m.batch_rejects;
     flushes += m.flushes;
     flushed_messages += m.flushed_messages;
-    anchored_sent += m.anchored_sent;
-    anchored_decodes += m.anchored_decodes;
-    keyframes_decoded += m.keyframes_decoded;
-    baseline_mismatches += m.baseline_mismatches;
-    state_acks_sent += m.state_acks_sent;
-    sub_diff_misses += m.sub_diff_misses;
-    watchdog_suspects += m.watchdog_suspects;
-    watchdog_deaths += m.watchdog_deaths;
     for (double v : m.handoff_latency_ms.values()) handoff_latency.add(v);
     for (double v : m.subscribe_latency_ms.values()) subscribe_latency.add(v);
     for (double v : m.staleness_frames.values()) staleness.add(v);
@@ -410,18 +418,10 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
         .set(m.staleness_frames.count() ? m.staleness_frames.quantile(0.99)
                                         : 0.0);
   }
-  reg.counter("peer.updates_received").set(updates_received);
-  reg.counter("peer.messages_sent").set(messages_sent);
-  reg.counter("peer.forwarded").set(forwarded);
-  reg.counter("peer.sig_rejects").set(sig_rejects);
-  reg.counter("peer.dropped_replays").set(dropped_replays);
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    reg.counter(kPeerCounters[i].name).set(sums[i]);
+  }
   reg.counter("peer.retransmits").set(retransmits);
-  reg.counter("peer.acks_sent").set(acks_sent);
-  reg.counter("peer.acks_received").set(acks_received);
-  reg.counter("peer.reliable_expired").set(reliable_expired);
-  reg.counter("peer.failover_adoptions").set(failover_adoptions);
-  reg.counter("peer.watchdog_suspects").set(watchdog_suspects);
-  reg.counter("peer.watchdog_deaths").set(watchdog_deaths);
   // Receive-side control-plane latency (frame stamp to decode, including
   // retransmit delay) — the per-class latency-SLO distributions.
   if (handoff_latency.count()) {
@@ -437,17 +437,7 @@ void WatchmenSession::collect_metrics(obs::Registry& reg) const {
     reg.gauge("peer.subscribe_latency_ms_p99").set(q[1]);
   }
 
-  // Batching and delta-coding counters; the batch size is the mean
-  // messages per per-link flush.
-  reg.counter("peer.batches_sent").set(batches_sent);
-  reg.counter("peer.batched_messages").set(batched_messages);
-  reg.counter("peer.batch_rejects").set(batch_rejects);
-  reg.counter("peer.anchored_sent").set(anchored_sent);
-  reg.counter("peer.anchored_decodes").set(anchored_decodes);
-  reg.counter("peer.keyframes_decoded").set(keyframes_decoded);
-  reg.counter("peer.baseline_mismatches").set(baseline_mismatches);
-  reg.counter("peer.state_acks_sent").set(state_acks_sent);
-  reg.counter("peer.sub_diff_misses").set(sub_diff_misses);
+  // The batch size is the mean messages per per-link flush.
   if (flushes) {
     reg.gauge("net.batch_size_mean")
         .set(static_cast<double>(flushed_messages) /

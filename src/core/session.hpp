@@ -85,11 +85,11 @@ struct SessionOptions {
   obs::Registry* registry = nullptr;
   obs::Tracer* tracer = nullptr;
   /// Overrides transport construction entirely; receives the player count.
-  /// The multi-process harness (tools/wmproc) injects a UdpTransport over
-  /// pre-bound inherited sockets here. Unset, the backend comes from the
-  /// WATCHMEN_TRANSPORT environment selector (sim when absent), which is how
-  /// the unchanged chaos suite re-runs over real UDP sockets (ctest
-  /// chaos_test_udp).
+  /// The multi-process harness (tools/wmproc) injects a make_transport UDP
+  /// backend over pre-bound inherited sockets here. Unset, the backend comes
+  /// from the WATCHMEN_TRANSPORT environment selector (sim when absent),
+  /// which is how the unchanged chaos suite re-runs over real UDP sockets
+  /// (ctest chaos_test_udp).
   std::function<std::unique_ptr<net::Transport>(std::size_t)> transport_factory;
   /// Players simulated by THIS process; empty means all of them. Non-local
   /// players get no peer object — their traffic originates in sibling

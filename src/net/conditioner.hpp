@@ -1,19 +1,18 @@
 #pragma once
-// LinkConditioner: the seed-deterministic drop/delay decision engine shared
-// by SimNetwork and FaultShim.
+// LinkConditioner: SimNetwork's seed-deterministic drop/delay decision
+// engine.
 //
 // Every verdict a simulated link renders — baseline i.i.d. loss, the
 // FaultPlan's partition/blackout blocks, Gilbert–Elliott burst chains,
 // targeted class drops, latency-spike extras, the pairwise latency sample
 // and the per-node upload serialization delay — is drawn here, in one
-// fixed order per send. Because both backends consult an identically
-// seeded conditioner with an identical call sequence, the same FaultPlan +
-// seed produces the same decisions over real datagrams as in simulation
-// (asserted by tests/transport_test.cpp), which is what makes a chaos
-// failure on the UDP backend reproducible in-process.
+// fixed order per send. A SimNetwork carried over real sockets consults it
+// exactly as an in-process one does, so the same FaultPlan + seed produces
+// the same decisions over real datagrams as in simulation (asserted by
+// tests/transport_test.cpp), which is what makes a chaos failure on the
+// UDP backend reproducible in-process.
 //
-// Not thread-safe: the owner provides external synchronization (SimNetwork
-// and FaultShim both hold their queue mutex across decide()).
+// Not thread-safe: SimNetwork holds its queue mutex across decide().
 
 #include <cstdint>
 #include <memory>

@@ -10,14 +10,23 @@ using util::MutexLock;
 
 SimNetwork::SimNetwork(std::size_t n_nodes,
                        std::unique_ptr<LatencyModel> latency, double loss_rate,
-                       std::uint64_t seed)
+                       std::uint64_t seed, std::unique_ptr<Transport> carrier)
     : n_nodes_(n_nodes),
       cond_(n_nodes, std::move(latency), loss_rate, seed),
       handlers_(n_nodes),
-      node_bits_(n_nodes, 0) {}
+      node_bits_(n_nodes, 0),
+      carrier_(std::move(carrier)) {
+  if (carrier_ && carrier_->size() != n_nodes) {
+    throw std::invalid_argument("SimNetwork: carrier spans other node ids");
+  }
+}
 
 void SimNetwork::set_handler(PlayerId node, Handler handler) {
-  handlers_.at(node) = std::move(handler);
+  if (carrier_) {
+    carrier_->set_handler(node, std::move(handler));
+  } else {
+    handlers_.at(node) = std::move(handler);
+  }
 }
 
 void SimNetwork::set_upload_bps(PlayerId node, double bps) {
@@ -124,6 +133,16 @@ bool SimNetwork::deliver_one(TimeMs t) {
       break;
     }
   }
+  if (carrier_) {
+    // Deliver at exactly `due` in carrier time: advance the carrier (and
+    // drain any stragglers), push the one datagram through, drain again so
+    // its handler runs before the next event is considered.
+    carrier_->run_until(env.delivered_at);
+    carrier_->send(env.from, env.to, std::move(env.payload),
+                   env.wire_bits - kUdpOverheadBits, env.sent_at);
+    carrier_->run_until(env.delivered_at);
+    return true;
+  }
   Handler& handler = handlers_[env.to];
   if (handler) handler(env);
   return true;
@@ -133,11 +152,24 @@ void SimNetwork::run_until(TimeMs t) {
   while (deliver_one(t)) {
   }
   clock_.advance_to(t);
+  if (carrier_) carrier_->run_until(t);
 }
 
 NetStats SimNetwork::stats() const {
-  const MutexLock lock(mu_);
-  return stats_;
+  NetStats out;
+  {
+    const MutexLock lock(mu_);
+    out = stats_;
+  }
+  if (carrier_) {
+    // Socket-level counters live in the carrier; everything the conditioner
+    // decides lives here. Merging gives callers one view.
+    const NetStats c = carrier_->stats();
+    out.rx_rejects += c.rx_rejects;
+    out.shed += c.shed;
+    out.oversize += c.oversize;
+  }
+  return out;
 }
 
 std::uint64_t SimNetwork::bits_sent_by(PlayerId node) const {

@@ -11,9 +11,19 @@
 //    configured upload rate, so over-budget senders see queueing delay —
 //    this is what makes bandwidth a real constraint in the scaling bench.
 //
-// All of those verdicts are drawn by the shared LinkConditioner
-// (net/conditioner.hpp), which FaultShim reuses to replay identical
-// decisions over real sockets.
+// All of those verdicts are drawn by a LinkConditioner
+// (net/conditioner.hpp).
+//
+// Optional carrier: constructed with another Transport (in practice a
+// UdpTransport on loopback), the network keeps every verdict, the (due,
+// seq) event order and all accounting, but instead of calling a handler it
+// relays each surviving datagram through the carrier at exactly its due
+// time — advance the carrier to `due`, send the one datagram, drain the
+// carrier again — so handlers run in the same order as without it, and
+// their re-entrant sends land back on this event queue. Lost datagrams
+// never touch the carrier. That is what lets the chaos suite run unchanged
+// over real sockets (ctest chaos_test_udp); tests/transport_test.cpp
+// asserts identical delivery logs and NetStats with and without it.
 //
 // Payloads are shared between multicast recipients; `wire_bits` is the
 // modelled on-the-wire size (payload + UDP/IP overhead), used both for the
@@ -31,7 +41,8 @@
 // otherwise), so handlers_ and clock_ belong to the single driving thread
 // and are deliberately unguarded. Cross-thread senders must therefore send
 // between run_until calls (shards run frames in lock-step), because send()
-// timestamps off clock_, which only run_until advances.
+// timestamps off clock_, which only run_until advances. A carrier, like
+// the handlers, is driven from the driving thread only.
 
 #include <cstdint>
 #include <memory>
@@ -53,8 +64,12 @@ class SimNetwork : public Transport {
   using Transport::send;
 
   /// @param loss_rate   baseline i.i.d. drop probability per message
+  /// @param carrier     null: handlers are called in-process; otherwise
+  ///                    delivered datagrams travel through it (it must span
+  ///                    the same node ids) and handlers live on it
   SimNetwork(std::size_t n_nodes, std::unique_ptr<LatencyModel> latency,
-             double loss_rate, std::uint64_t seed);
+             double loss_rate, std::uint64_t seed,
+             std::unique_ptr<Transport> carrier = nullptr);
 
   // Clock reads belong to the driving thread (see header comment); the
   // mutable accessor exists for tests that pre-advance time.
@@ -76,6 +91,8 @@ class SimNetwork : public Transport {
 
   void run_until(TimeMs t) override EXCLUDES(mu_);
 
+  /// The network's own accounting, plus the carrier's socket-level
+  /// oversize/shed/rx_reject counters when there is one.
   NetStats stats() const override EXCLUDES(mu_);
   std::uint64_t bits_sent_by(PlayerId node) const override EXCLUDES(mu_);
   void reset_bit_counters() override EXCLUDES(mu_);
@@ -99,8 +116,8 @@ class SimNetwork : public Transport {
   };
 
   /// Pops and delivers the single next event due at or before t. Returns
-  /// false when none remains. The receiver's handler runs with mu_
-  /// released.
+  /// false when none remains. The receiver's handler (or the carrier) runs
+  /// with mu_ released.
   bool deliver_one(TimeMs t) EXCLUDES(mu_);
 
   const std::size_t n_nodes_;
@@ -115,6 +132,7 @@ class SimNetwork : public Transport {
   NetStats stats_ GUARDED_BY(mu_);
   std::size_t mtu_bytes_ GUARDED_BY(mu_) = 0;
   OversizeHandler oversize_;  ///< driving-thread owned, like handlers_
+  const std::unique_ptr<Transport> carrier_;  ///< driving-thread driven
 };
 
 }  // namespace watchmen::net

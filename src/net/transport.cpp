@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/fault_shim.hpp"
 #include "net/network.hpp"
 #include "net/udp_transport.hpp"
 
@@ -36,11 +35,11 @@ std::unique_ptr<Transport> make_transport(TransportConfig cfg) {
       o.n_nodes = cfg.n_nodes;
       o.port_base = cfg.udp_port_base;
       o.control_class_mask = cfg.control_class_mask;
-      auto udp = std::make_unique<UdpTransport>(std::move(o));
-      // The shim seeds its conditioner exactly as SimNetwork would, so the
-      // same FaultPlan + seed renders the same verdicts over real sockets.
-      return std::make_unique<FaultShim>(std::move(udp), std::move(cfg.latency),
-                                         cfg.loss_rate, cfg.seed);
+      o.fds = std::move(cfg.udp_fds);
+      o.ports = std::move(cfg.udp_ports);
+      return std::make_unique<SimNetwork>(
+          cfg.n_nodes, std::move(cfg.latency), cfg.loss_rate, cfg.seed,
+          std::make_unique<UdpTransport>(std::move(o)));
     }
   }
   throw std::invalid_argument("make_transport: bad transport kind");

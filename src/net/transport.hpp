@@ -10,11 +10,11 @@
 //    127.0.0.1, one per node, usable single-process or across processes
 //    (tools/wmproc) via inherited pre-bound sockets.
 //
-// FaultShim (net/fault_shim.hpp) decorates any Transport with the same
-// seed-deterministic loss/latency/fault decisions SimNetwork makes — the
-// shared LinkConditioner (net/conditioner.hpp) guarantees the two backends
-// draw identical verdicts from identical seeds, which is what lets every
-// chaos scenario run unchanged over real datagrams.
+// The UDP backend make_transport builds is a SimNetwork that carries its
+// deliveries over a UdpTransport: one event loop renders every loss,
+// latency and fault verdict, so the same seed draws identical decisions
+// over real datagrams, which is what lets every chaos scenario run
+// unchanged on sockets.
 //
 // The driving contract is shared by all implementations: send() may be
 // called from any thread between run_until() calls; run_until() belongs to
@@ -118,9 +118,9 @@ class Transport {
   /// overhead is added on top. Loss is decided at send (deterministically)
   /// but only takes effect at delivery time — senders cannot observe a
   /// drop, just as over real UDP. `sent_at` < 0 (the default) stamps the
-  /// envelope with the transport clock; a decorating shim that delays the
-  /// real send (FaultShim) passes the application's original send time so
-  /// Envelope::sent_at and the delivery-age accounting stay backend-exact.
+  /// envelope with the transport clock; a SimNetwork relaying a datagram
+  /// through its carrier at the due time passes the application's original
+  /// send time so Envelope::sent_at stays backend-exact.
   virtual void send(PlayerId from, PlayerId to,
                     std::shared_ptr<const std::vector<std::uint8_t>> payload,
                     std::size_t payload_bits = 0, TimeMs sent_at = -1) = 0;
@@ -151,7 +151,7 @@ class Transport {
 
 enum class TransportKind {
   kSim,          ///< in-process discrete-event SimNetwork
-  kUdpLoopback,  ///< real UDP sockets on 127.0.0.1, faults via FaultShim
+  kUdpLoopback,  ///< SimNetwork verdicts carried over UDP on 127.0.0.1
 };
 
 /// Parses a WATCHMEN_TRANSPORT-style selector ("sim" | "udp"); anything
@@ -175,12 +175,19 @@ struct TransportConfig {
   /// Base port for UDP node sockets; 0 binds ephemeral ports (parallel-test
   /// safe — the in-process address table is learned via getsockname).
   std::uint16_t udp_port_base = 0;
+  /// Multi-process UDP deployment (tools/wmproc): udp_fds[i] >= 0 is this
+  /// process's pre-bound socket for local node i (inherited across fork;
+  /// the transport takes ownership), -1 a node in a sibling process reached
+  /// through udp_ports[i]. Empty binds every node locally. See
+  /// UdpTransport::Options::fds/ports.
+  std::vector<int> udp_fds;
+  std::vector<std::uint16_t> udp_ports;
 };
 
 /// The one sanctioned way to build a transport (wmlint's transport-factory
 /// check rejects direct SimNetwork construction outside tests and net/).
-/// kSim returns a bare SimNetwork; kUdpLoopback returns a FaultShim-wrapped
-/// UdpTransport so FaultPlans and loss behave identically on both.
+/// kSim returns a SimNetwork; kUdpLoopback returns a SimNetwork carried
+/// over a UdpTransport, so FaultPlans and loss behave identically on both.
 std::unique_ptr<Transport> make_transport(TransportConfig cfg);
 
 }  // namespace watchmen::net

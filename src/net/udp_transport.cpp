@@ -53,8 +53,9 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 int make_bound_socket(std::uint16_t port, std::uint16_t* bound_port) {
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) throw std::runtime_error("UdpTransport: socket() failed");
-  // Big receive buffer: the shim drains after every datagram, but a raw
-  // multi-process run can burst a whole frame of traffic between polls.
+  // Big receive buffer: a carrying SimNetwork drains after every datagram,
+  // but a raw multi-process run can burst a whole frame of traffic between
+  // polls.
   int rcvbuf = 1 << 20;
   (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
   sockaddr_in addr = loopback_addr(port);

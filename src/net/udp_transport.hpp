@@ -22,7 +22,9 @@
 // Time is the same virtual SimClock discipline as SimNetwork: run_until(t)
 // advances the clock and drains sockets; protocol code never reads a wall
 // clock (tools/wmproc paces run_until against real time from outside the
-// src/ tree). Fault injection against real datagrams lives in FaultShim.
+// src/ tree). Loss, latency and fault injection against real datagrams
+// come from a SimNetwork that carries its deliveries over this transport
+// (net::make_transport's UDP backend).
 //
 // Thread-safety: mu_ guards the counters and the deferred queue, so send()
 // may be called from any thread; run_until()/handlers belong to the single
@@ -79,10 +81,11 @@ class UdpTransport final : public Transport {
   std::size_t size() const override { return n_nodes_; }
 
   void set_handler(PlayerId node, Handler handler) override;
-  /// Accepted and ignored: real sockets pace themselves (FaultShim models
-  /// upload serialization when chaos equivalence is wanted).
+  /// Accepted and ignored: real sockets pace themselves (a SimNetwork
+  /// carried over this transport models upload serialization).
   void set_upload_bps(PlayerId node, double bps) override;
-  /// Stored for fault_plan() symmetry only; injection lives in FaultShim.
+  /// Stored for fault_plan() symmetry only; injection lives in the
+  /// SimNetwork that carries over this transport.
   void set_fault_plan(FaultPlan plan) override EXCLUDES(mu_);
   FaultPlan fault_plan() const override EXCLUDES(mu_);
 

@@ -1,9 +1,11 @@
 #pragma once
 // Metrics registry (ISSUE 5 tentpole, piece 1; DESIGN.md §5e).
 //
-// Named counters / gauges / sample distributions with near-zero-overhead
-// inline recording: lookup happens once (registration returns a stable
-// reference), after which recording is a single add/store on the hot path.
+// Named counters and gauges with near-zero-overhead inline recording:
+// lookup happens once (registration returns a stable reference), after
+// which recording is a single add/store on the hot path. Distributions are
+// exported as summary gauges by their owners (e.g. the session's
+// delivery-age quantiles), not stored here.
 // Per-player metrics use the label overloads, which mangle the player id
 // into the metric name ("staleness_p99{player=7}").
 //
@@ -39,7 +41,6 @@
 
 #include "obs/json.hpp"
 #include "util/ids.hpp"
-#include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace watchmen::obs {
@@ -79,11 +80,6 @@ class Registry {
     const util::MutexLock lock(mu_);
     return find_or_create(gauges_, gauge_slab_, name);
   }
-  /// Sample distribution (exact quantiles; experiment-sized data).
-  Samples& samples(std::string_view name) EXCLUDES(mu_) {
-    const util::MutexLock lock(mu_);
-    return find_or_create(samples_, samples_slab_, name);
-  }
 
   // Per-player label overloads.
   Counter& counter(std::string_view name, PlayerId player) {
@@ -91,9 +87,6 @@ class Registry {
   }
   Gauge& gauge(std::string_view name, PlayerId player) {
     return gauge(labeled(name, player));
-  }
-  Samples& samples(std::string_view name, PlayerId player) {
-    return samples(labeled(name, player));
   }
 
   static std::string labeled(std::string_view name, PlayerId player) {
@@ -121,8 +114,7 @@ class Registry {
   }
 
   /// Runs collectors, then serializes every metric:
-  ///   {"counters": {...}, "gauges": {...},
-  ///    "samples": {name: {count, mean, p50, p95, p99, max}}}
+  ///   {"counters": {...}, "gauges": {...}}
   std::string snapshot_json() EXCLUDES(mu_) {
     collect();
     const util::MutexLock lock(mu_);
@@ -135,21 +127,6 @@ class Registry {
     j.key("gauges");
     j.begin_object();
     for (const auto& [name, g] : gauges_) j.kv(name, g->value());
-    j.end_object();
-    j.key("samples");
-    j.begin_object();
-    for (const auto& [name, s] : samples_) {
-      const auto q = s->quantiles({0.50, 0.95, 0.99, 1.0});
-      j.key(name);
-      j.begin_object();
-      j.kv("count", s->count());
-      j.kv("mean", s->mean());
-      j.kv("p50", q[0]);
-      j.kv("p95", q[1]);
-      j.kv("p99", q[2]);
-      j.kv("max", q[3]);
-      j.end_object();
-    }
     j.end_object();
     j.end_object();
     return j.take();
@@ -169,7 +146,7 @@ class Registry {
 
   std::size_t num_metrics() const EXCLUDES(mu_) {
     const util::MutexLock lock(mu_);
-    return counters_.size() + gauges_.size() + samples_.size();
+    return counters_.size() + gauges_.size();
   }
 
  private:
@@ -185,10 +162,8 @@ class Registry {
   mutable util::Mutex mu_;
   std::map<std::string, Counter*, std::less<>> counters_ GUARDED_BY(mu_);
   std::map<std::string, Gauge*, std::less<>> gauges_ GUARDED_BY(mu_);
-  std::map<std::string, Samples*, std::less<>> samples_ GUARDED_BY(mu_);
   std::deque<Counter> counter_slab_ GUARDED_BY(mu_);
   std::deque<Gauge> gauge_slab_ GUARDED_BY(mu_);
-  std::deque<Samples> samples_slab_ GUARDED_BY(mu_);
   std::vector<std::pair<CollectorId, std::function<void(Registry&)>>>
       collectors_ GUARDED_BY(mu_);
   CollectorId next_collector_id_ GUARDED_BY(mu_) = 0;

@@ -1,14 +1,15 @@
-// Transport-layer tests (ISSUE 9): the real-socket UDP backend, the
-// fault-injection shim that replays SimNetwork's seeded decisions against
-// it, and the reliability hardening that rides on top.
+// Transport-layer tests: the real-socket UDP backend, SimNetwork carrying
+// its seeded decisions over it, and the reliability hardening that rides on
+// top.
 //
 //   * UdpTransport: loopback roundtrip, framing rejection of socket noise,
 //     MTU/oversize reporting, bounded-queue shedding under backpressure
 //     (control classes never shed);
-//   * FaultShim equivalence: the same FaultPlan + seed + send script yields
-//     identical NetStats and an identical delivery log on SimNetwork and on
-//     FaultShim(UdpTransport) — the property that lets the chaos suite run
-//     unchanged over real datagrams (ctest chaos_test_udp);
+//   * carrier equivalence: the same FaultPlan + seed + send script yields
+//     identical NetStats and an identical delivery log on a SimNetwork with
+//     and without a UdpTransport carrier — the property that lets the chaos
+//     suite run unchanged over real datagrams (ctest chaos_test_udp) — and
+//     the carrier's socket-level counters reach the network's stats();
 //   * retransmit jitter: deterministic per (origin, seq, attempt), bounded
 //     by half the backoff, and not aligned across origins;
 //   * liveness watchdog: silence grades Alive -> Suspect -> Dead, drives
@@ -31,7 +32,6 @@
 #include "game/map.hpp"
 #include "game/trace.hpp"
 #include "net/fault.hpp"
-#include "net/fault_shim.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
 #include "net/udp_transport.hpp"
@@ -215,8 +215,18 @@ TEST(Transport, FactorySelectsBackend) {
   tc.latency = std::make_unique<FixedLatency>(2.0);
   tc.seed = 7;
   const auto t = make_transport(std::move(tc));
-  ASSERT_NE(dynamic_cast<FaultShim*>(t.get()), nullptr);
+  ASSERT_NE(dynamic_cast<SimNetwork*>(t.get()), nullptr);
   EXPECT_EQ(t->size(), 3u);
+  // The UDP backend is a SimNetwork carried over real sockets: a payload no
+  // datagram can hold passes the network's verdicts, then the carrier's
+  // hard ceiling refuses it, and the merged stats() report that.
+  std::size_t handled = 0;
+  t->set_handler(1, [&](const Envelope&) { ++handled; });
+  t->send(0, 1, payload_of(2, kMaxDatagramPayload + 1));
+  t->run_until(10);
+  EXPECT_EQ(handled, 0u);
+  EXPECT_EQ(t->stats().sent, 1u);
+  EXPECT_EQ(t->stats().oversize, 1u);
 }
 
 // The chaos-grade FaultPlan used for the equivalence scripts: a bursty-loss
@@ -253,29 +263,29 @@ void drive_script(Transport& net, std::uint64_t seed) {
   net.run_until(t + 200);  // drain the delay queue
 }
 
-TEST(FaultShim, MatchesSimNetworkUnderChaosPlan) {
+TEST(Carrier, UdpCarrierMatchesInProcessUnderChaosPlan) {
   constexpr std::size_t kNodes = 6;
   constexpr std::uint64_t kSeed = 1234;
 
   SimNetwork sim(kNodes, std::make_unique<FixedLatency>(3.0), 0.10, kSeed);
   UdpTransport::Options uo;
   uo.n_nodes = kNodes;
-  FaultShim shim(std::make_unique<UdpTransport>(std::move(uo)),
-                 std::make_unique<FixedLatency>(3.0), 0.10, kSeed);
+  SimNetwork udp(kNodes, std::make_unique<FixedLatency>(3.0), 0.10, kSeed,
+                 std::make_unique<UdpTransport>(std::move(uo)));
   sim.set_fault_plan(chaos_plan());
-  shim.set_fault_plan(chaos_plan());
+  udp.set_fault_plan(chaos_plan());
 
-  DeliveryLog sim_log, shim_log;
+  DeliveryLog sim_log, udp_log;
   log_deliveries(sim, sim_log);
-  log_deliveries(shim, shim_log);
+  log_deliveries(udp, udp_log);
   drive_script(sim, 99);
-  drive_script(shim, 99);
+  drive_script(udp, 99);
 
   EXPECT_FALSE(sim_log.empty());
-  EXPECT_EQ(sim_log, shim_log);  // same deliveries, same order, same times
+  EXPECT_EQ(sim_log, udp_log);  // same deliveries, same order, same times
 
   const NetStats a = sim.stats();
-  const NetStats b = shim.stats();
+  const NetStats b = udp.stats();
   EXPECT_EQ(a.sent, b.sent);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.dropped, b.dropped);
@@ -286,7 +296,7 @@ TEST(FaultShim, MatchesSimNetworkUnderChaosPlan) {
   EXPECT_EQ(b.rx_rejects, 0u);  // real datagrams all framed correctly
 }
 
-TEST(FaultShim, SameSeedSameDecisionsAcrossRuns) {
+TEST(Carrier, SameSeedSameDecisionsAcrossRuns) {
   const auto run_once = [](TransportKind kind) {
     TransportConfig tc;
     tc.kind = kind;
@@ -308,6 +318,38 @@ TEST(FaultShim, SameSeedSameDecisionsAcrossRuns) {
   const auto udp1 = run_once(TransportKind::kUdpLoopback);
   EXPECT_EQ(sim1, sim2);
   EXPECT_EQ(sim1, udp1);
+}
+
+TEST(Carrier, SocketNoiseReachesNetworkStats) {
+  UdpTransport::Options uo;
+  uo.n_nodes = 2;
+  auto carrier = std::make_unique<UdpTransport>(std::move(uo));
+  const std::uint16_t port = carrier->port_of(1);
+  SimNetwork net(2, std::make_unique<FixedLatency>(1.0), 0.0, 5,
+                 std::move(carrier));
+  std::size_t handled = 0;
+  for (PlayerId p = 0; p < 2; ++p) {
+    net.set_handler(p, [&](const Envelope&) { ++handled; });
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_port = htons(port);
+  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const std::uint8_t noise[] = {0xde, 0xad, 0xbe, 0xef};
+  ASSERT_EQ(::sendto(fd, noise, sizeof noise, 0,
+                     reinterpret_cast<const sockaddr*>(&dst), sizeof dst),
+            static_cast<ssize_t>(sizeof noise));
+  ::close(fd);
+  net.run_until(1);  // drains the carrier's sockets
+
+  EXPECT_EQ(handled, 0u);
+  const NetStats s = net.stats();
+  EXPECT_EQ(s.rx_rejects, 1u);
+  EXPECT_EQ(s.sent, 0u);
+  EXPECT_EQ(s.delivered, 0u);
 }
 
 TEST(RetransmitJitter, DeterministicBoundedAndUnaligned) {

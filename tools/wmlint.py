@@ -46,7 +46,7 @@ transport-factory
                 src/net/: production and bench code must go through
                 net::make_transport (net/transport.hpp) so the
                 WATCHMEN_TRANSPORT selector, the control-class shed
-                protection and the UDP/FaultShim wiring apply everywhere.
+                protection and the UDP carrier wiring apply everywhere.
 config-knob     Every field of WatchmenConfig (src/core/peer.hpp) and
                 SessionOptions (src/core/session.hpp) must be set by some
                 file outside tests/, examples/ and src/obs/recorder.cpp
@@ -291,7 +291,7 @@ def check_transport_factory(path: Path, rel: str,
             path, i + 1, "transport-factory",
             "direct SimNetwork construction bypasses net::make_transport — "
             "build a TransportConfig instead (net/transport.hpp) so the "
-            "backend selector and UDP wiring apply, or annotate "
+            "backend selector and UDP carrier wiring apply, or annotate "
             "`// wmlint: allow(transport-factory)` with a rationale"))
     return out
 

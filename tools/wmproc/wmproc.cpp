@@ -4,7 +4,8 @@
 // safe), forks one child process per player group, and paces nothing: each
 // child runs its own WatchmenSession over the SAME recorded trace, simulates
 // only its local players (SessionOptions::local_players), and reaches the
-// others through the inherited sockets (UdpTransport::Options::fds/ports).
+// others through the inherited sockets (net::TransportConfig::udp_fds and
+// udp_ports).
 // Virtual frames are paced against the wall clock (kFramePeriod per frame)
 // so the processes stay loosely in step, exactly the discipline a real
 // client loop would impose.
@@ -46,9 +47,8 @@
 #include "game/map.hpp"
 #include "game/trace.hpp"
 #include "net/fault.hpp"
-#include "net/fault_shim.hpp"
 #include "net/latency.hpp"
-#include "net/udp_transport.hpp"
+#include "net/transport.hpp"
 
 using namespace watchmen;
 using Clock = std::chrono::steady_clock;
@@ -125,22 +125,24 @@ core::SessionOptions child_options(int group,
     if (group_of(p) == group) opts.local_players.push_back(p);
   }
   opts.transport_factory = [group, &eps](std::size_t n) {
-    net::UdpTransport::Options o;
-    o.n_nodes = n;
-    o.control_class_mask = control_class_mask();
-    o.fds.resize(n, -1);
-    o.ports.resize(n, 0);
+    net::TransportConfig tc;
+    tc.kind = net::TransportKind::kUdpLoopback;
+    tc.n_nodes = n;
+    tc.latency = std::make_unique<net::FixedLatency>(25.0);
+    tc.loss_rate = 0.01;
+    tc.seed = kSeed;
+    tc.control_class_mask = control_class_mask();
+    tc.udp_fds.resize(n, -1);
+    tc.udp_ports.resize(n, 0);
     for (PlayerId p = 0; p < n; ++p) {
-      o.ports[p] = eps[p].port;
+      tc.udp_ports[p] = eps[p].port;
       if (group_of(p) == group) {
-        o.fds[p] = eps[p].fd;  // inherited across fork; transport owns it
+        tc.udp_fds[p] = eps[p].fd;  // inherited across fork; transport owns it
       } else {
         ::close(eps[p].fd);  // never read a sibling's socket
       }
     }
-    return std::make_unique<net::FaultShim>(
-        std::make_unique<net::UdpTransport>(std::move(o)),
-        std::make_unique<net::FixedLatency>(25.0), 0.01, kSeed);
+    return net::make_transport(std::move(tc));
   };
   return opts;
 }
