@@ -50,6 +50,26 @@ constexpr int kNumMsgTypes = 12;
 
 const char* to_string(MsgType t);
 
+/// Control classes: agreement state (handoffs, subscriptions, churn and
+/// rejoin notices) that reliable control acks and retransmits.
+constexpr bool is_control_type(MsgType t) {
+  return t == MsgType::kHandoff || t == MsgType::kSubscribe ||
+         t == MsgType::kChurnNotice || t == MsgType::kRejoinNotice;
+}
+
+/// Lead-class bitmask (bit = MsgType value) a bounded send queue must never
+/// shed under backpressure: the control classes, which carry their own
+/// retransmit budget, plus the acks that complete them.
+constexpr std::uint32_t never_shed_class_mask() {
+  std::uint32_t mask = 1u << static_cast<unsigned>(MsgType::kAck);
+  for (int t = 0; t < kNumMsgTypes; ++t) {
+    mask |= is_control_type(static_cast<MsgType>(t)) ? 1u << t : 0u;
+  }
+  return mask;
+}
+static_assert(never_shed_class_mask() == 0x358,
+              "subscribe, handoff, churn notice, ack and rejoin notice");
+
 struct MsgHeader {
   MsgType type = MsgType::kStateUpdate;
   PlayerId origin = kInvalidPlayer;   ///< signer / producer of the message

@@ -34,7 +34,8 @@ WatchmenPeer::WatchmenPeer(PlayerId id, WatchmenConfig cfg, net::Transport& net,
       pending_starve_(schedule.num_players()),
       churn_removal_round_(schedule.num_players(), -1),
       churn_restore_round_(schedule.num_players(), -1),
-      pool_eligible_(schedule.num_players(), true) {}
+      pool_eligible_(schedule.num_players(), true),
+      link_(id, schedule.num_players(), cfg_, net, keys, metrics_) {}
 
 void WatchmenPeer::set_pool_standing(PlayerId p, bool eligible) {
   if (p >= schedule_.num_players()) return;
@@ -50,58 +51,6 @@ void WatchmenPeer::set_pool_standing(PlayerId p, bool eligible) {
 
 // --------------------------------------------------------------- sending
 
-void WatchmenPeer::send_wire(PlayerId to, std::vector<std::uint8_t> wire) {
-  ++metrics_.messages_sent;
-  net_send(to,
-           std::make_shared<const std::vector<std::uint8_t>>(std::move(wire)));
-}
-
-void WatchmenPeer::net_send(
-    PlayerId to, std::shared_ptr<const std::vector<std::uint8_t>> wire) {
-  // First-touch destination order keeps the flush deterministic.
-  for (BatchSlot& slot : batch_buf_) {
-    if (slot.to != to) continue;
-    slot.wires.push_back(std::move(wire));
-    if (slot.wires.size() >= kMaxBatchMessages) {
-      // Container full: coalesce what we have and start the slot over.
-      flush_slot(slot);
-    }
-    return;
-  }
-  batch_buf_.push_back({to, {std::move(wire)}});
-}
-
-void WatchmenPeer::flush_slot(BatchSlot& slot) {
-  auto& group = slot.wires;
-  if (group.empty()) return;
-  ++metrics_.flushes;
-  metrics_.flushed_messages += group.size();
-  if (group.size() == 1) {
-    // A lone message rides bare: no container overhead, and the leading
-    // type byte keeps per-class stats exact.
-    net_->send(id_, slot.to, std::move(group.front()));
-    group.clear();
-    return;
-  }
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kBatch));
-  w.varint(group.size());
-  for (const auto& sub : group) w.blob(*sub);
-  ++metrics_.batches_sent;
-  metrics_.batched_messages += group.size();
-  net_->send(id_, slot.to, w.take());
-  group.clear();
-}
-
-void WatchmenPeer::flush_batches() {
-  if (batch_buf_.empty()) return;
-  for (BatchSlot& slot : batch_buf_) {
-    if (slot.wires.empty()) continue;  // drained by an early full-slot flush
-    flush_slot(slot);
-  }
-  batch_buf_.clear();
-}
-
 void WatchmenPeer::note_published(Frame f, std::uint32_t seq,
                                   const game::AvatarState& s) {
   published_.put(f, s);
@@ -110,206 +59,49 @@ void WatchmenPeer::note_published(Frame f, std::uint32_t seq,
   slot.frame = f;
 }
 
-std::vector<std::uint8_t> WatchmenPeer::make_sealed(
-    MsgType type, PlayerId subject, Frame frame,
-    std::span<const std::uint8_t> body) {
-  ++metrics_.sent_by_type[static_cast<std::size_t>(type)];
-  MsgHeader h;
-  h.type = type;
-  h.origin = id_;
-  h.subject = subject;
-  h.frame = frame;
-  h.seq = seq_++;
-  last_sealed_seq_ = h.seq;
-  return seal(h, body, keys_->key_pair(id_));
-}
-
 void WatchmenPeer::send_to_proxy(MsgType type, PlayerId subject, Frame frame,
                                  std::span<const std::uint8_t> body,
                                  Frame delay) {
-  auto wire = make_sealed(type, subject, frame, body);
+  auto wire = link_.seal(type, subject, frame, body);
   if (delay > 0) {
     // Look-ahead cheat: hold the sealed message and release it late; the
     // destination proxy is recomputed at release time.
-    outbox_.push_back({frame_ + delay, kInvalidPlayer, std::move(wire)});
+    outbox_.push_back({frame_ + delay, std::move(wire)});
     return;
   }
   const PlayerId px = schedule_.proxy_at(id_, frame_);
-  const bool reliable = cfg_.reliable_control && type == MsgType::kSubscribe;
-  if (!reliable && !proxy_silent(px)) {
-    send_wire(px, std::move(wire));
-    return;
-  }
-  auto shared = std::make_shared<const std::vector<std::uint8_t>>(std::move(wire));
-  ++metrics_.messages_sent;
-  net_send(px, shared);
-  if (reliable) track_reliable(px, id_, last_sealed_seq_, type, shared);
-  if (proxy_silent(px)) {
+  const auto shared =
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(wire));
+  is_control_type(type) ? link_.send_control(px, shared) : link_.send(px, shared);
+  if (link_.proxy_silent(px)) {
     // Emergency failover: our proxy has gone fully silent past the
     // configured window. Duplicate proxy-bound traffic to the
     // successor-of-round, which adopts us early; if the proxy was merely
     // quiet the duplicate is redundant, never harmful.
     const PlayerId succ = schedule_.proxy_of(id_, schedule_.round_of(frame_) + 1);
-    if (succ != px && succ != id_) {
-      ++metrics_.messages_sent;
-      net_send(succ, shared);
-    }
+    if (succ != px && succ != id_) link_.send(succ, shared);
   }
 }
 
-bool WatchmenPeer::proxy_silent(PlayerId px) const {
-  if (px == id_ || px >= schedule_.num_players()) return false;
-  const Frame silence = frame_ - std::max<Frame>(know_[px].last_heard, 0);
-  // The watchdog's Suspect threshold doubles as the emergency-failover
-  // trigger: with heartbeats flowing every kHeartbeatPeriod frames, a
-  // Suspect-grade silence is already several missed beacons, not jitter.
-  if (cfg_.liveness_watchdog && silence > protocol::kWatchdogSuspectFrames) {
-    return true;
+void WatchmenPeer::handle_state_ack(PlayerId from, const AckBody& a) {
+  // Frequent-stream ack: our proxy acknowledged one of our own state
+  // updates. Resolve the acked seq back to its frame and advance the delta
+  // anchor (monotonically — reordered acks never move it back). Only a
+  // plausible proxy-of-round may steer our anchor: a forged ack from anyone
+  // else could pin deltas to baselines the proxy never held.
+  if (a.acked_origin != id_) return;
+  if (!schedule_.proxy_near(from, id_, schedule_.round_of(frame_))) return;
+  const SentSeq& slot = sent_seqs_[a.acked_seq % sent_seqs_.size()];
+  if (slot.frame >= 0 && slot.seq == a.acked_seq && slot.frame > acked_frame_) {
+    acked_frame_ = slot.frame;
   }
-  if (cfg_.proxy_failover_silence <= 0) return false;
-  return silence > cfg_.proxy_failover_silence;
-}
-
-// ---------------------------------------------------- liveness watchdog
-
-Frame WatchmenPeer::silence_of(PlayerId p, Frame f) const {
-  return f - std::max<Frame>(know_[p].last_heard, 0);
-}
-
-void WatchmenPeer::run_watchdog(Frame f) {
-  if (!cfg_.liveness_watchdog) return;
-  if (watchdog_state_.empty()) {
-    watchdog_state_.assign(schedule_.num_players(), 0);
-  }
-  // Heartbeat on a per-player staggered cadence so beacons spread across
-  // frames instead of synchronizing the whole session onto one.
-  if ((f + static_cast<Frame>(id_)) % protocol::kHeartbeatPeriod == 0) {
-    const PlayerId px = schedule_.proxy_at(id_, f);
-    const auto beacon = [&](PlayerId to) {
-      if (to == id_ || to >= schedule_.num_players()) return;
-      send_wire(to, make_sealed(MsgType::kHeartbeat, to, f, {}));
-    };
-    beacon(px);
-    for (const PlayerId q : proxied_players()) beacon(q);
-  }
-  // Grade the relationships the heartbeats cover: our current proxy and
-  // the players we proxy. Alive -> Suspect -> Dead from receive silence;
-  // any traffic (heartbeat or game) heals the grade back to Alive.
-  const auto grade = [&](PlayerId p) {
-    if (p == id_ || p >= schedule_.num_players()) return;
-    const Frame s = silence_of(p, f);
-    std::uint8_t next = static_cast<std::uint8_t>(PeerLiveness::kAlive);
-    if (s > protocol::kWatchdogDeadFrames) {
-      next = static_cast<std::uint8_t>(PeerLiveness::kDead);
-    } else if (s > protocol::kWatchdogSuspectFrames) {
-      next = static_cast<std::uint8_t>(PeerLiveness::kSuspect);
-    }
-    std::uint8_t& st = watchdog_state_[p];
-    if (next > st) {
-      if (st < 1) ++metrics_.watchdog_suspects;
-      if (next == 2) ++metrics_.watchdog_deaths;
-    }
-    st = next;
-  };
-  grade(schedule_.proxy_at(id_, f));
-  for (const PlayerId q : proxied_players()) grade(q);
-}
-
-// ----------------------------------------------------- reliable control
-
-void WatchmenPeer::track_reliable(
-    PlayerId to, PlayerId origin, std::uint32_t seq, MsgType type,
-    std::shared_ptr<const std::vector<std::uint8_t>> wire) {
-  PendingReliable p;
-  p.to = to;
-  p.origin = origin;
-  p.seq = seq;
-  p.type = type;
-  p.wire = std::move(wire);
-  p.backoff = protocol::kRetransmitBackoff;
-  p.next_retry =
-      frame_ + p.backoff + retransmit_jitter(origin, seq, p.attempt, p.backoff);
-  p.retries_left = protocol::kRetransmitBudget;
-  reliable_.push_back(std::move(p));
-}
-
-void WatchmenPeer::flush_retransmits(Frame f) {
-  for (auto it = reliable_.begin(); it != reliable_.end();) {
-    if (it->next_retry > f) {
-      ++it;
-      continue;
-    }
-    if (it->retries_left <= 0) {
-      ++metrics_.reliable_expired;
-      it = reliable_.erase(it);
-      continue;
-    }
-    --it->retries_left;
-    ++metrics_.retransmits_by_type[static_cast<std::size_t>(it->type)];
-    ++metrics_.messages_sent;
-    net_send(it->to, it->wire);
-    it->backoff *= 2;
-    ++it->attempt;
-    it->next_retry = f + it->backoff +
-                     retransmit_jitter(it->origin, it->seq, it->attempt,
-                                       it->backoff);
-    ++it;
-  }
-}
-
-void WatchmenPeer::maybe_ack(const net::Envelope& env, const MsgHeader& h) {
-  if (!cfg_.reliable_control || !is_control_type(h.type) || env.from == id_) {
-    return;
-  }
-  AckBody a;
-  a.acked_origin = h.origin;
-  a.acked_seq = h.seq;
-  a.acked_type = h.type;
-  const auto body = encode_ack_body(a);
-  ++metrics_.acks_sent;
-  send_wire(env.from,
-            make_sealed(MsgType::kAck, h.origin, net_->clock().frame(), body));
-}
-
-void WatchmenPeer::handle_ack(const net::Envelope& env,
-                              const ParsedMessage& msg) {
-  if (!cfg_.reliable_control && !cfg_.delta_updates) return;
-  if (env.from != msg.header.origin) return;  // acks travel one hop, unsigned relays don't
-  AckBody a;
-  try {
-    a = decode_ack_body(msg.body);
-  } catch (const DecodeError&) {
-    return;
-  }
-  ++metrics_.acks_received;
-  if (a.acked_type == MsgType::kStateUpdate) {
-    // Frequent-stream ack: our proxy acknowledged one of our own state
-    // updates. Resolve the acked seq back to its frame and advance the
-    // delta anchor (monotonically — reordered acks never move it back).
-    // Only a plausible proxy-of-round may steer our anchor: a forged ack
-    // from anyone else could pin deltas to baselines the proxy never held.
-    if (!cfg_.delta_updates || a.acked_origin != id_) return;
-    if (!schedule_.proxy_near(env.from, id_, schedule_.round_of(frame_))) {
-      return;
-    }
-    const SentSeq& slot = sent_seqs_[a.acked_seq % sent_seqs_.size()];
-    if (slot.frame >= 0 && slot.seq == a.acked_seq &&
-        slot.frame > acked_frame_) {
-      acked_frame_ = slot.frame;
-    }
-    return;
-  }
-  if (!cfg_.reliable_control) return;
-  std::erase_if(reliable_, [&](const PendingReliable& p) {
-    return p.to == env.from && p.origin == a.acked_origin &&
-           p.seq == a.acked_seq && p.type == a.acked_type;
-  });
 }
 
 // --------------------------------------------------------------- frames
 
 void WatchmenPeer::begin_frame(Frame f) {
   frame_ = f;
+  link_.begin_frame(f);
   const std::int64_t r = schedule_.round_of(f);
   if (r != round_) {
     round_ = r;
@@ -353,7 +145,7 @@ void WatchmenPeer::begin_frame(Frame f) {
         continue;
       }
       if (schedule_.proxy_of(q, r) != id_) continue;
-      const Frame heard = know_[q].last_heard;
+      const Frame heard = link_.last_heard(q);
       if (heard >= 0 && f - heard <= cfg_.renewal_frames) {
         if (churn_restore_round_[q] >= 0) continue;  // already scheduled
         const std::int64_t restore = r + protocol::kRejoinRestoreDelayRounds;
@@ -375,8 +167,7 @@ void WatchmenPeer::begin_frame(Frame f) {
   }
   std::erase_if(grace_, [f](const auto& kv) { return kv.second.expires < f; });
 
-  run_watchdog(f);
-  if (cfg_.reliable_control) flush_retransmits(f);
+  link_.run_timers(f, schedule_.proxy_at(id_, f), proxied_players());
   flush_pending_subs(f);
 
   // Direct-update mode: periodically tell each proxied player who its IS
@@ -397,20 +188,17 @@ void WatchmenPeer::begin_frame(Frame f) {
                : encode_subscriber_list_diff_body(ps.sent_subs, subscribers);
       ++ps.sub_sends;
       ps.sent_subs = std::move(subscribers);
-      send_wire(q, make_sealed(MsgType::kSubscriberList, q, f, body));
+      link_.send(q, link_.seal(MsgType::kSubscriberList, q, f, body));
     }
   }
 
-  // Release delayed messages.
+  // Release delayed messages to whoever is the proxy now.
   while (!outbox_.empty() && outbox_.front().release <= f) {
-    Delayed d = std::move(outbox_.front());
+    link_.send(schedule_.proxy_at(id_, f), std::move(outbox_.front().wire));
     outbox_.pop_front();
-    const PlayerId to =
-        d.to == kInvalidPlayer ? schedule_.proxy_at(id_, f) : d.to;
-    send_wire(to, std::move(d.wire));
   }
 
-  flush_batches();
+  link_.flush();
 }
 
 void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
@@ -458,20 +246,20 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
       last_keyframe_frame_ = f;
     }
     send_to_proxy(MsgType::kStateUpdate, id_, f, body, delay);
-    if (cfg_.delta_updates) note_published(f, last_sealed_seq_, published);
+    if (cfg_.delta_updates) note_published(f, link_.last_sealed_seq(), published);
     if (cfg_.direct_updates && delay == 0) {
       // §VI optimization 3: one hop to the IS subscribers our proxy named;
       // the proxy copy above still feeds verification (and serves the proxy
       // itself if it happens to be a subscriber — don't double-send).
       const PlayerId my_proxy = schedule_.proxy_at(id_, f);
-      const auto wire = make_sealed(MsgType::kStateUpdate, id_, f, body);
+      const auto wire = link_.seal(MsgType::kStateUpdate, id_, f, body);
       for (PlayerId to : direct_targets_) {
-        if (to != id_ && to != my_proxy) send_wire(to, wire);
+        if (to != id_ && to != my_proxy) link_.send(to, wire);
       }
     }
     for (int i = misbehavior_->extra_state_updates(f); i > 0; --i) {
       send_to_proxy(MsgType::kStateUpdate, id_, f, body, delay);
-      if (cfg_.delta_updates) note_published(f, last_sealed_seq_, published);
+      if (cfg_.delta_updates) note_published(f, link_.last_sealed_seq(), published);
     }
   }
 
@@ -566,12 +354,12 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
 
   // 5. Replay cheat: resend captured wires verbatim.
   for (auto& wire : misbehavior_->replayed_messages(f)) {
-    send_wire(schedule_.proxy_at(id_, f), std::move(wire));
+    link_.send(schedule_.proxy_at(id_, f), std::move(wire));
   }
 
   // 6. Consistency cheat: direct sends bypassing the proxy.
   for (auto& [to, wire] : misbehavior_->direct_messages(f)) {
-    if (to < schedule_.num_players()) send_wire(to, std::move(wire));
+    if (to < schedule_.num_players()) link_.send(to, std::move(wire));
   }
 
   // 7. Fabricated reports (Sybil smears, collusion framing). The reporting
@@ -586,7 +374,7 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     report_(r);
   }
 
-  flush_batches();
+  link_.flush();
 }
 
 void WatchmenPeer::end_frame(Frame f) {
@@ -668,7 +456,7 @@ void WatchmenPeer::end_frame(Frame f) {
 
     if (rate.suspicious()) {
       const bool silent = ps.updates_in_round == 0;
-      const Frame heard = know_[q].last_heard;
+      const Frame heard = link_.last_heard(q);
       const bool silent_everywhere =
           heard < 0 || f - heard > cfg_.renewal_frames;
       verify::CheckResult rate_res = rate;
@@ -726,30 +514,14 @@ void WatchmenPeer::end_frame(Frame f) {
       if (ps.track.has_guidance) s.guidance = ps.track.guidance;
       s.subscriptions = ps.subs.snapshot(f);
 
-      HandoffPayload payload;
-      payload.summary = s;
-      if (ps.predecessor_summary) payload.predecessor = ps.predecessor_summary;
+      const HandoffPayload payload{s, ps.predecessor_summary};
 
       // The handoff is a single point of failure for every subscription of
-      // q. With reliable control on it is ack-tracked and retransmitted
-      // with backoff (survives correlated bursts); otherwise fall back to
-      // the blind send-twice (receiver-side install is idempotent either
-      // way).
-      const auto body = encode_handoff_body(payload);
-      const PlayerId successor = schedule_.proxy_of(q, next);
-      auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-          make_sealed(MsgType::kHandoff, q, f, body));
-      ++metrics_.messages_sent;
-      net_send(successor, shared);
-      if (cfg_.reliable_control) {
-        track_reliable(successor, id_, last_sealed_seq_, MsgType::kHandoff,
-                       shared);
-      } else {
-        ++metrics_.messages_sent;
-        // The blind duplicate exists to decorrelate loss; riding the same
-        // batch datagram as the original would defeat it, so it goes bare.
-        net_->send(id_, successor, shared);
-      }
+      // q: the link makes it survive loss (send_control).
+      link_.send_control(schedule_.proxy_of(q, next),
+                         std::make_shared<const std::vector<std::uint8_t>>(
+                             link_.seal(MsgType::kHandoff, q, f,
+                                        encode_handoff_body(payload))));
       my_last_summaries_[q] = std::move(s);
 
       grace_.insert_or_assign(q, GraceEntry{f + kGraceFrames, std::move(ps)});
@@ -763,7 +535,7 @@ void WatchmenPeer::end_frame(Frame f) {
     }
   }
 
-  flush_batches();
+  link_.flush();
 }
 
 // --------------------------------------------------------------- receive
@@ -782,7 +554,7 @@ void WatchmenPeer::on_message(const net::Envelope& env) {
     handle_wire(env, env.bytes());
   }
   // Anything this delivery caused us to send goes out now, coalesced.
-  flush_batches();
+  link_.flush();
 }
 
 void WatchmenPeer::handle_wire(const net::Envelope& env,
@@ -814,21 +586,21 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
     // Pure liveness beacon: refresh the receive watchdog, nothing else. A
     // relayed heartbeat proves nothing about the origin's path to us, so
     // only the direct leg counts.
-    if (env.from == h.origin) know_[h.origin].last_heard = net_->clock().frame();
+    if (env.from == h.origin) link_.heard(h.origin, net_->clock().frame());
     return;
   }
 
   if (h.type == MsgType::kAck) {
-    handle_ack(env, *parsed);
+    if (link_.on_ack(env, h, typed.ack)) handle_state_ack(env.from, typed.ack);
     return;
   }
 
   // Reliable control: ack control-class messages back to the immediate
-  // sender as soon as the signature clears (hop-by-hop; never ack an ack).
-  maybe_ack(env, h);
+  // sender once signature and body check out (hop-by-hop; never an ack).
+  link_.maybe_ack(env, h);
 
   if (h.type == MsgType::kRejoinNotice) {
-    handle_rejoin_notice(*parsed);
+    handle_rejoin_notice(h, typed.round);
     return;
   }
 
@@ -839,12 +611,12 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
     // stamp, which is exactly the tail this distribution exists to expose.
     metrics_.handoff_latency_ms.add(static_cast<double>(
         std::max<TimeMs>(0, net_->clock().now() - time_of(h.frame))));
-    handle_handoff(*parsed);
+    handle_handoff(h, *typed.handoff);
     return;
   }
 
   if (h.type == MsgType::kChurnNotice) {
-    handle_churn_notice(*parsed);
+    handle_churn_notice(h, typed.round);
     return;
   }
 
@@ -896,9 +668,8 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
       const PlayerId cur = schedule_.proxy_at(h.subject, now);
       if (cur != id_) {
         if (env.from != cur) {  // no ping-pong
-          ++metrics_.forwarded;
-          net_send(cur, std::make_shared<const std::vector<std::uint8_t>>(
-                            wire.begin(), wire.end()));
+          link_.forward(cur, std::make_shared<const std::vector<std::uint8_t>>(
+                                 wire.begin(), wire.end()));
         }
         return;
       }
@@ -936,6 +707,18 @@ bool WatchmenPeer::decode_typed_body(const ParsedMessage& msg,
         break;
       case MsgType::kSubscribe:
         out.kind = decode_subscribe_body(msg.body);
+        break;
+      case MsgType::kAck:
+        out.ack = decode_ack_body(msg.body);
+        break;
+      case MsgType::kChurnNotice:
+        out.round = decode_churn_body(msg.body);
+        break;
+      case MsgType::kRejoinNotice:
+        out.round = decode_rejoin_body(msg.body);
+        break;
+      case MsgType::kHandoff:
+        out.handoff = decode_handoff_body(msg.body);
         break;
       default:
         break;
@@ -1006,8 +789,7 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
   const MsgHeader& h = msg.header;
   const auto it = proxied_.find(h.origin);
   ProxiedState* psp = it != proxied_.end() ? &it->second : nullptr;
-  if (!psp &&
-      (cfg_.proxy_failover_silence > 0 || cfg_.liveness_watchdog) &&
+  if (!psp && link_.failover_on() &&
       schedule_.proxy_of(h.origin, round_) != id_ &&
       schedule_.proxy_of(h.origin, round_ + 1) == id_ &&
       !grace_.contains(h.origin)) {
@@ -1018,7 +800,7 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
     // follow-up chain survives. If the proxy looks alive from here, drop
     // silently: over-eager routing is a loss symptom, not a cheat.
     const PlayerId cur = schedule_.proxy_of(h.origin, round_);
-    if (!proxy_silent(cur)) return;
+    if (!link_.proxy_silent(cur)) return;
     psp = &adopt(h.origin, frame_);
     if (const auto s = my_last_summaries_.find(h.origin);
         s != my_last_summaries_.end()) {
@@ -1163,19 +945,16 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
         // kStateAckPeriod frames so the sender's anchor keeps advancing.
         t.decoded.put(h.frame, s);
         if (h.frame - ps.last_state_ack >= kStateAckPeriod) {
-          AckBody a;
-          a.acked_origin = h.origin;
-          a.acked_seq = h.seq;
-          a.acked_type = MsgType::kStateUpdate;
+          const AckBody a{h.origin, h.seq, MsgType::kStateUpdate};
           ++metrics_.state_acks_sent;
-          send_wire(env.from, make_sealed(MsgType::kAck, h.origin, now,
+          link_.send(env.from, link_.seal(MsgType::kAck, h.origin, now,
                                           encode_ack_body(a)));
           ps.last_state_ack = h.frame;
         }
       }
 
       // The proxy holds complete information about its player.
-      observe_state(know_[h.origin], s, h.frame, now);
+      observe_state(h.origin, s, h.frame, now);
       forward_stream(ps, h, wire);
       break;
     }
@@ -1313,19 +1092,12 @@ void WatchmenPeer::proxy_handle_subscribe_first_hop(
 
   // Forward the original signed wire (verified or not — detection, not
   // prevention) to the target's proxy; the target never learns who
-  // subscribed (§IV "Secured Subscriptions").
-  ++metrics_.forwarded;
-  const PlayerId target_proxy = schedule_.proxy_at(target, frame_);
-  auto shared = std::make_shared<const std::vector<std::uint8_t>>(
-      wire.begin(), wire.end());
-  net_send(target_proxy, shared);
-  if (cfg_.reliable_control && target_proxy != id_) {
-    // Second hop of the subscribe chain: track under the *origin's*
-    // header, which is what the target proxy will ack. Serving both ends
-    // ourselves is a loopback delivery — guaranteed, and never acked
-    // (receivers don't ack their own messages), so don't track it.
-    track_reliable(target_proxy, h.origin, h.seq, MsgType::kSubscribe, shared);
-  }
+  // subscribed (§IV "Secured Subscriptions"). The second hop is tracked
+  // under the *origin's* header, which is what the target proxy acks.
+  link_.send_control(schedule_.proxy_at(target, frame_),
+                     std::make_shared<const std::vector<std::uint8_t>>(
+                         wire.begin(), wire.end()),
+                     h);
 }
 
 void WatchmenPeer::proxy_handle_kill_claim(std::span<const std::uint8_t> wire,
@@ -1380,8 +1152,8 @@ bool WatchmenPeer::judge_kill_claim(const MsgHeader& h, const KillClaim& claim,
   return res.suspicious();
 }
 
-void WatchmenPeer::handle_churn_notice(const ParsedMessage& msg) {
-  const MsgHeader& h = msg.header;
+void WatchmenPeer::handle_churn_notice(const MsgHeader& h,
+                                       std::int64_t removal) {
   if (h.subject >= schedule_.num_players() || h.subject == id_) return;
   if (!schedule_.in_pool(h.subject)) return;  // already removed
 
@@ -1393,7 +1165,7 @@ void WatchmenPeer::handle_churn_notice(const ParsedMessage& msg) {
   // laggard's idea of "the proxy" differs from everyone else's, so the
   // strict origin check would reject exactly the notices it needs).
   const std::int64_t notice_round = schedule_.round_of(h.frame);
-  const Frame heard = know_[h.subject].last_heard;
+  const Frame heard = link_.last_heard(h.subject);
   const bool silent_here = heard < 0 || frame_ - heard > cfg_.renewal_frames;
   if (!silent_here && schedule_.proxy_of(h.subject, notice_round) != h.origin) {
     // Around pool transitions (and partition heals) peers' pools — and so
@@ -1404,12 +1176,6 @@ void WatchmenPeer::handle_churn_notice(const ParsedMessage& msg) {
     return;
   }
 
-  std::int64_t removal = 0;
-  try {
-    removal = decode_churn_body(msg.body);
-  } catch (const DecodeError&) {
-    return;
-  }
   if (removal < notice_round + 1) return;  // cannot rewrite the past
   if (churn_removal_round_[h.subject] < 0 ||
       removal < churn_removal_round_[h.subject]) {
@@ -1417,8 +1183,8 @@ void WatchmenPeer::handle_churn_notice(const ParsedMessage& msg) {
   }
 }
 
-void WatchmenPeer::handle_rejoin_notice(const ParsedMessage& msg) {
-  const MsgHeader& h = msg.header;
+void WatchmenPeer::handle_rejoin_notice(const MsgHeader& h,
+                                        std::int64_t restore) {
   if (h.subject >= schedule_.num_players()) return;
 
   // Accept from the subject itself (crash rejoin), from the subject's
@@ -1432,16 +1198,10 @@ void WatchmenPeer::handle_rejoin_notice(const ParsedMessage& msg) {
   const bool from_subject = h.origin == h.subject;
   const bool from_proxy =
       schedule_.proxy_of(h.subject, notice_round) == h.origin;
-  const Frame heard = know_[h.subject].last_heard;
+  const Frame heard = link_.last_heard(h.subject);
   const bool alive_here = heard >= 0 && frame_ - heard <= cfg_.renewal_frames;
   if (!from_subject && !from_proxy && !alive_here) return;
 
-  std::int64_t restore = 0;
-  try {
-    restore = decode_rejoin_body(msg.body);
-  } catch (const DecodeError&) {
-    return;
-  }
   if (restore < notice_round + 1) return;  // cannot rewrite the past
   if (churn_restore_round_[h.subject] < 0 ||
       restore < churn_restore_round_[h.subject]) {
@@ -1451,16 +1211,10 @@ void WatchmenPeer::handle_rejoin_notice(const ParsedMessage& msg) {
 
 void WatchmenPeer::broadcast_control(MsgType type, PlayerId subject,
                                      std::span<const std::uint8_t> body) {
-  auto wire = make_sealed(type, subject, frame_, body);
-  auto shared =
-      std::make_shared<const std::vector<std::uint8_t>>(std::move(wire));
+  const auto shared = std::make_shared<const std::vector<std::uint8_t>>(
+      link_.seal(type, subject, frame_, body));
   for (PlayerId w = 0; w < schedule_.num_players(); ++w) {
-    if (w == id_ || w == subject) continue;
-    ++metrics_.messages_sent;
-    net_send(w, shared);
-    if (cfg_.reliable_control) {
-      track_reliable(w, id_, last_sealed_seq_, type, shared);
-    }
+    if (w != id_ && w != subject) link_.send_control(w, shared);
   }
 }
 
@@ -1468,17 +1222,13 @@ void WatchmenPeer::rejoin(Frame f) {
   const Frame last_alive = frame_;
   frame_ = f;
   round_ = schedule_.round_of(f);
+  link_.reset(f);
 
   // Proxy duties lapsed silently while we were down; shed them all.
   proxied_.clear();
   grace_.clear();
   outbox_.clear();
-  reliable_.clear();
   direct_targets_.clear();
-  batch_buf_.clear();
-  // Everyone looks silent to a node that just woke up; regrade from scratch
-  // instead of carrying Dead verdicts into the new tenure.
-  watchdog_state_.clear();
   // The pre-crash anchor refers to a proxy tenure that has lapsed; restart
   // the anchored chain from the next keyframe.
   acked_frame_ = -1;
@@ -1506,7 +1256,7 @@ void WatchmenPeer::rejoin(Frame f) {
   }
   std::fill(sent_level_.begin(), sent_level_.end(), SentLevel{});
 
-  flush_batches();
+  link_.flush();
 }
 
 bool WatchmenPeer::pool_transition_grace() const {
@@ -1517,9 +1267,8 @@ bool WatchmenPeer::pool_transition_grace() const {
          protocol::kPoolTransitionGraceRounds;
 }
 
-void WatchmenPeer::handle_handoff(const ParsedMessage& msg) {
-  const MsgHeader& h = msg.header;
-
+void WatchmenPeer::handle_handoff(const MsgHeader& h,
+                                  const HandoffPayload& payload) {
   // Only the proxy of the round the handoff was *stamped* in may hand off.
   // h.frame sits under the origin's signature, so validating against the
   // stamped round (instead of "our previous round") stays correct for
@@ -1531,6 +1280,8 @@ void WatchmenPeer::handle_handoff(const ParsedMessage& msg) {
     }
     return;
   }
+  // A summary of some other player seeds nothing and adopts nobody.
+  if (payload.summary.player != h.subject) return;
 
   const auto it = proxied_.find(h.subject);
   ProxiedState* psp = it != proxied_.end() ? &it->second : nullptr;
@@ -1546,15 +1297,6 @@ void WatchmenPeer::handle_handoff(const ParsedMessage& msg) {
     psp = &adopt(h.subject, net_->clock().frame());
   }
   ProxiedState& ps = *psp;
-
-  HandoffPayload payload;
-  try {
-    payload = decode_handoff_body(msg.body);
-  } catch (const DecodeError&) {
-    return;
-  }
-  if (payload.summary.player != h.subject) return;
-
   ps.seed(payload.summary);
   if (payload.summary.has_guidance && !ps.track.has_guidance) {
     // Continue the dead-reckoning window that spans the renewal: path
@@ -1598,8 +1340,7 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
     // that liveness: without it, a peer that wrongly believes it proxies
     // the origin sees it silent everywhere and announces a live player's
     // departure.
-    Frame& heard = know_[h.origin].last_heard;
-    heard = std::max(heard, std::min(h.frame, now));
+    link_.heard(h.origin, std::min(h.frame, now));
     if (!pool_transition_grace()) {
       emit_certain(env.from, verify::CheckType::kConsistency, h.frame, 10.0);
       return;
@@ -1632,7 +1373,7 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
         check_move(h.origin, vantage, k.pos, k.pos_frame, s.pos, h.frame);
       }
       maybe_close_guidance(h.origin, vantage, t, h.frame, s.pos);
-      observe_state(k, s, h.frame, now);
+      observe_state(h.origin, s, h.frame, now);
       break;
     }
     case MsgType::kGuidance: {
@@ -1642,7 +1383,7 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
 
       roll_guidance(h.origin, vantage, t, g);
       t.path_samples.emplace_back(g.frame, g.pos);
-      observe_pos(k, g.pos, h.frame, now);
+      observe_pos(h.origin, g.pos, h.frame, now);
       break;
     }
     case MsgType::kPositionUpdate: {
@@ -1654,7 +1395,7 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
         check_move(h.origin, vantage, k.pos, k.pos_frame, pos, h.frame);
       }
       maybe_close_guidance(h.origin, vantage, t, h.frame, pos);
-      observe_pos(k, pos, h.frame, now);
+      observe_pos(h.origin, pos, h.frame, now);
       break;
     }
     case MsgType::kKillClaim: {
@@ -1693,8 +1434,7 @@ void WatchmenPeer::forward_to(const std::vector<PlayerId>& recipients,
       if (!tampered.empty()) tampered[tampered.size() / 2] ^= 0xff;
       bytes = std::make_shared<const std::vector<std::uint8_t>>(std::move(tampered));
     }
-    ++metrics_.forwarded;
-    net_send(to, std::move(bytes));
+    link_.forward(to, std::move(bytes));
   }
 }
 
@@ -1778,17 +1518,19 @@ bool WatchmenPeer::los_with_slack(const Vec3& from_eye, const Vec3& to_eye) cons
   return false;
 }
 
-void WatchmenPeer::observe_pos(RemoteKnowledge& k, const Vec3& pos,
-                               Frame frame, Frame now) {
+void WatchmenPeer::observe_pos(PlayerId q, const Vec3& pos, Frame frame,
+                               Frame now) {
+  RemoteKnowledge& k = know_[q];
   checkpoint_pos(k, pos, frame);
   k.pos = pos;
   k.pos_frame = frame;
-  k.last_heard = now;
+  link_.heard(q, now);
 }
 
-void WatchmenPeer::observe_state(RemoteKnowledge& k, const game::AvatarState& s,
+void WatchmenPeer::observe_state(PlayerId q, const game::AvatarState& s,
                                  Frame frame, Frame now) {
-  observe_pos(k, s.pos, frame, now);
+  observe_pos(q, s.pos, frame, now);
+  RemoteKnowledge& k = know_[q];
   k.track.state = s;
   k.track.state_frame = frame;
   k.track.has_state = true;

@@ -9,6 +9,9 @@
 //    positions, guidance, kill claims and subscription justifications — and
 //    forwards their (origin-signed) updates to the right subscribers at the
 //    right resolution.
+// Both roles send and receive through the peer's PeerLink
+// (core/peer_link.hpp), which owns sealing, batching, reliable control and
+// liveness.
 //
 // The session object drives all peers frame by frame:
 //   begin_frame() -> produce() -> [network delivery -> on_message()] -> end_frame()
@@ -34,6 +37,7 @@
 #include "core/handoff.hpp"
 #include "core/messages.hpp"
 #include "core/misbehavior.hpp"
+#include "core/peer_link.hpp"
 #include "core/protocol_params.hpp"
 #include "core/proxy_schedule.hpp"
 #include "crypto/keys.hpp"
@@ -259,7 +263,6 @@ struct RemoteKnowledge {
   /// (the maphack harvest).
   Vec3 old_pos;
   Frame old_pos_frame = -1;
-  Frame last_heard = -1;
   Frame newest_frame = -1;   ///< replay window tracking
   std::uint32_t newest_seq = 0;
   /// Frame of the last known death of this player (from the obituary
@@ -268,24 +271,6 @@ struct RemoteKnowledge {
   /// is the one legal discontinuity.
   Frame last_death = -1000;
 };
-
-/// Deterministic retransmit jitter, added to every reliable retransmit's
-/// exponential backoff (plain backoff re-aligns every peer's retries after a
-/// partition heals into one storm): a pure hash of (origin, seq, attempt)
-/// mapped into [0, backoff/2]. Same trace + seed -> same retry schedule
-/// (replay-stable); different origins -> de-correlated retry instants, so a
-/// partition heal does not release every peer's backlog on the same frame.
-inline Frame retransmit_jitter(PlayerId origin, std::uint32_t seq,
-                               std::uint32_t attempt, Frame backoff) {
-  if (backoff <= 1) return 0;
-  const std::uint64_t h =
-      mix64((static_cast<std::uint64_t>(origin) << 40) ^
-            (static_cast<std::uint64_t>(seq) << 8) ^ attempt);
-  return static_cast<Frame>(h % static_cast<std::uint64_t>(backoff / 2 + 1));
-}
-
-/// Liveness grade the watchdog assigns a peer relationship.
-enum class PeerLiveness : std::uint8_t { kAlive = 0, kSuspect = 1, kDead = 2 };
 
 class WatchmenPeer {
  public:
@@ -298,7 +283,6 @@ class WatchmenPeer {
 
   PlayerId id() const { return id_; }
   const PeerMetrics& metrics() const { return metrics_; }
-  const WatchmenConfig& config() const { return cfg_; }
   /// This peer's own view of the proxy schedule (diverges from the session
   /// canon only by applied churn removals).
   const ProxySchedule& schedule() const { return schedule_; }
@@ -338,13 +322,9 @@ class WatchmenPeer {
   void set_pool_standing(PlayerId p, bool eligible);
 
   const RemoteKnowledge& knowledge_of(PlayerId p) const { return know_.at(p); }
-
-  /// Watchdog grade for p (kAlive when the watchdog is off).
-  PeerLiveness liveness_of(PlayerId p) const {
-    return watchdog_state_.empty() ? PeerLiveness::kAlive
-                                   : static_cast<PeerLiveness>(
-                                         watchdog_state_.at(p));
-  }
+  /// The control plane beneath the roles: liveness grades, last-heard
+  /// frames.
+  const PeerLink& link() const { return link_; }
 
   /// Players this peer is currently proxying.
   std::vector<PlayerId> proxied_players() const;
@@ -375,52 +355,17 @@ class WatchmenPeer {
   };
 
   // --- send helpers -------------------------------------------------------
-  void send_wire(PlayerId to, std::vector<std::uint8_t> wire);
-  /// Single egress point: queues the wire in its destination's batch.
-  void net_send(PlayerId to,
-                std::shared_ptr<const std::vector<std::uint8_t>> wire);
-  /// Coalesces and sends the pending per-destination batches; called at the
-  /// end of every event slice (frame hooks and message deliveries), so a
-  /// batch leaves at the instant its messages were produced.
-  void flush_batches();
-  /// Drains one destination slot: bare when it holds one wire, one kBatch
-  /// container otherwise.
-  struct BatchSlot;
-  void flush_slot(BatchSlot& slot);
-  std::vector<std::uint8_t> make_sealed(MsgType type, PlayerId subject,
-                                        Frame frame,
-                                        std::span<const std::uint8_t> body);
+  /// Seals and sends to this peer's proxy (after `delay`, the look-ahead
+  /// cheat); while that proxy is silent, a copy goes to the successor.
   void send_to_proxy(MsgType type, PlayerId subject, Frame frame,
                      std::span<const std::uint8_t> body, Frame delay);
   /// Records an own published state update (frame, seq, post-mutation state)
   /// so a later proxy ack can be resolved into a delta anchor.
   void note_published(Frame f, std::uint32_t seq, const game::AvatarState& s);
 
-  // --- reliable control delivery ------------------------------------------
-  /// Registers an already-sent control wire for ack-tracking; retransmitted
-  /// with exponential backoff from begin_frame until acked or expired.
-  void track_reliable(PlayerId to, PlayerId origin, std::uint32_t seq,
-                      MsgType type,
-                      std::shared_ptr<const std::vector<std::uint8_t>> wire);
-  void flush_retransmits(Frame f);
-  /// Acks control-class messages back to the immediate sender (hop-by-hop).
-  void maybe_ack(const net::Envelope& env, const MsgHeader& h);
-  void handle_ack(const net::Envelope& env, const ParsedMessage& msg);
-  static bool is_control_type(MsgType t) {
-    return t == MsgType::kHandoff || t == MsgType::kSubscribe ||
-           t == MsgType::kChurnNotice || t == MsgType::kRejoinNotice;
-  }
-
-  // --- proxy failover ------------------------------------------------------
-  /// True when `px`'s total silence exceeds the configured failover window.
-  bool proxy_silent(PlayerId px) const;
-
-  // --- liveness watchdog ---------------------------------------------------
-  /// Frames since anything was heard from p (from frame f's viewpoint).
-  Frame silence_of(PlayerId p, Frame f) const;
-  /// Re-grades the proxy/proxied relationships from receive silence and
-  /// emits heartbeats on this peer's staggered cadence.
-  void run_watchdog(Frame f);
+  /// Our proxy acked one of our own state updates: advance the delta
+  /// anchor to it.
+  void handle_state_ack(PlayerId from, const AckBody& a);
 
   // --- receive paths ------------------------------------------------------
   /// One sealed envelope's worth of processing. `wire` is the envelope's
@@ -428,12 +373,17 @@ class WatchmenPeer {
   /// container (env then carries the batch; from/timing fields still apply).
   void handle_wire(const net::Envelope& env, std::span<const std::uint8_t> wire);
   /// A message's typed body, decoded once on receipt, before any state
-  /// changes. State updates decode later, against their delta baseline.
+  /// changes. State updates decode later, against their delta baseline;
+  /// a subscriber-list diff decodes against the receiver's current list.
   struct TypedBody {
     interest::Guidance guidance;                         ///< kGuidance
     Vec3 pos;                                            ///< kPositionUpdate
     KillClaim kill;                                      ///< kKillClaim
     interest::SetKind kind = interest::SetKind::kOther;  ///< kSubscribe
+    AckBody ack;                                         ///< kAck
+    /// kChurnNotice: removal round; kRejoinNotice: restore round.
+    std::int64_t round = 0;
+    std::optional<HandoffPayload> handoff;               ///< kHandoff
   };
   /// False when a signed message's body is malformed: it is dropped whole.
   static bool decode_typed_body(const ParsedMessage& msg, TypedBody& out);
@@ -460,12 +410,11 @@ class WatchmenPeer {
   /// guidance to its VS subscribers; other types are not streamed.
   void forward_stream(const ProxiedState& ps, const MsgHeader& h,
                       std::span<const std::uint8_t> wire);
-  /// Records an observed position of k's subject, stamped `frame`.
-  static void observe_pos(RemoteKnowledge& k, const Vec3& pos, Frame frame,
-                          Frame now);
-  /// Records a verified state of k's subject, stamped `frame`.
-  static void observe_state(RemoteKnowledge& k, const game::AvatarState& s,
-                            Frame frame, Frame now);
+  /// Records an observed position of q, stamped `frame` and heard `now`.
+  void observe_pos(PlayerId q, const Vec3& pos, Frame frame, Frame now);
+  /// Records a verified state of q, stamped `frame` and heard `now`.
+  void observe_state(PlayerId q, const game::AvatarState& s, Frame frame,
+                     Frame now);
   /// Judges a kill claim by h.origin from `vantage`, given the shooter
   /// evidence the role holds in `ev`; then records the victim's death.
   /// True when the claim looked suspicious.
@@ -507,7 +456,7 @@ class WatchmenPeer {
   /// "no line of sight" is only asserted when jittered probes all fail.
   bool los_with_slack(const Vec3& from_eye, const Vec3& to_eye) const;
   static constexpr Frame kDeathWindowFrames = 50;  ///< respawn delay + slack
-  void handle_handoff(const ParsedMessage& msg);
+  void handle_handoff(const MsgHeader& h, const HandoffPayload& payload);
   void forward_to(const std::vector<PlayerId>& recipients,
                   std::span<const std::uint8_t> wire, PlayerId subject);
   /// Obituary broadcast: forwards to every player but this peer and the
@@ -559,7 +508,6 @@ class WatchmenPeer {
 
   Frame frame_ = 0;
   std::int64_t round_ = -1;  ///< -1 so the first begin_frame adopts round 0
-  std::uint32_t seq_ = 0;
 
   // Player-side state.
   std::vector<RemoteKnowledge> know_;
@@ -638,50 +586,23 @@ class WatchmenPeer {
   /// vetoes churn restores.
   std::vector<bool> pool_eligible_;
   std::int64_t last_pool_change_round_ = -100;
-  void handle_churn_notice(const ParsedMessage& msg);
-  void handle_rejoin_notice(const ParsedMessage& msg);
-  /// Broadcasts a control message to every other player (reliably when
-  /// reliable_control is on).
+  void handle_churn_notice(const MsgHeader& h, std::int64_t removal);
+  void handle_rejoin_notice(const MsgHeader& h, std::int64_t restore);
+  /// Broadcasts a control message to every other player but the subject.
   void broadcast_control(MsgType type, PlayerId subject,
                          std::span<const std::uint8_t> body);
   bool pool_transition_grace() const;
 
-  /// In-flight reliable control messages awaiting acks.
-  struct PendingReliable {
-    PlayerId to = kInvalidPlayer;
-    PlayerId origin = kInvalidPlayer;  ///< origin in the tracked wire
-    std::uint32_t seq = 0;
-    MsgType type = MsgType::kStateUpdate;
-    std::shared_ptr<const std::vector<std::uint8_t>> wire;
-    Frame next_retry = 0;
-    Frame backoff = 0;
-    int retries_left = 0;
-    std::uint32_t attempt = 0;  ///< jitter input; increments per retransmit
-  };
-  std::vector<PendingReliable> reliable_;
-  std::uint32_t last_sealed_seq_ = 0;  ///< seq of the latest make_sealed()
-
-  // Delayed outbox for the look-ahead cheat: (release_frame, to, wire).
+  // Delayed outbox for the look-ahead cheat: (release_frame, wire), bound
+  // for the proxy of the release frame.
   struct Delayed {
     Frame release;
-    PlayerId to;
     std::vector<std::uint8_t> wire;
   };
   std::deque<Delayed> outbox_;
 
-  // Per-link batch accumulator: wires queued per destination in first-touch
-  // order, coalesced into one kBatch datagram at flush_batches().
-  struct BatchSlot {
-    PlayerId to = kInvalidPlayer;
-    std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> wires;
-  };
-  std::vector<BatchSlot> batch_buf_;
-
-  /// Watchdog grades per player (PeerLiveness values); sized only when
-  /// cfg_.liveness_watchdog is on, so the off path stays allocation-free.
-  std::vector<std::uint8_t> watchdog_state_;
-
   PeerMetrics metrics_;
+  PeerLink link_;  ///< after cfg_ and metrics_, which it is built from
 };
 
 }  // namespace watchmen::core

@@ -225,7 +225,7 @@ void deliver(State& s, int idx, const ModelConfig& cfg) {
   switch (m.kind) {
     case MsgKind::kHandoff: {
       // Receipt ack for reliable control (sent before validation: receipt,
-      // not approval — matches track_reliable/ack semantics).
+      // not approval — matches PeerLink::maybe_ack semantics).
       Msg ack;
       ack.kind = MsgKind::kControlAck;
       ack.from = static_cast<std::int8_t>(j);
@@ -283,9 +283,9 @@ void deliver(State& s, int idx, const ModelConfig& cfg) {
       break;
     }
     case MsgKind::kStateAck: {
-      // Anchored-delta baseline ack, received by the subject. handle_ack
-      // accepts only from the proxy of rounds stamp-1..stamp+1 in the
-      // receiver's own view.
+      // Anchored-delta baseline ack, received by the subject.
+      // handle_state_ack accepts only from the proxy of rounds
+      // stamp-1..stamp+1 in the receiver's own view.
       bool from_proxy = false;
       for (int d = -1; d <= 1; ++d) {
         if (proxy_of(static_cast<std::int8_t>(m.stamp_round + d),
@@ -423,8 +423,8 @@ std::vector<Action> enabled_actions(const State& s, const ModelConfig& cfg) {
   // Emergency failover: the subject's proxy-bound traffic is duplicated to
   // the successor-of-round (per the subject's view) once the subject's
   // proxy has been silent long enough. Faithfully the successor adopts
-  // only if the proxy is silent from its OWN vantage too (peer.cpp's
-  // proxy_silent gate); the broken variant adopts on the duplicate alone.
+  // only if the proxy is silent from its OWN vantage too (the
+  // PeerLink::proxy_silent gate); the broken variant adopts on the duplicate alone.
   if (s.failovers < cfg.failover_budget) {
     const auto silent = [&s, &cfg](std::int8_t node) {
       return node != kNone && s.crashed_node == node && s.rejoined == 0 &&

@@ -62,10 +62,10 @@ inline constexpr std::int8_t kNone = -1;
 enum class Variant : std::uint8_t {
   kFaithful = 0,          ///< the protocol as implemented
   kSkipVantageCheck,      ///< failover adoption without the successor's own
-                          ///< silence observation (peer.cpp proxy_silent gate)
+                          ///< silence observation (PeerLink::proxy_silent gate)
   kAcceptUnsigned,        ///< receivers skip origin-signature verification
   kAckUnsubscribed,       ///< anchored-delta acks accepted from any node
-                          ///< (handle_ack's from_proxy r-1..r+1 gate removed)
+                          ///< (handle_state_ack's proxy_near gate removed)
   kUnboundedRetransmit,   ///< reliable control ignores retransmit_budget
   kHandoffAnyRound,       ///< handle_handoff skips stamp-round validation
 };

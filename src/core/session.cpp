@@ -21,17 +21,6 @@ std::unique_ptr<net::LatencyModel> make_latency(NetProfile profile,
   throw std::invalid_argument("bad net profile");
 }
 
-/// Lead classes the UDP send queue must never shed under backpressure: the
-/// reliable control plane (agreement state with its own retransmit budget)
-/// plus the acks that complete it.
-constexpr std::uint32_t control_class_mask() {
-  return (1u << static_cast<unsigned>(MsgType::kSubscribe)) |
-         (1u << static_cast<unsigned>(MsgType::kHandoff)) |
-         (1u << static_cast<unsigned>(MsgType::kChurnNotice)) |
-         (1u << static_cast<unsigned>(MsgType::kAck)) |
-         (1u << static_cast<unsigned>(MsgType::kRejoinNotice));
-}
-
 /// The summed PeerMetrics counters the registry exports, each under its
 /// registry name.
 struct PeerCounter {
@@ -89,7 +78,7 @@ WatchmenSession::WatchmenSession(
                               opts.seed);
     tc.loss_rate = opts.loss_rate;
     tc.seed = opts.seed;
-    tc.control_class_mask = control_class_mask();
+    tc.control_class_mask = never_shed_class_mask();
     net_ = net::make_transport(std::move(tc));
   }
   if (net_->size() != trace.n_players) {

@@ -19,6 +19,10 @@ SimNetwork::SimNetwork(std::size_t n_nodes,
   if (carrier_ && carrier_->size() != n_nodes) {
     throw std::invalid_argument("SimNetwork: carrier spans other node ids");
   }
+  if (carrier_) {
+    carrier_->set_oversize_handler(
+        [this](PlayerId, PlayerId, std::size_t) { carrier_refused_ = true; });
+  }
 }
 
 void SimNetwork::set_handler(PlayerId node, Handler handler) {
@@ -127,8 +131,10 @@ bool SimNetwork::deliver_one(TimeMs t) {
             cls, NetStats::kClassBuckets - 1)];
         continue;  // a drop is not an event the driving thread observes
       }
-      ++stats_.delivered;
-      stats_.delivery_age_ms.add(static_cast<double>(p.due - p.env.sent_at));
+      if (!carrier_) {
+        ++stats_.delivered;
+        stats_.delivery_age_ms.add(static_cast<double>(p.due - p.env.sent_at));
+      }
       env = std::move(p.env);
       break;
     }
@@ -136,10 +142,18 @@ bool SimNetwork::deliver_one(TimeMs t) {
   if (carrier_) {
     // Deliver at exactly `due` in carrier time: advance the carrier (and
     // drain any stragglers), push the one datagram through, drain again so
-    // its handler runs before the next event is considered.
+    // its handler runs before the next event is considered. Only a datagram
+    // the carrier accepts counts as delivered.
     carrier_->run_until(env.delivered_at);
+    carrier_refused_ = false;
     carrier_->send(env.from, env.to, std::move(env.payload),
                    env.wire_bits - kUdpOverheadBits, env.sent_at);
+    if (!carrier_refused_) {
+      const MutexLock lock(mu_);
+      ++stats_.delivered;
+      stats_.delivery_age_ms.add(
+          static_cast<double>(env.delivered_at - env.sent_at));
+    }
     carrier_->run_until(env.delivered_at);
     return true;
   }

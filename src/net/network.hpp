@@ -133,6 +133,9 @@ class SimNetwork : public Transport {
   std::size_t mtu_bytes_ GUARDED_BY(mu_) = 0;
   OversizeHandler oversize_;  ///< driving-thread owned, like handlers_
   const std::unique_ptr<Transport> carrier_;  ///< driving-thread driven
+  /// Set by the carrier's oversize handler when it refuses the datagram
+  /// deliver_one just handed it; driving-thread owned.
+  bool carrier_refused_ = false;
 };
 
 }  // namespace watchmen::net

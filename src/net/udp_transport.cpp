@@ -112,18 +112,6 @@ void UdpTransport::set_handler(PlayerId node, Handler handler) {
   handlers_.at(node) = std::move(handler);
 }
 
-void UdpTransport::set_upload_bps(PlayerId, double) {}
-
-void UdpTransport::set_fault_plan(FaultPlan plan) {
-  const MutexLock lock(mu_);
-  plan_ = std::move(plan);
-}
-
-FaultPlan UdpTransport::fault_plan() const {
-  const MutexLock lock(mu_);
-  return plan_;
-}
-
 void UdpTransport::set_mtu(std::size_t bytes) {
   const MutexLock lock(mu_);
   mtu_bytes_ = bytes;

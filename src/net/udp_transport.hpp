@@ -83,11 +83,11 @@ class UdpTransport final : public Transport {
   void set_handler(PlayerId node, Handler handler) override;
   /// Accepted and ignored: real sockets pace themselves (a SimNetwork
   /// carried over this transport models upload serialization).
-  void set_upload_bps(PlayerId node, double bps) override;
-  /// Stored for fault_plan() symmetry only; injection lives in the
-  /// SimNetwork that carries over this transport.
-  void set_fault_plan(FaultPlan plan) override EXCLUDES(mu_);
-  FaultPlan fault_plan() const override EXCLUDES(mu_);
+  void set_upload_bps(PlayerId, double) override {}
+  /// Ignored: fault injection lives in the SimNetwork that carries over
+  /// this transport, so the plan here is always empty.
+  void set_fault_plan(FaultPlan) override {}
+  FaultPlan fault_plan() const override { return {}; }
 
   void send(PlayerId from, PlayerId to,
             std::shared_ptr<const std::vector<std::uint8_t>> payload,
@@ -142,7 +142,6 @@ class UdpTransport final : public Transport {
   std::deque<Deferred> pending_ GUARDED_BY(mu_);
   std::vector<std::uint64_t> node_bits_ GUARDED_BY(mu_);
   NetStats stats_ GUARDED_BY(mu_);
-  FaultPlan plan_ GUARDED_BY(mu_);
   std::size_t mtu_bytes_ GUARDED_BY(mu_) = 0;
   bool test_block_ GUARDED_BY(mu_) = false;
   OversizeHandler oversize_;  ///< driving-thread owned, like handlers_

@@ -449,7 +449,7 @@ crypto::Digest session_digest(const core::WatchmenSession& s) {
       w.i64(k.pos_frame);
       w.i64(k.track.state_frame);
       put_bool(w, k.track.has_state);
-      w.i64(k.last_heard);
+      w.i64(s.peer(p).link().last_heard(q));
       w.i64(k.newest_frame);
       w.u32(k.newest_seq);
     }

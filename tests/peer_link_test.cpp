@@ -1,0 +1,241 @@
+// PeerLink driven directly over a fixed-latency SimNetwork, with the shipped
+// protocol constants (the wmcheck model runs a smaller retransmit budget):
+//
+//   * an unacked control wire goes out 1 + kRetransmitBudget times on the
+//     backoff-plus-jitter schedule, then expires once;
+//   * only an ack matching (to, origin, seq, type) stops it;
+//   * heartbeats follow the (f + id) % kHeartbeatPeriod cadence, and grades
+//     go Alive -> Suspect -> Dead and heal on traffic;
+//   * with reliable control and the watchdog off, no ack, heartbeat or
+//     retransmit is ever sent (a handoff goes out twice instead).
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <memory>
+#include <vector>
+
+#include "core/messages.hpp"
+#include "core/peer.hpp"
+#include "core/peer_link.hpp"
+#include "core/protocol_params.hpp"
+#include "crypto/keys.hpp"
+#include "net/network.hpp"
+
+namespace watchmen::core {
+namespace {
+
+constexpr std::size_t kN = 4;
+
+/// Four links over one SimNetwork (10 ms fixed latency, no loss). Nodes
+/// have no handlers unless a test installs one, so nothing is acked by
+/// default.
+struct Links {
+  explicit Links(bool reliable, bool watchdog) {
+    cfg.reliable_control = reliable;
+    cfg.liveness_watchdog = watchdog;
+    for (PlayerId p = 0; p < kN; ++p) {
+      links[p] = std::make_unique<PeerLink>(p, kN, cfg, net, keys, metrics[p]);
+    }
+  }
+  /// Frame f on link p: timers (proxy `proxy`, proxied `proxied`), flush,
+  /// then delivery up to the frame's start.
+  void frame(PlayerId p, Frame f, PlayerId proxy = kInvalidPlayer,
+             std::vector<PlayerId> proxied = {}) {
+    links[p]->begin_frame(f);
+    links[p]->run_timers(f, proxy, proxied);
+    links[p]->flush();
+    net.run_until(time_of(f));
+  }
+  /// Seals a subscribe as link p and sends it to `to` as control traffic.
+  MsgHeader send_subscribe(PlayerId p, PlayerId to, Frame f) {
+    const auto wire = std::make_shared<const std::vector<std::uint8_t>>(
+        links[p]->seal(MsgType::kSubscribe, to, f,
+                       encode_subscribe_body(interest::SetKind::kInterest)));
+    links[p]->send_control(to, wire);
+    links[p]->flush();
+    MsgHeader h;
+    h.type = MsgType::kSubscribe;
+    h.origin = p;
+    h.subject = to;
+    h.frame = f;
+    h.seq = links[p]->last_sealed_seq();
+    return h;
+  }
+
+  WatchmenConfig cfg;
+  net::SimNetwork net{kN, std::make_unique<net::FixedLatency>(10.0), 0.0, 7};
+  crypto::KeyRegistry keys{7, kN};
+  std::array<PeerMetrics, kN> metrics;
+  std::array<std::unique_ptr<PeerLink>, kN> links;
+};
+
+/// An ack of `acked` as it arrives from `from`.
+bool deliver_ack(PeerLink& link, PlayerId from, const MsgHeader& acked,
+                 std::uint32_t seq_delta = 0) {
+  net::Envelope env;
+  env.from = from;
+  MsgHeader h;
+  h.type = MsgType::kAck;
+  h.origin = from;
+  AckBody a;
+  a.acked_origin = acked.origin;
+  a.acked_seq = acked.seq + seq_delta;
+  a.acked_type = acked.type;
+  return link.on_ack(env, h, a);
+}
+
+std::size_t subscribe_retransmits(const PeerMetrics& m) {
+  return m.retransmits_by_type[static_cast<std::size_t>(MsgType::kSubscribe)];
+}
+
+TEST(PeerLink, UnackedControlRetransmitsOnScheduleThenExpires) {
+  Links t(/*reliable=*/true, /*watchdog=*/false);
+  t.frame(0, 0);
+  const MsgHeader h = t.send_subscribe(0, 1, 0);
+
+  // The schedule the shipped constants imply: backoff doubling from
+  // kRetransmitBackoff, plus the (origin, seq, attempt) jitter.
+  std::vector<Frame> expected;
+  Frame at = 0;
+  Frame backoff = protocol::kRetransmitBackoff;
+  for (int attempt = 0; attempt <= protocol::kRetransmitBudget; ++attempt) {
+    if (attempt > 0) backoff *= 2;
+    at += backoff + retransmit_jitter(0, h.seq, static_cast<std::uint32_t>(attempt),
+                                      backoff);
+    expected.push_back(at);
+  }
+  const Frame expiry = expected.back();
+  expected.pop_back();
+
+  std::vector<Frame> sent_at;
+  Frame expired_at = -1;
+  for (Frame f = 1; f <= expiry + 50; ++f) {
+    const auto before = t.net.stats().sent;
+    t.frame(0, f);
+    if (t.net.stats().sent > before) sent_at.push_back(f);
+    if (expired_at < 0 && t.metrics[0].reliable_expired > 0) expired_at = f;
+  }
+  EXPECT_EQ(sent_at, expected);
+  EXPECT_EQ(expired_at, expiry);
+  EXPECT_EQ(t.metrics[0].reliable_expired, 1u);
+  EXPECT_EQ(subscribe_retransmits(t.metrics[0]),
+            static_cast<std::size_t>(protocol::kRetransmitBudget));
+  EXPECT_EQ(t.net.stats().sent, 1u + protocol::kRetransmitBudget);
+  EXPECT_EQ(t.metrics[0].messages_sent, 1u + protocol::kRetransmitBudget);
+}
+
+TEST(PeerLink, OnlyAMatchingAckStopsRetransmits) {
+  Links t(/*reliable=*/true, /*watchdog=*/false);
+  t.frame(0, 0);
+  const MsgHeader h = t.send_subscribe(0, 1, 0);
+
+  // Another node's ack, another seq, another type: none match.
+  EXPECT_FALSE(deliver_ack(*t.links[0], 2, h));
+  EXPECT_FALSE(deliver_ack(*t.links[0], 1, h, /*seq_delta=*/1));
+  MsgHeader other_type = h;
+  other_type.type = MsgType::kHandoff;
+  EXPECT_FALSE(deliver_ack(*t.links[0], 1, other_type));
+  Frame f = 1;
+  while (subscribe_retransmits(t.metrics[0]) == 0 && f < 20) t.frame(0, f++);
+  ASSERT_EQ(subscribe_retransmits(t.metrics[0]), 1u);
+
+  // The matching ack from the destination stops it for good.
+  EXPECT_FALSE(deliver_ack(*t.links[0], 1, h));
+  for (; f < 200; ++f) t.frame(0, f);
+  EXPECT_EQ(subscribe_retransmits(t.metrics[0]), 1u);
+  EXPECT_EQ(t.metrics[0].reliable_expired, 0u);
+  EXPECT_EQ(t.metrics[0].acks_received, 4u);
+}
+
+TEST(PeerLink, ReceiverAckRoundTripClearsTheSender) {
+  Links t(/*reliable=*/true, /*watchdog=*/false);
+  t.net.set_handler(1, [&](const net::Envelope& env) {
+    const auto msg = open(env.bytes(), t.keys);
+    ASSERT_TRUE(msg);
+    t.links[1]->maybe_ack(env, msg->header);
+    t.links[1]->flush();
+  });
+  t.net.set_handler(0, [&](const net::Envelope& env) {
+    const auto msg = open(env.bytes(), t.keys);
+    ASSERT_TRUE(msg);
+    ASSERT_EQ(msg->header.type, MsgType::kAck);
+    t.links[0]->on_ack(env, msg->header, decode_ack_body(msg->body));
+  });
+  t.frame(0, 0);
+  t.send_subscribe(0, 1, 0);
+  for (Frame f = 1; f < 200; ++f) t.frame(0, f);
+  EXPECT_EQ(t.metrics[1].acks_sent, 1u);
+  EXPECT_EQ(t.metrics[0].acks_received, 1u);
+  EXPECT_EQ(subscribe_retransmits(t.metrics[0]), 0u);
+  EXPECT_EQ(t.metrics[0].reliable_expired, 0u);
+  EXPECT_EQ(t.net.stats().sent, 2u);  // the subscribe and its ack
+}
+
+TEST(PeerLink, HeartbeatCadenceAndGrades) {
+  Links t(/*reliable=*/false, /*watchdog=*/true);
+  const PlayerId self = 1, proxy = 2, proxied = 3;
+  PeerLink& link = *t.links[self];
+  const auto beats = [&] {
+    return t.metrics[self]
+        .sent_by_type[static_cast<std::size_t>(MsgType::kHeartbeat)];
+  };
+  for (Frame f = 0; f <= 100; ++f) {
+    const auto before = beats();
+    t.frame(self, f, proxy, {proxied});
+    const bool due = (f + self) % protocol::kHeartbeatPeriod == 0;
+    EXPECT_EQ(beats() - before, due ? 2u : 0u) << "frame " << f;
+    // Nothing is ever heard: silence is f frames.
+    const PeerLiveness want = f > protocol::kWatchdogDeadFrames
+                                  ? PeerLiveness::kDead
+                              : f > protocol::kWatchdogSuspectFrames
+                                  ? PeerLiveness::kSuspect
+                                  : PeerLiveness::kAlive;
+    EXPECT_EQ(link.liveness_of(proxy), want) << "frame " << f;
+    EXPECT_EQ(link.liveness_of(proxied), want) << "frame " << f;
+    EXPECT_EQ(link.proxy_silent(proxy), f > protocol::kWatchdogSuspectFrames);
+  }
+  EXPECT_EQ(t.metrics[self].watchdog_suspects, 2u);
+  EXPECT_EQ(t.metrics[self].watchdog_deaths, 2u);
+
+  // Traffic from the proxy heals its grade; the proxied player stays Dead.
+  link.heard(proxy, 100);
+  t.frame(self, 101, proxy, {proxied});
+  EXPECT_EQ(link.liveness_of(proxy), PeerLiveness::kAlive);
+  EXPECT_EQ(link.liveness_of(proxied), PeerLiveness::kDead);
+  EXPECT_FALSE(link.proxy_silent(proxy));
+  EXPECT_EQ(t.metrics[self].watchdog_suspects, 2u);
+  EXPECT_EQ(t.metrics[self].watchdog_deaths, 2u);
+}
+
+TEST(PeerLink, SwitchesOffSendNoAckHeartbeatOrRetransmit) {
+  Links t(/*reliable=*/false, /*watchdog=*/false);
+  PeerLink& link = *t.links[0];
+  t.frame(0, 0, 1, {2});
+  const MsgHeader sub = t.send_subscribe(0, 1, 0);
+  // A handoff goes out twice instead: queued, and once more bare.
+  const auto handoff = std::make_shared<const std::vector<std::uint8_t>>(
+      link.seal(MsgType::kHandoff, 3, 0, encode_handoff_body({})));
+  link.send_control(2, handoff);
+  link.flush();
+  EXPECT_EQ(t.net.stats().sent, 3u);
+  EXPECT_EQ(t.metrics[0].messages_sent, 3u);
+
+  net::Envelope env;
+  env.from = 1;
+  link.maybe_ack(env, sub);
+  EXPECT_FALSE(deliver_ack(link, 1, sub));
+  for (Frame f = 1; f <= 300; ++f) t.frame(0, f, 1, {2});
+  EXPECT_EQ(t.net.stats().sent, 3u);
+  const PeerMetrics& m = t.metrics[0];
+  EXPECT_EQ(m.acks_sent, 0u);
+  EXPECT_EQ(m.acks_received, 0u);
+  EXPECT_EQ(m.sent_by_type[static_cast<std::size_t>(MsgType::kHeartbeat)], 0u);
+  for (const auto n : m.retransmits_by_type) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(m.reliable_expired, 0u);
+  EXPECT_EQ(link.liveness_of(1), PeerLiveness::kAlive);
+  EXPECT_FALSE(link.proxy_silent(1));
+}
+
+}  // namespace
+}  // namespace watchmen::core

@@ -416,6 +416,86 @@ TEST_F(PeerProtocol, MalformedSignedBodiesAreDropped) {
     EXPECT_GT(session.peer(p).metrics().updates_received, before[p])
         << "peer " << p;
   }
+
+  // Control bodies decode before any state changes too, and before the
+  // reliable control plane acks them: a malformed handoff makes its
+  // successor adopt nobody, a malformed churn notice schedules no removal,
+  // and none of them is acked. A well-formed handoff summarizing another
+  // player is acked (receipt, not approval) but adopts nobody either.
+  opts.watchmen.reliable_control = true;
+  WatchmenSession hardened(*trace_, *map_, opts);
+  hardened.run_frames(100);
+  const Frame f = hardened.network().clock().frame();
+  const ProxySchedule& sched = hardened.peer(0).schedule();
+  const std::int64_t r = sched.round_of(f);
+  PlayerId subject = 0;  // one whose proxy changes at the next round
+  while (sched.proxy_of(subject, r) == sched.proxy_of(subject, r + 1)) {
+    ++subject;
+  }
+  const PlayerId old_proxy = sched.proxy_of(subject, r);
+  const PlayerId successor = sched.proxy_of(subject, r + 1);
+  AckBody ack;
+  ack.acked_origin = successor;
+  auto bad_type_ack = encode_ack_body(ack);
+  bad_type_ack.back() = 0x7f;
+  HandoffPayload elsewhere;
+  elsewhere.summary.player = old_proxy;
+
+  struct ControlCase {
+    const char* name;
+    MsgType type;
+    PlayerId origin;
+    PlayerId to;
+    std::vector<std::uint8_t> body;
+    bool well_formed = false;
+  };
+  const std::vector<ControlCase> control_cases = {
+      {"handoff/empty", MsgType::kHandoff, old_proxy, successor, {}},
+      {"handoff/truncated", MsgType::kHandoff, old_proxy, successor,
+       truncated(encode_handoff_body({}), 5)},
+      {"churn/truncated", MsgType::kChurnNotice, old_proxy, successor,
+       truncated(encode_churn_body(r + 1), 3)},
+      {"rejoin/truncated", MsgType::kRejoinNotice, subject, successor,
+       truncated(encode_rejoin_body(r + 2), 3)},
+      {"ack/truncated", MsgType::kAck, old_proxy, successor,
+       truncated(encode_ack_body(ack), 2)},
+      {"ack/type 0x7f", MsgType::kAck, old_proxy, successor, bad_type_ack},
+      {"handoff/other player", MsgType::kHandoff, old_proxy, successor,
+       encode_handoff_body(elsewhere), true},
+  };
+  for (const ControlCase& c : control_cases) {
+    MsgHeader h;
+    h.type = c.type;
+    h.origin = c.origin;
+    h.subject = subject;
+    h.frame = f;
+    h.seq = seq++;
+    net::Envelope env;
+    env.from = c.origin;
+    env.to = c.to;
+    env.payload = std::make_shared<const std::vector<std::uint8_t>>(
+        seal(h, c.body, hardened.keys().key_pair(c.origin)));
+    WatchmenPeer& receiver = hardened.peer(c.to);
+    const PeerMetrics before_case = receiver.metrics();
+    receiver.on_message(env);
+    EXPECT_EQ(receiver.metrics().acks_sent,
+              before_case.acks_sent + (c.well_formed ? 1 : 0))
+        << c.name;
+    EXPECT_EQ(receiver.metrics().acks_received, before_case.acks_received)
+        << c.name;
+    const auto proxied = receiver.proxied_players();
+    EXPECT_EQ(std::count(proxied.begin(), proxied.end(), subject), 0)
+        << c.name;
+  }
+  // Past the round boundary the successor adopts the subject as usual, and
+  // no peer has dropped it from the pool.
+  hardened.run_frames(
+      static_cast<std::size_t>(sched.round_start(r + 1) - f + 1));
+  const auto adopted = hardened.peer(successor).proxied_players();
+  EXPECT_EQ(std::count(adopted.begin(), adopted.end(), subject), 1);
+  for (PlayerId p = 0; p < 12; ++p) {
+    EXPECT_TRUE(hardened.peer(p).schedule().in_pool(subject)) << "peer " << p;
+  }
 }
 
 }  // namespace

@@ -219,14 +219,18 @@ TEST(Transport, FactorySelectsBackend) {
   EXPECT_EQ(t->size(), 3u);
   // The UDP backend is a SimNetwork carried over real sockets: a payload no
   // datagram can hold passes the network's verdicts, then the carrier's
-  // hard ceiling refuses it, and the merged stats() report that.
+  // hard ceiling refuses it, and the merged stats() report that — as
+  // oversize, never as a delivery.
   std::size_t handled = 0;
   t->set_handler(1, [&](const Envelope&) { ++handled; });
   t->send(0, 1, payload_of(2, kMaxDatagramPayload + 1));
   t->run_until(10);
   EXPECT_EQ(handled, 0u);
-  EXPECT_EQ(t->stats().sent, 1u);
-  EXPECT_EQ(t->stats().oversize, 1u);
+  const NetStats st = t->stats();
+  EXPECT_EQ(st.sent, 1u);
+  EXPECT_EQ(st.oversize, 1u);
+  EXPECT_EQ(st.delivered, 0u);
+  EXPECT_EQ(st.delivery_age_ms.count(), 0u);
 }
 
 // The chaos-grade FaultPlan used for the equivalence scripts: a bursty-loss
@@ -424,7 +428,7 @@ TEST(LivenessWatchdog, GradesSilenceAndDrivesFailover) {
   for (PlayerId p = 0; p < s.num_players(); ++p) {
     if (!s.connected(p)) continue;
     EXPECT_FALSE(s.detector().flagged(p)) << "honest player " << p;
-    if (s.peer(p).liveness_of(victim) == core::PeerLiveness::kDead) {
+    if (s.peer(p).link().liveness_of(victim) == core::PeerLiveness::kDead) {
       ++dead_observers;
     }
   }
@@ -467,8 +471,8 @@ TEST(LivenessWatchdog, QuietButAliveLinkHealsBackToAlive) {
   core::WatchmenSession s(trace, map, opts);
   s.run();
 
-  EXPECT_EQ(s.peer(0).liveness_of(1), core::PeerLiveness::kAlive);
-  EXPECT_EQ(s.peer(1).liveness_of(0), core::PeerLiveness::kAlive);
+  EXPECT_EQ(s.peer(0).link().liveness_of(1), core::PeerLiveness::kAlive);
+  EXPECT_EQ(s.peer(1).link().liveness_of(0), core::PeerLiveness::kAlive);
   for (PlayerId p = 0; p < s.num_players(); ++p) {
     EXPECT_FALSE(s.detector().flagged(p)) << "honest player " << p;
   }

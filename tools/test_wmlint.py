@@ -265,6 +265,36 @@ class TransportFactoryTest(unittest.TestCase):
         self.assertEqual(fs, [])
 
 
+class LinkSwitchTest(unittest.TestCase):
+    def test_reads_outside_the_link_flagged(self):
+        fs = lint_tree({"src/core/peer.cpp":
+                        "if (cfg_.reliable_control) flush();\n"
+                        "bool w = o.watchmen.liveness_watchdog == true;\n"
+                        "Frame s = cfg->proxy_failover_silence;\n"})
+        self.assertEqual(checks(fs), ["link-switch"] * 3)
+
+    def test_the_link_and_the_codec_are_exempt(self):
+        fs = lint_tree({"src/core/peer_link.cpp":
+                        "reliable_(cfg.reliable_control),\n",
+                        "src/obs/recorder.cpp":
+                        "put_bool(w, c.liveness_watchdog);\n",
+                        "tests/x.cpp": "if (cfg.reliable_control) {}\n"})
+        self.assertEqual(fs, [])
+
+    def test_assignment_declaration_and_comment_clean(self):
+        fs = lint_tree({"src/core/x.cpp":
+                        "cfg.proxy_failover_silence = 20;\n"
+                        "  bool reliable_control = false;\n"
+                        "// with cfg_.reliable_control on, acks flow\n"})
+        self.assertEqual(fs, [])
+
+    def test_allow_annotation(self):
+        fs = lint_tree({"src/core/x.cpp":
+                        "// wmlint: allow(link-switch)\n"
+                        "if (cfg_.reliable_control) flush();\n"})
+        self.assertEqual(fs, [])
+
+
 class IncludeHygieneTest(unittest.TestCase):
     def test_missing_pragma_once(self):
         fs = lint_tree({"src/util/x.hpp": "#include <vector>\n"})

@@ -56,6 +56,11 @@ config-knob     Every field of WatchmenConfig (src/core/peer.hpp) and
                 a constexpr. An exempt field carries
                 `// wmlint: allow(config-knob) <reason>`; the reason is
                 required.
+link-switch     WatchmenConfig's reliable_control, liveness_watchdog and
+                proxy_failover_silence are read in src/ only by
+                core/peer_link.cpp (and the .wmrec codec, which copies every
+                field): a role branching on them forks the control plane
+                PeerLink keeps in one place.
 format          (--format only) clang-format --dry-run over src/; skipped
                 with a notice when clang-format is not installed.
 
@@ -133,6 +138,14 @@ MUTEX_DECL_RE = re.compile(
     r"\b(?:std::(?:recursive_|shared_|timed_|recursive_timed_)?mutex"
     r"|(?:util::)?Mutex)\s+(\w+)\s*(?:;|=|\{)")
 GUARD_TARGET_RE = re.compile(r"\b(?:PT_)?GUARDED_BY\(\s*(?:this->)?(\w+)")
+
+# A member read of a control-plane switch: `.x` / `->x` not followed by a
+# plain assignment (`==` is a read).
+LINK_SWITCH_READ_RE = re.compile(
+    r"(?:\.|->)\s*(reliable_control|liveness_watchdog|proxy_failover_silence)"
+    r"\b(?!\s*=(?!=))")
+# The link itself, and the .wmrec codec that copies every config field.
+LINK_SWITCH_OWNERS = ("src/core/peer_link.cpp", "src/obs/recorder.cpp")
 
 
 class Finding:
@@ -276,24 +289,38 @@ def check_mutex_guarded(path: Path, rel: str, lines: list[str]) -> list[Finding]
     return out
 
 
+def code_matches(path: Path, lines: list[str], check: str,
+                 pattern: re.Pattern, message) -> list[Finding]:
+    """A finding, worded by `message(match)`, on every line whose code
+    (comments stripped) matches `pattern` and carries no allow."""
+    out = []
+    for i, line in enumerate(lines):
+        m = pattern.search(re.sub(r"//.*$", "", line))
+        if m and not allowed(lines, i, check):
+            out.append(Finding(path, i + 1, check, message(m)))
+    return out
+
+
 def check_transport_factory(path: Path, rel: str,
                             lines: list[str]) -> list[Finding]:
     if rel.startswith(TRANSPORT_EXEMPT_PREFIXES):
         return []
-    out = []
-    for i, line in enumerate(lines):
-        code = re.sub(r"//.*$", "", line)
-        if not TRANSPORT_CTOR_RE.search(code):
-            continue
-        if allowed(lines, i, "transport-factory"):
-            continue
-        out.append(Finding(
-            path, i + 1, "transport-factory",
-            "direct SimNetwork construction bypasses net::make_transport — "
-            "build a TransportConfig instead (net/transport.hpp) so the "
-            "backend selector and UDP carrier wiring apply, or annotate "
-            "`// wmlint: allow(transport-factory)` with a rationale"))
-    return out
+    return code_matches(
+        path, lines, "transport-factory", TRANSPORT_CTOR_RE, lambda m:
+        "direct SimNetwork construction bypasses net::make_transport — "
+        "build a TransportConfig instead (net/transport.hpp) so the "
+        "backend selector and UDP carrier wiring apply, or annotate "
+        "`// wmlint: allow(transport-factory)` with a rationale")
+
+
+def check_link_switch(path: Path, rel: str, lines: list[str]) -> list[Finding]:
+    if not rel.startswith("src/") or rel in LINK_SWITCH_OWNERS:
+        return []
+    return code_matches(
+        path, lines, "link-switch", LINK_SWITCH_READ_RE, lambda m:
+        f"read of WatchmenConfig::{m.group(1)} outside "
+        "src/core/peer_link.cpp — call the PeerLink that owns it, or "
+        "annotate `// wmlint: allow(link-switch)` with a rationale")
 
 
 def check_include_hygiene(path: Path, rel: str, lines: list[str]) -> list[Finding]:
@@ -344,86 +371,55 @@ def check_whitespace(path: Path, rel: str, lines: list[str],
     return out
 
 
-MSGTYPE_ENUM_RE = re.compile(r"enum\s+class\s+MsgType\b")
-MSGTYPE_MEMBER_RE = re.compile(r"^\s*(k[A-Z]\w*)\s*(?:=\s*[^,]+)?,?\s*(?://.*)?$")
+ENUM_MEMBER_RE = re.compile(r"^\s*(k[A-Z]\w*)\s*(?:=\s*[^,]+)?,?\s*(?://.*)?$")
+
+
+def enum_members(lines: list[str], *enums: str) -> list[tuple[int, str]]:
+    """(line idx, `Enum::kMember`) for each member of the named `enum class`es,
+    declared one per line."""
+    enum_re = re.compile(rf"enum\s+class\s+({'|'.join(enums)})\b")
+    out = []
+    enum = None
+    for i, line in enumerate(lines):
+        if enum is None:
+            m = enum_re.search(line)
+            enum = m.group(1) if m else None
+        elif "}" in line:
+            enum = None
+        elif m := ENUM_MEMBER_RE.match(line):
+            out.append((i, f"{enum}::{m.group(1)}"))
+    return out
+
+
+def check_corpus_seeds(root: Path, header: str, enums: tuple[str, ...],
+                       check: str, hint: str) -> list[Finding]:
+    """Every member of `enums` (declared in `header`) must appear qualified in
+    the fuzz corpus generator, so each variant has a well-formed seed."""
+    path = root / header
+    gen = root / "fuzz" / "gen_corpus.cpp"
+    if not path.exists() or not gen.exists():
+        return []  # layout not present (e.g. partial checkout): nothing to do
+    lines = path.read_text(encoding="utf-8").split("\n")
+    gen_text = gen.read_text(encoding="utf-8")
+    return [Finding(path, i + 1, check,
+                    f"{qualified} has no seed in fuzz/gen_corpus.cpp — {hint} "
+                    f"(and regenerate the corpus) or annotate "
+                    f"`// wmlint: allow({check})`")
+            for i, qualified in enum_members(lines, *enums)
+            if not qualified.endswith("::kNumMsgTypes")
+            and qualified not in gen_text and not allowed(lines, i, check)]
 
 
 def check_msgtype_corpus(root: Path) -> list[Finding]:
-    """Every MsgType member must appear as MsgType::kX in the corpus
-    generator, so each wire type has at least one well-formed fuzz seed."""
-    messages = root / "src" / "core" / "messages.hpp"
-    gen = root / "fuzz" / "gen_corpus.cpp"
-    if not messages.exists() or not gen.exists():
-        return []  # layout not present (e.g. partial checkout): nothing to do
-    lines = messages.read_text(encoding="utf-8").split("\n")
-    members: list[tuple[int, str]] = []  # (line idx, member name)
-    in_enum = False
-    for i, line in enumerate(lines):
-        if not in_enum:
-            if MSGTYPE_ENUM_RE.search(line):
-                in_enum = True
-            continue
-        if "}" in line:
-            break
-        m = MSGTYPE_MEMBER_RE.match(line)
-        if m and m.group(1) != "kNumMsgTypes":
-            members.append((i, m.group(1)))
-    gen_text = gen.read_text(encoding="utf-8")
-    out = []
-    for i, name in members:
-        if f"MsgType::{name}" in gen_text:
-            continue
-        if allowed(lines, i, "msgtype-corpus"):
-            continue
-        out.append(Finding(
-            messages, i + 1, "msgtype-corpus",
-            f"MsgType::{name} has no seed in fuzz/gen_corpus.cpp — add a "
-            "well-formed sealed envelope for it (and regenerate the corpus) "
-            "or annotate `// wmlint: allow(msgtype-corpus)`"))
-    return out
-
-
-RECORD_ENUM_RE = re.compile(r"enum\s+class\s+(RosterCheat|RecEventKind)\b")
+    return check_corpus_seeds(
+        root, "src/core/messages.hpp", ("MsgType",), "msgtype-corpus",
+        "add a well-formed sealed envelope for it")
 
 
 def check_record_corpus(root: Path) -> list[Finding]:
-    """Every RosterCheat / RecEventKind member must appear qualified in the
-    corpus generator, so each .wmrec variant has a well-formed fuzz seed."""
-    recorder = root / "src" / "obs" / "recorder.hpp"
-    gen = root / "fuzz" / "gen_corpus.cpp"
-    if not recorder.exists() or not gen.exists():
-        return []  # layout not present (e.g. partial checkout): nothing to do
-    lines = recorder.read_text(encoding="utf-8").split("\n")
-    members: list[tuple[int, str]] = []  # (line idx, qualified member)
-    enum_name = None
-    for i, line in enumerate(lines):
-        if enum_name is None:
-            m = RECORD_ENUM_RE.search(line)
-            if m:
-                enum_name = m.group(1)
-            continue
-        if "}" in line:
-            enum_name = None
-            continue
-        m = MSGTYPE_MEMBER_RE.match(line)
-        if m:
-            members.append((i, f"{enum_name}::{m.group(1)}"))
-    gen_text = gen.read_text(encoding="utf-8")
-    out = []
-    for i, qualified in members:
-        if qualified in gen_text:
-            continue
-        if allowed(lines, i, "record-corpus"):
-            continue
-        out.append(Finding(
-            recorder, i + 1, "record-corpus",
-            f"{qualified} has no seed in fuzz/gen_corpus.cpp — extend the "
-            "fuzz_record recording to cover it (and regenerate the corpus) "
-            "or annotate `// wmlint: allow(record-corpus)`"))
-    return out
-
-
-PENALTY_ENUM_RE = re.compile(r"enum\s+class\s+PenaltyReason\b")
+    return check_corpus_seeds(
+        root, "src/obs/recorder.hpp", ("RosterCheat", "RecEventKind"),
+        "record-corpus", "extend the fuzz_record recording to cover it")
 
 
 def check_penalty_reason(root: Path) -> list[Finding]:
@@ -436,35 +432,23 @@ def check_penalty_reason(root: Path) -> list[Finding]:
     if not hpp.exists() or not cpp.exists() or not tests_dir.is_dir():
         return []  # layout not present (e.g. partial checkout): nothing to do
     lines = hpp.read_text(encoding="utf-8").split("\n")
-    members: list[tuple[int, str]] = []  # (line idx, member name)
-    in_enum = False
-    for i, line in enumerate(lines):
-        if not in_enum:
-            if PENALTY_ENUM_RE.search(line):
-                in_enum = True
-            continue
-        if "}" in line:
-            break
-        m = MSGTYPE_MEMBER_RE.match(line)
-        if m:
-            members.append((i, m.group(1)))
     cpp_text = cpp.read_text(encoding="utf-8")
     tests_text = "\n".join(p.read_text(encoding="utf-8")
                            for p in sorted(tests_dir.glob("*.cpp")))
     out = []
-    for i, name in members:
+    for i, name in enum_members(lines, "PenaltyReason"):
         if allowed(lines, i, "penalty-reason"):
             continue
-        if f"case PenaltyReason::{name}:" not in cpp_text:
+        if f"case {name}:" not in cpp_text:
             out.append(Finding(
                 hpp, i + 1, "penalty-reason",
-                f"PenaltyReason::{name} missing from the to_string() table in "
+                f"{name} missing from the to_string() table in "
                 "misbehavior_engine.cpp — every reason needs a stable metric "
                 "label (rep.penalty{reason=...})"))
-        if f"PenaltyReason::{name}" not in tests_text:
+        if name not in tests_text:
             out.append(Finding(
                 hpp, i + 1, "penalty-reason",
-                f"PenaltyReason::{name} never named in tests/ — add a "
+                f"{name} never named in tests/ — add a "
                 "regression test or annotate "
                 "`// wmlint: allow(penalty-reason)` with a rationale"))
     return out
@@ -594,6 +578,7 @@ def lint_file(path: Path, root: Path) -> list[Finding]:
     findings += check_decoder_abort(path, rel, lines)
     findings += check_mutex_guarded(path, rel, lines)
     findings += check_transport_factory(path, rel, lines)
+    findings += check_link_switch(path, rel, lines)
     findings += check_include_hygiene(path, rel, lines)
     findings += check_whitespace(path, rel, lines, raw)
     return findings

@@ -65,17 +65,6 @@ constexpr auto kFramePeriod = std::chrono::milliseconds(5);
 
 int group_of(PlayerId p) { return p < kGroupSize ? 0 : 1; }
 
-std::uint32_t control_class_mask() {
-  std::uint32_t mask = 0;
-  for (const core::MsgType t :
-       {core::MsgType::kSubscribe, core::MsgType::kHandoff,
-        core::MsgType::kChurnNotice, core::MsgType::kAck,
-        core::MsgType::kRejoinNotice}) {
-    mask |= 1u << static_cast<std::uint8_t>(t);
-  }
-  return mask;
-}
-
 struct Endpoint {
   int fd = -1;
   std::uint16_t port = 0;
@@ -131,7 +120,7 @@ core::SessionOptions child_options(int group,
     tc.latency = std::make_unique<net::FixedLatency>(25.0);
     tc.loss_rate = 0.01;
     tc.seed = kSeed;
-    tc.control_class_mask = control_class_mask();
+    tc.control_class_mask = core::never_shed_class_mask();
     tc.udp_fds.resize(n, -1);
     tc.udp_ports.resize(n, 0);
     for (PlayerId p = 0; p < n; ++p) {
