@@ -5,9 +5,10 @@
 // with FNV-1a hash dedup. BFS (rather than DFS) is deliberate: the first
 // path that reaches a violating state is a shortest path, so the emitted
 // counterexample is minimal in action count. Traces are reconstructed by
-// replaying actions from the initial state — the frontier stores hashes and
-// parent edges, never full state copies, so memory stays at ~24 bytes per
-// distinct state plus the current BFS level.
+// replaying actions from the initial state — the visited set keeps only a
+// hash and a parent edge per distinct state (one 24-byte slot of a flat
+// open-addressing table), never a state copy; full states live only in the
+// current and next BFS level. Visiting a state allocates nothing.
 
 #include <cstdint>
 #include <string>

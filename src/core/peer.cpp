@@ -32,8 +32,7 @@ WatchmenPeer::WatchmenPeer(PlayerId id, WatchmenConfig cfg, net::Transport& net,
       recv_state_in_round_(schedule.num_players(), 0),
       is_held_frames_in_round_(schedule.num_players(), 0),
       pending_starve_(schedule.num_players()),
-      churn_removal_round_(schedule.num_players(), -1),
-      churn_restore_round_(schedule.num_players(), -1),
+      pool_agreement_(schedule.num_players()),
       pool_eligible_(schedule.num_players(), true),
       link_(id, schedule.num_players(), cfg_, net, keys, metrics_) {}
 
@@ -90,7 +89,7 @@ void WatchmenPeer::handle_state_ack(PlayerId from, const AckBody& a) {
   // plausible proxy-of-round may steer our anchor: a forged ack from anyone
   // else could pin deltas to baselines the proxy never held.
   if (a.acked_origin != id_) return;
-  if (!schedule_.proxy_near(from, id_, schedule_.round_of(frame_))) return;
+  if (!authority::near(schedule_, from, id_, schedule_.round_of(frame_))) return;
   const SentSeq& slot = sent_seqs_[a.acked_seq % sent_seqs_.size()];
   if (slot.frame >= 0 && slot.seq == a.acked_seq && slot.frame > acked_frame_) {
     acked_frame_ = slot.frame;
@@ -105,31 +104,17 @@ void WatchmenPeer::begin_frame(Frame f) {
   const std::int64_t r = schedule_.round_of(f);
   if (r != round_) {
     round_ = r;
-    // Apply agreed churn removals: departed players leave the proxy pool at
-    // the round announced in the churn notice, keeping schedules consistent.
+    // Apply the agreed churn removals and restores due now: departed
+    // players leave the pool at the round their churn notice announced,
+    // rejoined or heal-recovered ones re-enter at their rejoin notice's
+    // round — everyone at the same boundary, keeping schedules consistent.
     for (PlayerId q = 0; q < schedule_.num_players(); ++q) {
-      if (churn_removal_round_[q] >= 0 && r >= churn_removal_round_[q] &&
-          schedule_.in_pool(q)) {
-        schedule_.remove_from_pool(q);
-        last_pool_change_round_ = r;
-      }
-    }
-    // Apply agreed pool restores (the churn agreement run in reverse): a
-    // rejoined or heal-recovered player re-enters every pool at the round
-    // its kRejoinNotice announced.
-    for (PlayerId q = 0; q < schedule_.num_players(); ++q) {
-      if (churn_restore_round_[q] < 0 || r < churn_restore_round_[q]) continue;
-      // Restores only undo *churn* removals; a node configured out of the
-      // pool (weight 0) or reputation-barred (set_pool_standing) stays out
-      // no matter what notices claim.
-      if (!schedule_.in_pool(q) && churn_removal_round_[q] >= 0 &&
-          pool_eligible_[q]) {
-        schedule_.restore_to_pool(q);
-        last_pool_change_round_ = r;
-      }
-      churn_restore_round_[q] = -1;
-      churn_removal_round_[q] = -1;
-      pending_starve_[q].active = false;
+      const authority::BoundaryStep step = authority::boundary_step(
+          pool_agreement_[q], r, schedule_.in_pool(q), pool_eligible_[q]);
+      if (step.removed) schedule_.remove_from_pool(q);
+      if (step.restored) schedule_.restore_to_pool(q);
+      if (step.removed || step.restored) last_pool_change_round_ = r;
+      if (step.restore_due) pending_starve_[q].active = false;
     }
     // Pool reconciliation, run by whoever serves a churn-removed player
     // this round (its proxy in *our* view):
@@ -141,17 +126,15 @@ void WatchmenPeer::begin_frame(Frame f) {
     //    locally, so the notice is accepted from us even where pools
     //    disagree about who the proxy is).
     for (PlayerId q = 0; q < schedule_.num_players(); ++q) {
-      if (q == id_ || schedule_.in_pool(q) || churn_removal_round_[q] < 0) {
-        continue;
-      }
+      authority::PoolRecord<>& rec = pool_agreement_[q];
+      if (q == id_ || schedule_.in_pool(q) || rec.removal < 0) continue;
       if (schedule_.proxy_of(q, r) != id_) continue;
       const Frame heard = link_.last_heard(q);
       if (heard >= 0 && f - heard <= cfg_.renewal_frames) {
-        if (churn_restore_round_[q] >= 0) continue;  // already scheduled
-        const std::int64_t restore = r + protocol::kRejoinRestoreDelayRounds;
-        churn_restore_round_[q] = restore;
+        if (rec.restore >= 0) continue;  // already scheduled
+        authority::merge_restore(rec, r, authority::restore_round(r));
         broadcast_control(MsgType::kRejoinNotice, q,
-                          encode_rejoin_body(restore));
+                          encode_rejoin_body(rec.restore));
       } else {
         broadcast_control(MsgType::kChurnNotice, q, encode_churn_body(r + 1));
       }
@@ -342,7 +325,7 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     // the freshness signal the chaos suite compares against its baseline.
     // Players agreed departed (their trace avatar lingers as a ghost no
     // node animates) would grow without bound and are excluded.
-    if (know_[t].track.state_frame >= 0 && churn_removal_round_[t] < 0) {
+    if (know_[t].track.state_frame >= 0 && pool_agreement_[t].removal < 0) {
       metrics_.staleness_frames.add(static_cast<double>(f - know_[t].track.state_frame));
     }
   }
@@ -412,7 +395,7 @@ void WatchmenPeer::end_frame(Frame f) {
     }
 
     PendingStarve& pending = pending_starve_[q];
-    if (churn_removal_round_[q] >= 0) {
+    if (pool_agreement_[q].removal >= 0) {
       pending.active = false;  // announced departure explains the silence
     } else if (pending.active) {
       if (watched && !starving) {
@@ -466,7 +449,7 @@ void WatchmenPeer::end_frame(Frame f) {
       // rounds), the player may simply be reporting to whom *it* computes
       // as this round's proxy — keep the evidence below high confidence.
       if (silent && !silent_everywhere && rate_res.rating > 5.0 &&
-          last_pool_change_round_ >= r - 2) {
+          authority::in_transition_grace(r, last_pool_change_round_)) {
         rate_res.rating = 5.0;
       }
       emit(q, silent ? verify::CheckType::kEscape : verify::CheckType::kRate,
@@ -489,10 +472,11 @@ void WatchmenPeer::end_frame(Frame f) {
       // but a freshly-changed pool makes the routing ambiguous.)
       if (silent && silent_everywhere &&
           expected >= static_cast<std::size_t>(cfg_.renewal_frames) &&
-          schedule_.in_pool(q) && churn_removal_round_[q] < 0) {
-        const std::int64_t removal = r + protocol::kChurnRemovalDelayRounds;
-        churn_removal_round_[q] = removal;
-        broadcast_control(MsgType::kChurnNotice, q, encode_churn_body(removal));
+          schedule_.in_pool(q) && pool_agreement_[q].removal < 0) {
+        authority::merge_removal(pool_agreement_[q], true, r,
+                                 authority::removal_round(r));
+        broadcast_control(MsgType::kChurnNotice, q,
+                          encode_churn_body(pool_agreement_[q].removal));
       }
     }
 
@@ -789,18 +773,21 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
   const MsgHeader& h = msg.header;
   const auto it = proxied_.find(h.origin);
   ProxiedState* psp = it != proxied_.end() ? &it->second : nullptr;
-  if (!psp && link_.failover_on() &&
-      schedule_.proxy_of(h.origin, round_) != id_ &&
-      schedule_.proxy_of(h.origin, round_ + 1) == id_ &&
-      !grace_.contains(h.origin)) {
-    // Emergency proxy failover: the origin routed to us — its
-    // successor-of-round — because its proxy went silent from its vantage.
-    // If the proxy looks dead from here too, adopt early, seeded with the
-    // summary we already hold from a previous tenure so the two-round
-    // follow-up chain survives. If the proxy looks alive from here, drop
-    // silently: over-eager routing is a loss symptom, not a cheat.
-    const PlayerId cur = schedule_.proxy_of(h.origin, round_);
-    if (!link_.proxy_silent(cur)) return;
+  // Emergency proxy failover: the origin routed to us — its
+  // successor-of-round — because its proxy went silent from its vantage.
+  // If the proxy looks dead from here too, adopt early, seeded with the
+  // summary we already hold from a previous tenure so the two-round
+  // follow-up chain survives. If the proxy looks alive from here, drop
+  // silently: over-eager routing is a loss symptom, not a cheat.
+  const authority::Failover failover =
+      !psp && link_.failover_on() && !grace_.contains(h.origin)
+          ? authority::failover(schedule_, h.origin, id_, round_,
+                                [this](PlayerId cur) {
+                                  return link_.proxy_silent(cur);
+                                })
+          : authority::Failover::kNotSuccessor;
+  if (failover == authority::Failover::kIncumbentHeard) return;
+  if (failover == authority::Failover::kAdopt) {
     psp = &adopt(h.origin, frame_);
     if (const auto s = my_last_summaries_.find(h.origin);
         s != my_last_summaries_.end()) {
@@ -1167,7 +1154,8 @@ void WatchmenPeer::handle_churn_notice(const MsgHeader& h,
   const std::int64_t notice_round = schedule_.round_of(h.frame);
   const Frame heard = link_.last_heard(h.subject);
   const bool silent_here = heard < 0 || frame_ - heard > cfg_.renewal_frames;
-  if (!silent_here && schedule_.proxy_of(h.subject, notice_round) != h.origin) {
+  if (!authority::accept_churn_notice(schedule_, h.subject, h.origin,
+                                     notice_round, silent_here)) {
     // Around pool transitions (and partition heals) peers' pools — and so
     // their idea of "the proxy" — may legitimately diverge; don't blame.
     if (!pool_transition_grace()) {
@@ -1176,11 +1164,8 @@ void WatchmenPeer::handle_churn_notice(const MsgHeader& h,
     return;
   }
 
-  if (removal < notice_round + 1) return;  // cannot rewrite the past
-  if (churn_removal_round_[h.subject] < 0 ||
-      removal < churn_removal_round_[h.subject]) {
-    churn_removal_round_[h.subject] = removal;
-  }
+  authority::merge_removal(pool_agreement_[h.subject], true, notice_round,
+                           removal);
 }
 
 void WatchmenPeer::handle_rejoin_notice(const MsgHeader& h,
@@ -1195,18 +1180,13 @@ void WatchmenPeer::handle_rejoin_notice(const MsgHeader& h,
   // serving node, and pools are exactly what diverges during the faults
   // this message heals.
   const std::int64_t notice_round = schedule_.round_of(h.frame);
-  const bool from_subject = h.origin == h.subject;
-  const bool from_proxy =
-      schedule_.proxy_of(h.subject, notice_round) == h.origin;
   const Frame heard = link_.last_heard(h.subject);
   const bool alive_here = heard >= 0 && frame_ - heard <= cfg_.renewal_frames;
-  if (!from_subject && !from_proxy && !alive_here) return;
-
-  if (restore < notice_round + 1) return;  // cannot rewrite the past
-  if (churn_restore_round_[h.subject] < 0 ||
-      restore < churn_restore_round_[h.subject]) {
-    churn_restore_round_[h.subject] = restore;
+  if (!authority::accept_rejoin_notice(schedule_, h.subject, h.origin,
+                                       notice_round, alive_here)) {
+    return;
   }
+  authority::merge_restore(pool_agreement_[h.subject], notice_round, restore);
 }
 
 void WatchmenPeer::broadcast_control(MsgType type, PlayerId subject,
@@ -1240,10 +1220,9 @@ void WatchmenPeer::rejoin(Frame f) {
   // removed by churn and announces nothing.)
   if (f - last_alive > cfg_.renewal_frames && schedule_.in_pool(id_)) {
     schedule_.remove_from_pool(id_);
-    churn_removal_round_[id_] = round_;
     last_pool_change_round_ = round_;
-    const std::int64_t restore = round_ + protocol::kRejoinRestoreDelayRounds;
-    churn_restore_round_[id_] = restore;
+    const std::int64_t restore =
+        authority::leave_for_rejoin(pool_agreement_[id_], round_);
     broadcast_control(MsgType::kRejoinNotice, id_, encode_rejoin_body(restore));
   }
 
@@ -1261,10 +1240,8 @@ void WatchmenPeer::rejoin(Frame f) {
 
 bool WatchmenPeer::pool_transition_grace() const {
   // While peers apply churn removals, their schedules may briefly diverge;
-  // protocol-violation reports are suppressed for two rounds around any
-  // pool change.
-  return round_ - last_pool_change_round_ <=
-         protocol::kPoolTransitionGraceRounds;
+  // protocol-violation reports are suppressed around any pool change.
+  return authority::in_transition_grace(round_, last_pool_change_round_);
 }
 
 void WatchmenPeer::handle_handoff(const MsgHeader& h,
@@ -1273,8 +1250,17 @@ void WatchmenPeer::handle_handoff(const MsgHeader& h,
   // h.frame sits under the origin's signature, so validating against the
   // stamped round (instead of "our previous round") stays correct for
   // retransmits and delayed copies that arrive rounds later.
-  const std::int64_t stamp_round = schedule_.round_of(h.frame);
-  if (schedule_.proxy_of(h.subject, stamp_round) != h.origin) {
+  //
+  // Round-boundary race: the handoff outran our begin_frame adoption (it is
+  // sent in the last instants of the old round, so on a fast link it lands
+  // before the new round's first begin_frame). If we are the incoming
+  // proxy, adopt now; anyone else — including us when a stale retransmit
+  // outlives our tenure — ignores it.
+  const auto it = proxied_.find(h.subject);
+  const authority::Handoff verdict = authority::handoff_verdict(
+      schedule_, h.subject, h.origin, id_, schedule_.round_of(h.frame),
+      schedule_.round_of(net_->clock().frame()), it != proxied_.end());
+  if (verdict == authority::Handoff::kWrongOrigin) {
     if (!pool_transition_grace()) {
       emit_certain(h.origin, verify::CheckType::kConsistency, h.frame, 8.0);
     }
@@ -1282,21 +1268,10 @@ void WatchmenPeer::handle_handoff(const MsgHeader& h,
   }
   // A summary of some other player seeds nothing and adopts nobody.
   if (payload.summary.player != h.subject) return;
-
-  const auto it = proxied_.find(h.subject);
-  ProxiedState* psp = it != proxied_.end() ? &it->second : nullptr;
-  if (!psp) {
-    // Round-boundary race: the handoff outran our begin_frame adoption (it
-    // is sent in the last instants of the old round, so on a fast link it
-    // lands before the new round's first begin_frame). If we are the
-    // incoming proxy, adopt now; anyone else — including us when a stale
-    // retransmit outlives our tenure — ignores it.
-    const std::int64_t now_round = schedule_.round_of(net_->clock().frame());
-    if (stamp_round + protocol::kHandoffStaleRounds < now_round) return;
-    if (schedule_.proxy_of(h.subject, stamp_round + 1) != id_) return;
-    psp = &adopt(h.subject, net_->clock().frame());
-  }
-  ProxiedState& ps = *psp;
+  if (verdict == authority::Handoff::kIgnore) return;
+  ProxiedState& ps = verdict == authority::Handoff::kAdopt
+                         ? adopt(h.subject, net_->clock().frame())
+                         : it->second;
   ps.seed(payload.summary);
   if (payload.summary.has_guidance && !ps.track.has_guidance) {
     // Continue the dead-reckoning window that spans the renewal: path

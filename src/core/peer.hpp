@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/authority.hpp"
 #include "core/handoff.hpp"
 #include "core/messages.hpp"
 #include "core/misbehavior.hpp"
@@ -574,14 +575,11 @@ class WatchmenPeer {
   // checker verifies the same timing the implementation runs.
   static constexpr Frame kGraceFrames = protocol::kGraceFrames;
 
-  // Churn (§VI): agreed round at which each player leaves the proxy pool
-  // (-1 = not scheduled), and the round of this peer's last pool change
-  // (protocol-violation reports are suppressed around pool transitions,
-  // when peers' schedules may briefly diverge).
-  std::vector<std::int64_t> churn_removal_round_;
-  /// Agreed round at which each player re-enters the pool (-1 = none);
-  /// the inverse of churn_removal_round_, fed by kRejoinNotice.
-  std::vector<std::int64_t> churn_restore_round_;
+  // Churn (§VI): this peer's churn/rejoin agreement about each player —
+  // agreed removal and restore rounds (core/authority.hpp) — and the round
+  // of its last pool change (protocol-violation reports are suppressed
+  // around pool transitions, when peers' schedules may briefly diverge).
+  std::vector<authority::PoolRecord<>> pool_agreement_;
   /// Players reputation-barred from the pool (set_pool_standing): sticky,
   /// vetoes churn restores.
   std::vector<bool> pool_eligible_;

@@ -1,13 +1,11 @@
 #include "core/protocol_model.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <type_traits>
 
 namespace watchmen::core::model {
 
 namespace {
-
-constexpr std::int8_t kNeverChanged = -16;  ///< "pool never changed" sentinel
 
 bool live(const State& s, int node) {
   if (node == 0) return true;  // the subject player never crashes
@@ -16,18 +14,34 @@ bool live(const State& s, int node) {
 
 std::uint8_t bit(int node) { return static_cast<std::uint8_t>(1u << node); }
 
-/// Proxy of an arbitrary *pool node* c (used for churn announcements):
-/// rotation over the pool excluding c itself, offset by c so different
-/// players get different proxies — a pure stand-in for the seeded hash
-/// schedule.
-std::int8_t proxy_of_node(int c, std::int8_t round, std::uint8_t pool_mask) {
+/// Round-robin schedule of `player` over a pool view: rotation over the pool
+/// excluding the player itself, offset by it so different players get
+/// different proxies — a pure stand-in for the seeded hash schedule. Rounds
+/// can go transiently negative in stamp arithmetic; clamp into the rotation.
+std::int8_t schedule_of(int player, std::int64_t round, std::uint8_t pool_mask) {
   std::int8_t cands[kMaxNodes];
   int n = 0;
   for (int i = 0; i < kMaxNodes; ++i) {
-    if (i != c && (pool_mask & bit(i)) != 0) cands[n++] = static_cast<std::int8_t>(i);
+    if (i != player && (pool_mask & bit(i)) != 0) {
+      cands[n++] = static_cast<std::int8_t>(i);
+    }
   }
   if (n == 0) return kNone;
-  return cands[(round + c) % n];
+  return cands[(std::max<std::int64_t>(round, 0) + player) % n];
+}
+
+/// Node j's schedule, as the authority rules' proxy_of(player, round).
+auto view_of(const State& s, int j) {
+  return [mask = s.pool_view[j]](int player, std::int64_t round) {
+    return schedule_of(player, round, mask);
+  };
+}
+
+/// `node` down (not rejoined) for at least `rounds` rounds. Every live node
+/// observes the same silence: the model's "silent here".
+bool silent(const State& s, int node, int rounds) {
+  return node != kNone && s.crashed_node == node && s.rejoined == 0 &&
+         s.round - s.crash_round >= rounds;
 }
 
 /// Sticky I1 check. The schedule is a deterministic function of
@@ -48,6 +62,12 @@ void check_dual_proxy(State& s) {
       }
     }
   }
+}
+
+/// A signed message.
+Msg msg(MsgKind kind, int from, int to, int subject, int stamp) {
+  const auto b = [](int v) { return static_cast<std::int8_t>(v); };
+  return {kind, b(from), b(to), b(subject), b(stamp), 1};
 }
 
 void enqueue(State& s, const Msg& m) {
@@ -80,14 +100,10 @@ void canonicalize(State& s) {
 /// whose advertised pool (their own re-broadcasts) shows they missed the
 /// notice, so a peer with the change already scheduled is not re-notified.
 bool needs_remove(const State& s, int j, int about) {
-  return (s.pool_view[j] & bit(about)) != 0 &&
-         s.pending_remove_round[j] == kNone;
+  return (s.pool_view[j] & bit(about)) != 0 && s.agreement[j].removal == kNone;
 }
 bool needs_restore(const State& s, int j, int about) {
-  const bool will_hold = ((s.pool_view[j] & bit(about)) != 0 &&
-                          s.pending_remove_round[j] == kNone) ||
-                         s.pending_restore_round[j] != kNone;
-  return !will_hold;
+  return !needs_remove(s, j, about) && s.agreement[j].restore == kNone;
 }
 
 void broadcast_notice(State& s, const ModelConfig& cfg, MsgKind kind,
@@ -98,99 +114,57 @@ void broadcast_notice(State& s, const ModelConfig& cfg, MsgKind kind,
                                       : !needs_restore(s, j, about)) {
       continue;
     }
-    Msg m;
-    m.kind = kind;
-    m.from = static_cast<std::int8_t>(from);
-    m.to = static_cast<std::int8_t>(j);
-    m.subject = static_cast<std::int8_t>(about);
-    m.stamp_round = stamp;
-    m.is_signed = 1;
-    enqueue(s, m);
+    enqueue(s, msg(kind, from, j, about, stamp));
   }
 }
 
 void advance_round(State& s, const ModelConfig& cfg) {
   const std::int8_t r = ++s.round;
-  s.grace = 0;  // kGraceFrames < renewal_frames: grace spans one boundary
-
-  // Scheduled pool changes take effect now, at the boundary — never
-  // mid-round — so every node that heard the same notice switches to the
-  // new schedule in the same round (the purpose of the delay constants).
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    const int c = s.crashed_node;
-    if (s.pending_remove_round[i] != kNone && s.pending_remove_round[i] <= r) {
-      s.pending_remove_round[i] = kNone;
-      if (c != kNone && (s.pool_view[i] & bit(c)) != 0) {
-        s.pool_view[i] = static_cast<std::uint8_t>(s.pool_view[i] & ~bit(c));
-        s.last_pool_change[i] = r;
-      }
-    }
-    if (s.pending_restore_round[i] != kNone &&
-        s.pending_restore_round[i] <= r) {
-      s.pending_restore_round[i] = kNone;
-      if (c != kNone && (s.pool_view[i] & bit(c)) == 0) {
-        s.pool_view[i] = static_cast<std::uint8_t>(s.pool_view[i] | bit(c));
-        s.last_pool_change[i] = r;
-      }
-    }
+  const int c = s.crashed_node;  // the only node whose membership changes
+  // Agreed pool changes take effect now, at the boundary — never mid-round
+  // (WatchmenPeer::begin_frame's step).
+  for (int i = 0; i < cfg.n_nodes && c != kNone; ++i) {
+    const authority::BoundaryStep step = authority::boundary_step(
+        s.agreement[i], r, (s.pool_view[i] & bit(c)) != 0);
+    if (step.removed) s.pool_view[i] &= static_cast<std::uint8_t>(~bit(c));
+    if (step.restored) s.pool_view[i] |= bit(c);
   }
-
-  // Churn: the crashed node's per-view proxy announces the silence (notice
-  // stamped r, removal effective r + kChurnRemovalDelayRounds); while the
-  // node stays down the announcement repeats every round towards peers
-  // whose pools show they missed it (peer.cpp begin_frame's re-broadcast
-  // reconciliation).
-  if (s.crashed_node != kNone && s.rejoined == 0 && r - s.crash_round >= 1) {
-    const int c = s.crashed_node;
-    for (int i = 1; i < cfg.n_nodes; ++i) {
-      if (i == c || !live(s, i)) continue;
-      if ((s.pool_view[i] & bit(c)) == 0) continue;
-      if (proxy_of_node(c, r, s.pool_view[i]) != i) continue;
-      broadcast_notice(s, cfg, MsgKind::kChurnNotice, i, c, r);
-      const auto e =
-          static_cast<std::int8_t>(r + protocol::kChurnRemovalDelayRounds);
-      if (s.pending_remove_round[i] == kNone ||
-          e < s.pending_remove_round[i]) {
-        s.pending_remove_round[i] = e;
-      }
-    }
+  // Churn: the crashed node's per-view proxy announces the silence (its
+  // end_frame announce); while the node stays down the announcement repeats
+  // every round towards peers whose pools show they missed it (begin_frame's
+  // re-broadcast reconciliation).
+  for (int i = 1; i < cfg.n_nodes && silent(s, c, 1); ++i) {
+    if (i == c || !live(s, i) || (s.pool_view[i] & bit(c)) == 0) continue;
+    if (view_of(s, i)(c, r) != i) continue;
+    broadcast_notice(s, cfg, MsgKind::kChurnNotice, i, c, r);
+    authority::merge_removal(s.agreement[i], true, r,
+                             authority::removal_round(r));
   }
   // Rejoin reconciliation: the rejoined node re-announces itself every
-  // round until the pool has it back (peer.cpp's rejoin self-announce),
-  // and any proxy that heard it re-announces to peers whose pools still
-  // miss it.
+  // round until the pool has it back (the reliable rejoin notice), and any
+  // proxy that heard it re-announces to peers whose pools still miss it.
   if (s.rejoined != 0) {
-    const int c = s.crashed_node;
     broadcast_notice(s, cfg, MsgKind::kRejoinNotice, c, c, r);
     for (int i = 1; i < cfg.n_nodes; ++i) {
       if (i == c || !live(s, i)) continue;
       const bool knows = (s.pool_view[i] & bit(c)) != 0 ||
-                         s.pending_restore_round[i] != kNone;
-      if (!knows) continue;
-      if (proxy_of_node(c, r, s.pool_view[i]) != i) continue;
+                         s.agreement[i].restore != kNone;
+      if (!knows || view_of(s, i)(c, r) != i) continue;
       broadcast_notice(s, cfg, MsgKind::kRejoinNotice, i, c, r);
     }
   }
 
   // Round-boundary handoff: an active proxy whose schedule reassigns the
   // subject hands off to the successor (stamped in the outgoing round, as
-  // the implementation stamps h.frame) and enters grace; reliable-control
-  // tracking arms the retransmit budget.
+  // the implementation stamps h.frame); reliable-control tracking arms the
+  // retransmit budget.
   for (int i = 1; i < cfg.n_nodes; ++i) {
     if (!live(s, i) || (s.proxied & bit(i)) == 0) continue;
     const std::int8_t assigned = proxy_of(r, s.pool_view[i]);
     if (assigned == i) continue;
     s.proxied = static_cast<std::uint8_t>(s.proxied & ~bit(i));
-    s.grace = static_cast<std::uint8_t>(s.grace | bit(i));
     if (assigned == kNone) continue;
-    Msg m;
-    m.kind = MsgKind::kHandoff;
-    m.from = static_cast<std::int8_t>(i);
-    m.to = assigned;
-    m.subject = 0;
-    m.stamp_round = static_cast<std::int8_t>(r - 1);
-    m.is_signed = 1;
-    enqueue(s, m);
+    enqueue(s, msg(MsgKind::kHandoff, i, assigned, 0, r - 1));
     s.pending_to[i] = assigned;
     s.pending_stamp[i] = static_cast<std::int8_t>(r - 1);
     s.pending_retries[i] = 0;
@@ -226,54 +200,34 @@ void deliver(State& s, int idx, const ModelConfig& cfg) {
     case MsgKind::kHandoff: {
       // Receipt ack for reliable control (sent before validation: receipt,
       // not approval — matches PeerLink::maybe_ack semantics).
-      Msg ack;
-      ack.kind = MsgKind::kControlAck;
-      ack.from = static_cast<std::int8_t>(j);
-      ack.to = m.from;
-      ack.subject = 0;
-      ack.stamp_round = s.round;
-      ack.is_signed = 1;
-      enqueue(s, ack);
+      enqueue(s, msg(MsgKind::kControlAck, j, m.from, 0, s.round));
 
-      if (cfg.variant != Variant::kHandoffAnyRound) {
-        // Only the proxy of the stamped round may hand off...
-        if (proxy_of(m.stamp_round, s.pool_view[j]) != m.from) return;
-        // ...and a copy older than the stale window is ignored.
-        if (m.stamp_round + protocol::kHandoffStaleRounds < s.round) return;
-      }
-      // Install iff this node is the successor of the stamped round
-      // (idempotent; the boundary-race adoption path in handle_handoff).
-      if (proxy_of(static_cast<std::int8_t>(m.stamp_round + 1),
-                   s.pool_view[j]) == j) {
-        s.proxied = static_cast<std::uint8_t>(s.proxied | bit(j));
-      }
+      const authority::Handoff verdict =
+          cfg.variant == Variant::kHandoffAnyRound
+              ? authority::Handoff::kAdopt
+              : authority::handoff_verdict(view_of(s, j), 0, m.from, j,
+                                           m.stamp_round, s.round,
+                                           (s.proxied & bit(j)) != 0);
+      if (verdict == authority::Handoff::kAdopt) s.proxied |= bit(j);
       break;
     }
     case MsgKind::kChurnNotice: {
-      // Schedule the removal for the notice's effective round; the view
-      // itself only changes at that round boundary. When notices race
-      // (re-broadcasts from different rounds), the earliest agreed round
-      // wins — otherwise a late re-broadcast would postpone a removal the
-      // rest of the pool already applied.
-      if ((s.pool_view[j] & bit(m.subject)) != 0) {
-        const auto e = static_cast<std::int8_t>(
-            m.stamp_round + protocol::kChurnRemovalDelayRounds);
-        if (s.pending_remove_round[j] == kNone ||
-            e < s.pending_remove_round[j]) {
-          s.pending_remove_round[j] = e;
-        }
+      // The view itself only changes at the agreed round's boundary.
+      if (authority::accept_churn_notice(view_of(s, j), m.subject, m.from,
+                                         m.stamp_round,
+                                         silent(s, m.subject, 1))) {
+        authority::merge_removal(s.agreement[j],
+                                 (s.pool_view[j] & bit(m.subject)) != 0,
+                                 m.stamp_round,
+                                 authority::removal_round(m.stamp_round));
       }
       break;
     }
     case MsgKind::kRejoinNotice: {
-      if ((s.pool_view[j] & bit(m.subject)) == 0 ||
-          s.pending_remove_round[j] != kNone) {
-        const auto e = static_cast<std::int8_t>(
-            m.stamp_round + protocol::kRejoinRestoreDelayRounds);
-        if (s.pending_restore_round[j] == kNone ||
-            e < s.pending_restore_round[j]) {
-          s.pending_restore_round[j] = e;
-        }
+      if (authority::accept_rejoin_notice(view_of(s, j), m.subject, m.from,
+                                          m.stamp_round, live(s, m.subject))) {
+        authority::merge_restore(s.agreement[j], m.stamp_round,
+                                 authority::restore_round(m.stamp_round));
       }
       break;
     }
@@ -283,23 +237,12 @@ void deliver(State& s, int idx, const ModelConfig& cfg) {
       break;
     }
     case MsgKind::kStateAck: {
-      // Anchored-delta baseline ack, received by the subject.
-      // handle_state_ack accepts only from the proxy of rounds
-      // stamp-1..stamp+1 in the receiver's own view.
-      bool from_proxy = false;
-      for (int d = -1; d <= 1; ++d) {
-        if (proxy_of(static_cast<std::int8_t>(m.stamp_round + d),
-                     s.pool_view[0]) == m.from) {
-          from_proxy = true;
-          break;
-        }
-      }
-      if (cfg.variant == Variant::kAckUnsubscribed) {
-        if (!from_proxy) s.violations |= kViolationRogueAck;
-        s.anchor = m.from;
-      } else if (from_proxy) {
-        s.anchor = m.from;
-      }
+      // Anchored-delta baseline ack, received by the subject: accepted only
+      // from a proxy near the current round in its own view.
+      const bool near = authority::near(view_of(s, 0), m.from, 0, s.round);
+      if (!near && cfg.variant != Variant::kAckUnsubscribed) break;
+      if (!near) s.violations |= kViolationRogueAck;
+      s.anchor = m.from;
       break;
     }
     case MsgKind::kControlAck: {
@@ -355,17 +298,8 @@ std::string violations_to_string(std::uint8_t flags) {
   return out;
 }
 
-std::int8_t proxy_of(std::int8_t round, std::uint8_t pool_mask) {
-  std::int8_t cands[kMaxNodes];
-  int n = 0;
-  for (int i = 0; i < kMaxNodes; ++i) {
-    if ((pool_mask & (1u << i)) != 0) cands[n++] = static_cast<std::int8_t>(i);
-  }
-  if (n == 0) return kNone;
-  // Rounds can go transiently negative in stamp arithmetic (stamp-1 at
-  // round 0); clamp into the rotation.
-  const int r = round < 0 ? 0 : round;
-  return cands[r % n];
+std::int8_t proxy_of(std::int64_t round, std::uint8_t pool_mask) {
+  return schedule_of(0, round, pool_mask);
 }
 
 State initial_state(const ModelConfig& cfg) {
@@ -374,10 +308,7 @@ State initial_state(const ModelConfig& cfg) {
   for (int i = 1; i < cfg.n_nodes; ++i) pool |= bit(i);
   for (int i = 0; i < kMaxNodes; ++i) {
     s.pool_view[i] = i < cfg.n_nodes ? pool : 0;
-    s.last_pool_change[i] = kNeverChanged;
     s.pending_to[i] = kNone;
-    s.pending_remove_round[i] = kNone;
-    s.pending_restore_round[i] = kNone;
   }
   const std::int8_t p0 = proxy_of(0, pool);
   if (p0 != kNone) s.proxied = bit(p0);
@@ -385,9 +316,10 @@ State initial_state(const ModelConfig& cfg) {
   return s;
 }
 
-std::vector<Action> enabled_actions(const State& s, const ModelConfig& cfg) {
-  std::vector<Action> out;
-  if (s.violations != 0 || s.overflow != 0) return out;  // terminal
+void enabled_actions(const State& s, const ModelConfig& cfg,
+                     std::vector<Action>& out) {
+  out.clear();
+  if (s.violations != 0 || s.overflow != 0) return;  // terminal
 
   // Per-message actions, over canonical indices.
   for (std::int8_t i = 0; i < static_cast<std::int8_t>(s.n_flight); ++i) {
@@ -422,22 +354,21 @@ std::vector<Action> enabled_actions(const State& s, const ModelConfig& cfg) {
 
   // Emergency failover: the subject's proxy-bound traffic is duplicated to
   // the successor-of-round (per the subject's view) once the subject's
-  // proxy has been silent long enough. Faithfully the successor adopts
-  // only if the proxy is silent from its OWN vantage too (the
-  // PeerLink::proxy_silent gate); the broken variant adopts on the duplicate alone.
+  // proxy has been silent long enough. The successor then runs
+  // authority::failover from its own view and its OWN silence observation
+  // (the PeerLink::proxy_silent gate); the broken variant is told the
+  // incumbent is silent.
   if (s.failovers < cfg.failover_budget) {
-    const auto silent = [&s, &cfg](std::int8_t node) {
-      return node != kNone && s.crashed_node == node && s.rejoined == 0 &&
-             s.round - s.crash_round >= cfg.failover_silence_rounds;
-    };
+    const int quiet = cfg.failover_silence_rounds;
     const std::int8_t cur = proxy_of(s.round, s.pool_view[0]);
-    const std::int8_t succ =
-        proxy_of(static_cast<std::int8_t>(s.round + 1), s.pool_view[0]);
-    if (succ != kNone && succ != cur && live(s, succ) && silent(cur)) {
-      const std::int8_t cur_from_succ = proxy_of(s.round, s.pool_view[succ]);
-      const bool vantage_ok = cur_from_succ == kNone ||
-                              cur_from_succ == succ || silent(cur_from_succ);
-      if (vantage_ok || cfg.variant == Variant::kSkipVantageCheck) {
+    const std::int8_t succ = proxy_of(s.round + 1, s.pool_view[0]);
+    if (succ != kNone && succ != cur && live(s, succ) && silent(s, cur, quiet)) {
+      const auto silent_here = [&s, &cfg, quiet](int node) {
+        return cfg.variant == Variant::kSkipVantageCheck ||
+               silent(s, node, quiet);
+      };
+      if (authority::failover(view_of(s, succ), 0, succ, s.round,
+                              silent_here) == authority::Failover::kAdopt) {
         out.push_back({ActionKind::kFailover, succ, 0});
       }
     }
@@ -469,7 +400,6 @@ std::vector<Action> enabled_actions(const State& s, const ModelConfig& cfg) {
       if (live(s, x)) out.push_back({ActionKind::kInjectAck, x, 0});
     }
   }
-  return out;
 }
 
 State apply(const State& s0, const Action& action, const ModelConfig& cfg) {
@@ -502,12 +432,9 @@ State apply(const State& s0, const Action& action, const ModelConfig& cfg) {
       s.crashed_node = static_cast<std::int8_t>(c);
       s.crash_round = s.round;
       s.proxied = static_cast<std::uint8_t>(s.proxied & ~bit(c));
-      s.grace = static_cast<std::uint8_t>(s.grace & ~bit(c));
       s.pending_to[c] = kNone;
       s.pending_stamp[c] = 0;
       s.pending_retries[c] = 0;
-      s.pending_remove_round[c] = kNone;  // down: stops processing notices
-      s.pending_restore_round[c] = kNone;
       if (s.anchor == c) s.anchor = kNone;
       s.rounds_since_fault = 0;
       break;
@@ -524,14 +451,10 @@ State apply(const State& s0, const Action& action, const ModelConfig& cfg) {
       }
       // The new incarnation is not pool-eligible — not even by its own
       // view — until the agreed restore round, so it will not accept proxy
-      // authority (handoff install, adoption) for rounds it sat out.
+      // authority (handoff install, adoption) for rounds it sat out; it
+      // re-announces itself (WatchmenPeer::rejoin).
       s.pool_view[c] = static_cast<std::uint8_t>(s.pool_view[c] & ~bit(c));
-      s.pending_restore_round[c] = static_cast<std::int8_t>(
-          s.round + protocol::kRejoinRestoreDelayRounds);
-      // Mirrors WatchmenPeer::rejoin: the node re-announces itself and its
-      // own schedule counts this as a pool change (suppressing its reports
-      // through the transition).
-      s.last_pool_change[c] = s.round;
+      authority::leave_for_rejoin(s.agreement[c], s.round);
       broadcast_notice(s, cfg, MsgKind::kRejoinNotice, c, c, s.round);
       s.rounds_since_fault = 0;
       break;
@@ -542,50 +465,31 @@ State apply(const State& s0, const Action& action, const ModelConfig& cfg) {
       break;
     }
     case ActionKind::kForge: {
-      const auto kind = static_cast<MsgKind>(action.a);
-      const int attacker = action.b;
-      Msg m;
+      // An update spoofing the subject, or a handoff spoofing the current
+      // proxy to the next round's successor (by the attacker's view) —
+      // installable only if signature checking is broken.
+      const std::uint8_t view = s.pool_view[action.b];
+      Msg m = static_cast<MsgKind>(action.a) == MsgKind::kStateUpdate
+                  ? msg(MsgKind::kStateUpdate, 0, proxy_of(s.round, view), 0,
+                        s.round)
+                  : msg(MsgKind::kHandoff, proxy_of(s.round, view),
+                        proxy_of(s.round + 1, view), 0, s.round);
       m.is_signed = 0;
-      m.stamp_round = s.round;
-      if (kind == MsgKind::kStateUpdate) {
-        m.kind = MsgKind::kStateUpdate;
-        m.from = 0;  // spoofs the subject
-        m.to = proxy_of(s.round, s.pool_view[attacker]);
-      } else {
-        // Spoofs the current proxy handing the subject to the next round's
-        // successor — installable only if signature checking is broken.
-        m.kind = MsgKind::kHandoff;
-        m.from = proxy_of(s.round, s.pool_view[attacker]);
-        m.to = proxy_of(static_cast<std::int8_t>(s.round + 1),
-                        s.pool_view[attacker]);
-      }
       if (m.to != kNone) enqueue(s, m);
       ++s.forged;
       s.rounds_since_fault = 0;
       break;
     }
     case ActionKind::kInjectAck: {
-      Msg m;
-      m.kind = MsgKind::kStateAck;
-      m.from = action.a;
-      m.to = 0;
-      m.subject = 0;
-      m.stamp_round = s.round;
-      m.is_signed = 1;
-      enqueue(s, m);
+      enqueue(s, msg(MsgKind::kStateAck, action.a, 0, 0, s.round));
       ++s.acks;
       break;
     }
     case ActionKind::kRetransmit: {
       const int i = action.a;
-      Msg m;
-      m.kind = MsgKind::kHandoff;
-      m.from = static_cast<std::int8_t>(i);
-      m.to = s.pending_to[i];
-      m.subject = 0;
-      m.stamp_round = s.pending_stamp[i];  // a copy, not a fresh handoff
-      m.is_signed = 1;
-      enqueue(s, m);
+      // A copy of the tracked handoff, not a fresh one.
+      enqueue(s, msg(MsgKind::kHandoff, i, s.pending_to[i], 0,
+                     s.pending_stamp[i]));
       if (s.pending_retries[i] <=
           static_cast<std::uint8_t>(cfg.retransmit_budget)) {
         ++s.pending_retries[i];
@@ -609,11 +513,13 @@ bool quiescent(const State& s, const ModelConfig& cfg) {
   }
   // A scheduled pool change is future activity, exactly like a message in
   // flight: a removal effective past the horizon would converge one round
-  // later — that is not a stuck state, just a truncated one.
+  // later — that is not a stuck state, just a truncated one. (An applied
+  // removal stays on the record until a restore clears it.)
   for (int i = 0; i < kMaxNodes; ++i) {
     if (!live(s, i)) continue;
-    if (s.pending_remove_round[i] != kNone ||
-        s.pending_restore_round[i] != kNone) {
+    const auto& a = s.agreement[i];
+    if (a.restore != kNone ||
+        (a.removal != kNone && (s.pool_view[i] & bit(s.crashed_node)) != 0)) {
       return false;
     }
   }
@@ -631,69 +537,20 @@ std::uint8_t quiescence_violations(const State& s, const ModelConfig& cfg) {
   return 0;
 }
 
-namespace {
-
-/// Fixed-size canonical serialization into a stack buffer; returns the
-/// byte count. Kept allocation-free: state_hash runs once per transition
-/// and dominates the explorer's profile.
-std::size_t fill_canonical(const State& s, std::uint8_t* buf) {
-  std::size_t n = 0;
-  const auto put = [buf, &n](std::int64_t v) {
-    buf[n++] = static_cast<std::uint8_t>(v);
-  };
-  put(s.round);
-  put(s.crashed_node);
-  put(s.rejoined);
-  put(s.crash_round);
-  put(s.proxied);
-  put(s.grace);
-  for (int i = 0; i < kMaxNodes; ++i) {
-    put(s.pool_view[i]);
-    put(s.last_pool_change[i]);
-    put(s.pending_remove_round[i]);
-    put(s.pending_restore_round[i]);
-    put(s.pending_to[i]);
-    put(s.pending_stamp[i]);
-    put(s.pending_retries[i]);
-  }
-  put(s.anchor);
-  put(s.lost);
-  put(s.duped);
-  put(s.forged);
-  put(s.acks);
-  put(s.failovers);
-  put(s.rounds_since_fault);
-  put(s.violations);
-  put(s.overflow);
-  put(s.n_flight);
-  for (int i = 0; i < s.n_flight; ++i) {
-    const Msg& m = s.flight[i];
-    put(static_cast<std::int64_t>(m.kind));
-    put(m.from);
-    put(m.to);
-    put(m.subject);
-    put(m.stamp_round);
-    put(m.is_signed);
-  }
-  return n;
-}
-
-/// Upper bound on fill_canonical output (fixed part + full flight).
-constexpr std::size_t kMaxCanonicalBytes = 64 + 7 * kMaxNodes + 6 * kMaxFlight;
-
-}  // namespace
+static_assert(alignof(State) == 1 &&
+                  std::has_unique_object_representations_v<State>,
+              "State's object bytes must be its canonical form");
 
 void canonical_bytes(const State& s, std::vector<std::uint8_t>& out) {
-  std::uint8_t buf[kMaxCanonicalBytes];
-  out.assign(buf, buf + fill_canonical(s, buf));
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&s);
+  out.assign(p, p + sizeof(State));
 }
 
 std::uint64_t state_hash(const State& s) {
-  std::uint8_t buf[kMaxCanonicalBytes];
-  const std::size_t n = fill_canonical(s, buf);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&s);
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= buf[i];
+  for (std::size_t i = 0; i < sizeof(State); ++i) {
+    h ^= p[i];
     h *= 0x100000001b3ULL;
   }
   return h;
@@ -759,27 +616,14 @@ std::string describe(const State& s, const ModelConfig& cfg) {
     }
   }
   out += "]";
-  bool any_pending = false;
-  for (int i = 0; i < cfg.n_nodes; ++i) {
-    if (s.pending_remove_round[i] != kNone ||
-        s.pending_restore_round[i] != kNone) {
-      any_pending = true;
-    }
-  }
-  if (any_pending) {
-    out += " pend=[";
+  if (s.crashed_node != kNone) {
+    out += " agreed=[";
     for (int i = 0; i < cfg.n_nodes; ++i) {
+      const auto& a = s.agreement[i];
       if (i) out += " ";
-      if (s.pending_remove_round[i] != kNone) {
-        out += "-@" + std::to_string(s.pending_remove_round[i]);
-      }
-      if (s.pending_restore_round[i] != kNone) {
-        out += "+@" + std::to_string(s.pending_restore_round[i]);
-      }
-      if (s.pending_remove_round[i] == kNone &&
-          s.pending_restore_round[i] == kNone) {
-        out += ".";
-      }
+      if (a.removal != kNone) out += "-@" + std::to_string(a.removal);
+      if (a.restore != kNone) out += "+@" + std::to_string(a.restore);
+      if (a.removal == kNone && a.restore == kNone) out += ".";
     }
     out += "]";
   }

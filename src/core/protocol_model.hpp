@@ -2,11 +2,13 @@
 // Pure transition-system model of the proxy handoff / failover / rejoin
 // protocol (ISSUE 7 tentpole, part b; DESIGN.md §5g).
 //
-// WatchmenPeer implements the protocol entangled with wire codecs, crypto
-// and metrics; this header extracts just the *authority* state machine —
-// who is allowed to act as one player's proxy, and when — as a pure
-// function `apply(state, action) -> state` over a compact value-type
-// state, so tools/wmcheck can exhaustively enumerate every interleaving of
+// WatchmenPeer runs the protocol entangled with wire codecs, crypto and
+// metrics; this header wraps just the *authority* state machine — who is
+// allowed to act as one player's proxy, and when — as a pure function
+// `apply(state, action) -> state` over a compact value-type state. Every
+// acceptance and merge decision in it is a call into core/authority.hpp,
+// the same rules WatchmenPeer calls, so tools/wmcheck exhaustively
+// enumerates the shipped guards over every interleaving of
 // message delivery, loss, duplication, proxy crash, rejoin and
 // emergency-failover adoption up to a bounded budget, and assert the
 // cheat-resistance invariants the point tests only sample:
@@ -18,37 +20,35 @@
 //   I2  no protocol message is accepted without a verifiable origin
 //       signature,
 //   I3  no anchored-delta baseline ack is accepted from a node that is not
-//       the player's proxy within one round of the ack's stamp,
+//       the player's proxy within one round of the receiver's round,
 //   I4  retransmit budgets terminate (a tracked control message is never
 //       retransmitted more than retransmit_budget times).
 //
 // The model tracks a single subject player (node 0): per-player authority
 // is independent in the implementation, so one subject with N-1 candidate
-// proxies covers the protocol. Timing constants come from
-// core/protocol_params.hpp — the *same* header WatchmenPeer compiles
-// against — so a constant change re-verifies automatically.
+// proxies covers the protocol. The timing constants reach the model only
+// through those rules, so a constant change re-verifies automatically.
 //
 // Deliberate abstractions (kept honest in DESIGN.md §5g):
-//  * frames collapse to rounds (handoff grace spans one boundary);
+//  * frames collapse to rounds (handoff grace spans one boundary), and
+//    "silent here" / "alive here" are the crashed node's true state;
 //  * the proxy schedule is round-robin over each node's live pool view —
 //    like the seeded hash schedule it changes every round and is a pure
-//    function of (round, pool);
+//    function of (player, round, pool);
 //  * signatures are a boolean "verifiable origin chain" bit;
 //  * state payloads are dropped — only authority/ack metadata remains.
 //
-// ModelConfig's `variant` switches re-introduce one implementation guard
-// removal each (failover without the vantage check, unsigned acceptance,
-// unchecked ack origin, unbounded retransmit, handoff without stamp-round
-// validation); the seeded-broken corpus in tests/wmcheck_test.cpp proves
-// the checker catches every one.
+// ModelConfig's `variant` mutates one call site each (failover without the
+// vantage observation, unsigned acceptance, unchecked ack origin, unbounded
+// retransmit, an always-adopt handoff verdict); the seeded-broken corpus
+// in tests/wmcheck_test.cpp proves the checker catches every one.
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "core/protocol_params.hpp"
+#include "core/authority.hpp"
 
 namespace watchmen::core::model {
 
@@ -57,17 +57,18 @@ inline constexpr int kMaxNodes = 5;
 inline constexpr int kMaxFlight = 16;
 inline constexpr std::int8_t kNone = -1;
 
-/// Seeded-broken protocol variants: each removes exactly one guard the
-/// real implementation has, so the checker must find a violation.
+/// Seeded-broken protocol variants: each mutates one of the model's call
+/// sites so a guard the real implementation has is gone, and the checker
+/// must find a violation.
 enum class Variant : std::uint8_t {
   kFaithful = 0,          ///< the protocol as implemented
-  kSkipVantageCheck,      ///< failover adoption without the successor's own
-                          ///< silence observation (PeerLink::proxy_silent gate)
+  kSkipVantageCheck,      ///< authority::failover told the incumbent is
+                          ///< silent (no PeerLink::proxy_silent observation)
   kAcceptUnsigned,        ///< receivers skip origin-signature verification
-  kAckUnsubscribed,       ///< anchored-delta acks accepted from any node
-                          ///< (handle_state_ack's proxy_near gate removed)
+  kAckUnsubscribed,       ///< anchored-delta acks accepted without
+                          ///< authority::near
   kUnboundedRetransmit,   ///< reliable control ignores retransmit_budget
-  kHandoffAnyRound,       ///< handle_handoff skips stamp-round validation
+  kHandoffAnyRound,       ///< every handoff gets the kAdopt verdict
 };
 
 const char* to_string(Variant v);
@@ -113,9 +114,14 @@ struct Msg {
   std::int8_t stamp_round = 0;
   std::uint8_t is_signed = 1;
 
-  auto key() const {
-    return std::tuple(static_cast<std::uint8_t>(kind), from, to, subject,
-                      stamp_round, is_signed);
+  /// Sort key: the fields in declaration order, signed ones biased so the
+  /// packed order matches theirs.
+  std::uint64_t key() const {
+    const auto u = [](std::int8_t v) {
+      return static_cast<std::uint64_t>(static_cast<std::uint8_t>(v) ^ 0x80u);
+    };
+    return static_cast<std::uint64_t>(kind) << 40 | u(from) << 32 |
+           u(to) << 24 | u(subject) << 16 | u(stamp_round) << 8 | is_signed;
   }
   bool operator==(const Msg&) const = default;
 };
@@ -134,25 +140,19 @@ enum Violation : std::uint8_t {
 
 std::string violations_to_string(std::uint8_t flags);
 
-/// Compact value-type protocol state. Plain members only: canonical_bytes()
-/// defines equality/hash, and apply() is a pure function of (state, action).
+/// Compact value-type protocol state. One-byte members only, so its object
+/// bytes are its canonical form (canonical_bytes) and apply() is a pure
+/// function of (state, action).
 struct State {
   std::int8_t round = 0;
   std::int8_t crashed_node = kNone;  ///< the one crash-budget node, if spent
   std::uint8_t rejoined = 0;         ///< crashed_node came back
   std::int8_t crash_round = kNone;
   std::uint8_t proxied = 0;  ///< bit i: node i actively proxies the subject
-  std::uint8_t grace = 0;    ///< bit i: node i serving post-handoff grace
   std::array<std::uint8_t, kMaxNodes> pool_view{};  ///< per-node pool bitmask
-  std::array<std::int8_t, kMaxNodes> last_pool_change{};
-  /// Pool changes are *scheduled*, never applied mid-round: a churn /
-  /// rejoin notice stamped r takes effect at round r +
-  /// kChurnRemovalDelayRounds / kRejoinRestoreDelayRounds, at the boundary,
-  /// so peers that heard the notice switch schedules simultaneously (the
-  /// reason those constants exist). kNone = nothing pending; the subject of
-  /// the change is always crashed_node.
-  std::array<std::int8_t, kMaxNodes> pending_remove_round{};
-  std::array<std::int8_t, kMaxNodes> pending_restore_round{};
+  /// Node i's churn/rejoin agreement about crashed_node, the only node
+  /// whose pool membership changes: the peer's authority::PoolRecord.
+  std::array<authority::PoolRecord<std::int8_t>, kMaxNodes> agreement{};
   std::int8_t anchor = kNone;  ///< node the subject's delta chain is acked to
   // Reliable-handoff tracking, per sending node.
   std::array<std::int8_t, kMaxNodes> pending_to{};
@@ -202,14 +202,16 @@ std::string describe(const State& s, const ModelConfig& cfg);
 /// The initial state: full pool, node proxy_of(round 0) already proxying.
 State initial_state(const ModelConfig& cfg);
 
-/// Round-robin proxy schedule over a pool view: a pure function of
-/// (round, pool), rotating every round like the seeded hash schedule.
-/// Returns kNone for an empty pool.
-std::int8_t proxy_of(std::int8_t round, std::uint8_t pool_mask);
+/// The subject's round-robin proxy schedule over a pool view: a pure
+/// function of (round, pool), rotating every round like the seeded hash
+/// schedule. Returns kNone for an empty pool.
+std::int8_t proxy_of(std::int64_t round, std::uint8_t pool_mask);
 
-/// All actions enabled in `s` under `cfg`, in a deterministic order
-/// (BFS over this order yields reproducible minimal counterexamples).
-std::vector<Action> enabled_actions(const State& s, const ModelConfig& cfg);
+/// Fills `out` with all actions enabled in `s` under `cfg`, in a
+/// deterministic order (BFS over this order yields reproducible minimal
+/// counterexamples). The explorer reuses one buffer across states.
+void enabled_actions(const State& s, const ModelConfig& cfg,
+                     std::vector<Action>& out);
 
 /// Applies one action. Precondition: `action` came from enabled_actions(s).
 /// Returns the canonicalized successor (flight sorted, caps applied) with
@@ -224,9 +226,9 @@ bool quiescent(const State& s, const ModelConfig& cfg);
 /// Quiescence invariant flags for a quiescent state (0 = holds).
 std::uint8_t quiescence_violations(const State& s, const ModelConfig& cfg);
 
-/// Canonical byte serialization: equal states produce equal bytes.
-/// (Flight is kept sorted by apply(), so plain member serialization is
-/// canonical.)
+/// Canonical byte serialization: equal states produce equal bytes. apply()
+/// keeps the flight sorted and zeroes its unused tail, so the object bytes
+/// are canonical.
 void canonical_bytes(const State& s, std::vector<std::uint8_t>& out);
 
 /// 64-bit FNV-1a over canonical_bytes — the dedup key for the explorer.

@@ -5,18 +5,18 @@
 // protocol: how long an outgoing proxy keeps serving in-flight traffic,
 // when an agreed churn removal / rejoin restore takes effect, and how much
 // round skew the handoff validator tolerates, plus the retransmit and
-// liveness-watchdog cadences of the hardened control plane. tools/wmcheck
-// models the same protocol as a pure transition system, and the model is
-// only a *proof* about the implementation if both read the very same
-// constants — so they live here, included by core/peer and by the wmcheck
-// model.
+// liveness-watchdog cadences of the hardened control plane.
 //
-// Changing any value changes the protocol: wmcheck re-verifies the
-// exactly-one-active-proxy and termination invariants against the new
-// handoff/churn timing on the next CI run, which is the intended workflow
-// for tuning. The retransmit and watchdog values sit outside the model
-// (its retransmit budget is deliberately smaller, DESIGN.md §5g);
-// chaos_test, transport_test and wmproc_smoke exercise them.
+// The churn/rejoin delays, the handoff stale window and the pool-transition
+// grace are read in src/ only by core/authority.hpp (wmlint
+// `authority-rule`), whose rules WatchmenPeer and the tools/wmcheck model
+// both call — so changing one of them changes the shipped protocol and the
+// checked one together, and wmcheck re-verifies the exactly-one-active-proxy
+// and termination invariants against the new timing on the next CI run,
+// which is the intended workflow for tuning. kGraceFrames and the
+// retransmit and watchdog values sit outside the model (its retransmit
+// budget is deliberately smaller, DESIGN.md §5g); chaos_test,
+// transport_test and wmproc_smoke exercise them.
 
 #include "util/ids.hpp"
 

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/authority.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 
@@ -54,13 +55,16 @@ class ProxySchedule {
   /// O(1) on a memo hit (see the contract above).
   PlayerId proxy_of(PlayerId player, std::int64_t round) const;
 
-  /// True when `node` is `player`'s proxy in round r−1, r or r+1 (r−1 only
-  /// when ≥ 0): the one-round tolerance every delivery-side check grants
-  /// boundary-crossing messages, handoff grace and early failover adoption.
+  /// True when `node` is `player`'s proxy in round r−1, r or r+1
+  /// (authority::near, the one-round tolerance of every delivery check).
   bool proxy_near(PlayerId node, PlayerId player, std::int64_t round) const {
-    return node == proxy_of(player, round) ||
-           node == proxy_of(player, round + 1) ||
-           (round > 0 && node == proxy_of(player, round - 1));
+    return authority::near(*this, node, player, round);
+  }
+
+  /// The schedule as the authority rules' `proxy_of(player, round)`
+  /// callable (core/authority.hpp).
+  PlayerId operator()(PlayerId player, std::int64_t round) const {
+    return proxy_of(player, round);
   }
 
   /// Convenience: proxy at a given frame.

@@ -82,7 +82,7 @@ TEST(WmcheckHash, AnyFieldChangeChangesHash) {
   EXPECT_NE(model::state_hash(s), h0);
 
   s = base;
-  s.pending_remove_round[1] = 3;
+  s.agreement[1].removal = 3;
   EXPECT_NE(model::state_hash(s), h0);
 
   s = base;
@@ -159,9 +159,9 @@ TEST(WmcheckModel, ChurnRemovalUsesSharedDelayConstant) {
   s = model::apply(s, {ActionKind::kAdvanceRound, 0, 0}, cfg);
   bool scheduled = false;
   for (int i = 1; i < cfg.n_nodes; ++i) {
-    if (s.pending_remove_round[i] != model::kNone) {
+    if (s.agreement[i].removal != model::kNone) {
       scheduled = true;
-      EXPECT_EQ(s.pending_remove_round[i],
+      EXPECT_EQ(s.agreement[i].removal,
                 s.round + protocol::kChurnRemovalDelayRounds);
     }
   }
@@ -178,9 +178,40 @@ TEST(WmcheckModel, RejoinRestoreUsesSharedDelayConstant) {
   // The rejoined node is not pool-eligible by its own view until the
   // agreed restore round (mirrors WatchmenPeer::rejoin).
   EXPECT_EQ(s.pool_view[2] & (1u << 2), 0u);
-  EXPECT_EQ(s.pending_restore_round[2],
+  EXPECT_EQ(s.agreement[2].restore,
             s.round + protocol::kRejoinRestoreDelayRounds);
-  EXPECT_EQ(s.last_pool_change[2], s.round);
+}
+
+TEST(WmcheckModel, RejoinNoticeMergesWhileThePoolHoldsThePlayer) {
+  // WatchmenPeer merges every accepted rejoin notice; the model runs the
+  // same rule (authority::merge_restore), so a notice reaching a node whose
+  // pool still holds the player schedules a restore there too.
+  const ModelConfig cfg = tiny_config();
+  State s = model::initial_state(cfg);
+  s = model::apply(s, {ActionKind::kCrash, 2, 0}, cfg);
+  s.rejoined = 1;
+  s.flight[0] = {MsgKind::kRejoinNotice, 2, 1, 2, s.round, 1};
+  s.n_flight = 1;
+  ASSERT_NE(s.pool_view[1] & (1u << 2), 0u);
+  s = model::apply(s, {ActionKind::kDeliver, 0, 0}, cfg);
+  EXPECT_EQ(s.agreement[1].restore,
+            s.round + protocol::kRejoinRestoreDelayRounds);
+}
+
+TEST(WmcheckModel, RestoreCancelsALaterRemoval) {
+  // As in WatchmenPeer::begin_frame: a restore falling due clears the
+  // record, a removal scheduled for a later round included, so the player
+  // never leaves the pool.
+  ModelConfig cfg = tiny_config();
+  cfg.max_rounds = 4;
+  State s = model::initial_state(cfg);
+  s = model::apply(s, {ActionKind::kCrash, 2, 0}, cfg);
+  s.rejoined = 1;
+  s.agreement[1] = {2, 1};  // removal at round 2, restore at round 1
+  s = model::apply(s, {ActionKind::kAdvanceRound, 0, 0}, cfg);
+  EXPECT_EQ(s.agreement[1].removal, model::kNone);
+  s = model::apply(s, {ActionKind::kAdvanceRound, 0, 0}, cfg);
+  EXPECT_NE(s.pool_view[1] & (1u << 2), 0u);
 }
 
 TEST(WmcheckModel, StaleHandoffRejectedPerSharedConstant) {
@@ -215,8 +246,9 @@ TEST(WmcheckModel, RetransmitBudgetTerminates) {
   State s = model::initial_state(cfg);
   s = model::apply(s, {ActionKind::kAdvanceRound, 0, 0}, cfg);
   int retransmits = 0;
+  std::vector<Action> actions;
   for (int guard = 0; guard < 32; ++guard) {
-    const auto actions = model::enabled_actions(s, cfg);
+    model::enabled_actions(s, cfg, actions);
     const Action* retr = nullptr;
     for (const Action& a : actions) {
       if (a.kind == ActionKind::kRetransmit) retr = &a;
@@ -343,10 +375,12 @@ TEST(WmcheckCorpus, CounterexamplesAreMinimal) {
   ASSERT_GT(len, 0u);
 
   std::vector<State> frontier{model::initial_state(cfg)};
+  std::vector<Action> actions;
   for (std::size_t depth = 0; depth + 1 < len; ++depth) {
     std::vector<State> next;
     for (const State& s : frontier) {
-      for (const Action& a : model::enabled_actions(s, cfg)) {
+      model::enabled_actions(s, cfg, actions);
+      for (const Action& a : actions) {
         const State succ = model::apply(s, a, cfg);
         EXPECT_EQ(succ.violations, 0)
             << "violation reachable in " << depth + 1 << " actions but the "

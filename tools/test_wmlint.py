@@ -295,6 +295,48 @@ class LinkSwitchTest(unittest.TestCase):
         self.assertEqual(fs, [])
 
 
+class AuthorityRuleTest(unittest.TestCase):
+    def test_reads_outside_authority_flagged(self):
+        # The reads the peer and the wmcheck model made before core/
+        # authority.hpp owned the rules.
+        fs = lint_tree({
+            "src/core/peer.cpp":
+            "    const std::int64_t restore = r + protocol::kRejoinRestoreDelayRounds;\n"
+            "    const std::int64_t removal = r + protocol::kChurnRemovalDelayRounds;\n"
+            "  return round_ - last_pool_change_round_ <=\n"
+            "         protocol::kPoolTransitionGraceRounds;\n"
+            "    if (stamp_round + protocol::kHandoffStaleRounds < now_round) return;\n",
+            "src/core/protocol_model.cpp":
+            "        if (m.stamp_round + protocol::kHandoffStaleRounds < s.round) return;\n"
+            "            m.stamp_round + protocol::kChurnRemovalDelayRounds);\n"})
+        self.assertEqual(checks(fs), ["authority-rule"] * 6)
+
+    def test_owner_definitions_tests_and_comments_clean(self):
+        fs = lint_tree({
+            "src/core/authority.hpp":
+            "#pragma once\n"
+            "  return round + protocol::kChurnRemovalDelayRounds;\n",
+            "src/core/protocol_params.hpp":
+            "#pragma once\n"
+            "inline constexpr std::int64_t kHandoffStaleRounds = 1;\n",
+            "src/core/peer.cpp":
+            "// removal at r + kChurnRemovalDelayRounds\n",
+            "tests/wmcheck_test.cpp":
+            "EXPECT_EQ(x, protocol::kRejoinRestoreDelayRounds);\n"})
+        self.assertEqual(fs, [])
+
+    def test_comparison_is_a_read(self):
+        fs = lint_tree({"src/core/x.cpp":
+                        "bool b = kHandoffStaleRounds == 1;\n"})
+        self.assertEqual(checks(fs), ["authority-rule"])
+
+    def test_allow_annotation(self):
+        fs = lint_tree({"src/core/x.cpp":
+                        "// wmlint: allow(authority-rule)\n"
+                        "auto g = protocol::kPoolTransitionGraceRounds;\n"})
+        self.assertEqual(fs, [])
+
+
 class IncludeHygieneTest(unittest.TestCase):
     def test_missing_pragma_once(self):
         fs = lint_tree({"src/util/x.hpp": "#include <vector>\n"})

@@ -61,6 +61,12 @@ link-switch     WatchmenConfig's reliable_control, liveness_watchdog and
                 core/peer_link.cpp (and the .wmrec codec, which copies every
                 field): a role branching on them forks the control plane
                 PeerLink keeps in one place.
+authority-rule  kChurnRemovalDelayRounds, kRejoinRestoreDelayRounds,
+                kHandoffStaleRounds and kPoolTransitionGraceRounds
+                (core/protocol_params.hpp) are read in src/ only by
+                core/authority.hpp: a caller doing its own arithmetic on
+                them is a second copy of a rule the peer and the wmcheck
+                model must share.
 format          (--format only) clang-format --dry-run over src/; skipped
                 with a notice when clang-format is not installed.
 
@@ -146,6 +152,13 @@ LINK_SWITCH_READ_RE = re.compile(
     r"\b(?!\s*=(?!=))")
 # The link itself, and the .wmrec codec that copies every config field.
 LINK_SWITCH_OWNERS = ("src/core/peer_link.cpp", "src/obs/recorder.cpp")
+
+# A use of an authority timing constant that is not its definition
+# (`name = value`).
+AUTHORITY_CONST_READ_RE = re.compile(
+    r"\b(kChurnRemovalDelayRounds|kRejoinRestoreDelayRounds"
+    r"|kHandoffStaleRounds|kPoolTransitionGraceRounds)\b(?!\s*=(?!=))")
+AUTHORITY_OWNER = "src/core/authority.hpp"
 
 
 class Finding:
@@ -321,6 +334,17 @@ def check_link_switch(path: Path, rel: str, lines: list[str]) -> list[Finding]:
         f"read of WatchmenConfig::{m.group(1)} outside "
         "src/core/peer_link.cpp — call the PeerLink that owns it, or "
         "annotate `// wmlint: allow(link-switch)` with a rationale")
+
+
+def check_authority_rule(path: Path, rel: str,
+                         lines: list[str]) -> list[Finding]:
+    if not rel.startswith("src/") or rel == AUTHORITY_OWNER:
+        return []
+    return code_matches(
+        path, lines, "authority-rule", AUTHORITY_CONST_READ_RE, lambda m:
+        f"read of protocol::{m.group(1)} outside {AUTHORITY_OWNER} — call "
+        "the authority rule that owns it, or annotate "
+        "`// wmlint: allow(authority-rule)` with a rationale")
 
 
 def check_include_hygiene(path: Path, rel: str, lines: list[str]) -> list[Finding]:
@@ -579,6 +603,7 @@ def lint_file(path: Path, root: Path) -> list[Finding]:
     findings += check_mutex_guarded(path, rel, lines)
     findings += check_transport_factory(path, rel, lines)
     findings += check_link_switch(path, rel, lines)
+    findings += check_authority_rule(path, rel, lines)
     findings += check_include_hygiene(path, rel, lines)
     findings += check_whitespace(path, rel, lines, raw)
     return findings
