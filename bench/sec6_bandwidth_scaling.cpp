@@ -1,6 +1,6 @@
 // §II/§VI reproduction: bandwidth scaling per architecture, on the shipped
-// wire (per-link batching, varint headers, anchored deltas, quantized
-// guidance, subscriber diffs) against the seed wire it replaced.
+// wire (per-link batching, varint headers, quantized guidance, subscriber
+// diffs, budgeted beacons) against the seed wire it replaced.
 //
 // Paper anchors: centralized Quake III costs ~120·n kbps at the server;
 // a naive P2P design grows per-player upload linearly in n (quadratic in
@@ -99,10 +99,10 @@ int main(int argc, char** argv) {
   std::printf("measured on the 48-player trace: avg IS=%.2f, VS=%.1f%% of "
               "others, PVS=%.1f%% of others\n",
               sizes.avg_is, 100 * sizes.vs_fraction, 100 * sizes.pvs_fraction);
-  std::printf("wire sizes (bits incl. UDP/IP): state=%.0f anchored=%.0f "
+  std::printf("wire sizes (bits incl. UDP/IP): state=%.0f/%.0fc "
               "pos=%.0f/%.0fc guidance=%.0f/%.0fq subscribe=%.0f/%.0fc "
               "subdiff=%.0f\n\n",
-              wire.state_update, wire.state_anchored, wire.position_update,
+              wire.state_update, wire.state_update_c, wire.position_update,
               wire.position_update_c, wire.guidance, wire.guidance_q,
               wire.subscribe, wire.subscribe_c, wire.subscriber_diff);
 
@@ -120,7 +120,6 @@ int main(int argc, char** argv) {
     core::SessionOptions opts;
     opts.net = core::NetProfile::kKing;
     opts.loss_rate = 0.01;
-    opts.watchmen.delta_updates = true;
     opts.watchmen.other_update_budget = kOtherBudget;
     const sim::MeasuredBandwidth after = sim::watchmen_measured(t, map, opts);
     news.push_back(after);

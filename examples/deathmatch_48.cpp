@@ -10,8 +10,9 @@
 //   deathmatch_48 --replay match.wmrec   re-runs it and exits nonzero unless
 //                                        every checkpoint digest matches
 // CI chains the two to prove the protocol stack is bit-deterministic;
-// `--record match.wmrec --delta` records with anchored delta updates and the
-// beacon budget on, so the delta/ack path is under the same gate.
+// `--record match.wmrec --budget` records with the beacon budget on
+// (other_update_budget = 64, the 256-player setting), so the budgeted
+// fan-out path is under the same gate.
 
 #include <cstdio>
 #include <cstring>
@@ -56,14 +57,11 @@ core::SessionOptions make_options() {
   return opts;
 }
 
-int record_mode(const char* path, bool delta) {
+int record_mode(const char* path, bool budget) {
   const game::GameMap map = game::make_longest_yard();
   obs::Recording rec;
   rec.options = make_options();
-  if (delta) {
-    rec.options.watchmen.delta_updates = true;
-    rec.options.watchmen.other_update_budget = 64;
-  }
+  if (budget) rec.options.watchmen.other_update_budget = 64;
   rec.cheats = make_roster();
   rec.trace = make_trace(map);
   obs::record_run(rec);
@@ -105,19 +103,19 @@ int replay_mode(const char* path) {
 
 int main(int argc, char** argv) {
   if ((argc == 3 || argc == 4) && std::strcmp(argv[1], "--record") == 0) {
-    const bool delta = argc == 4 && std::strcmp(argv[3], "--delta") == 0;
-    if (argc == 4 && !delta) {
+    const bool budget = argc == 4 && std::strcmp(argv[3], "--budget") == 0;
+    if (argc == 4 && !budget) {
       std::fprintf(stderr, "unknown flag %s\n", argv[3]);
       return 2;
     }
-    return record_mode(argv[2], delta);
+    return record_mode(argv[2], budget);
   }
   if (argc == 3 && std::strcmp(argv[1], "--replay") == 0) {
     return replay_mode(argv[2]);
   }
   if (argc != 1) {
     std::fprintf(stderr,
-                 "usage: deathmatch_48 [--record file.wmrec [--delta] | "
+                 "usage: deathmatch_48 [--record file.wmrec [--budget] | "
                  "--replay file.wmrec]\n");
     return 2;
   }

@@ -9,9 +9,9 @@
 //   byte 1   sender: the origin whose key seals the message (mod n)
 //   byte 2   receiver (mod n + 1; n names the sender's current proxy)
 //   byte 3   subject (low 6 bits, mod n); bit 6 switches the hardened wire
-//            on (anchored deltas, reliable control); bit 7 relays the
-//            message through the sender's proxy (the forwarded leg) instead
-//            of sending it directly (the direct leg)
+//            on (reliable control); bit 7 relays the message through the
+//            sender's proxy (the forwarded leg) instead of sending it
+//            directly (the direct leg)
 //   rest     message body
 //
 // Each input runs in a fresh 4-player session: a few frames of honest
@@ -63,7 +63,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   opts.loss_rate = 0.0;
   opts.compute_threads = 1;
   const bool hardened = (in[3] & 0x40) != 0;
-  opts.watchmen.delta_updates = hardened;
   opts.watchmen.reliable_control = hardened;
   WatchmenSession session(trace(), arena(), opts);
   session.run_frames(12);

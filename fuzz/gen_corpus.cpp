@@ -126,10 +126,15 @@ int main(int argc, char** argv) {
         sealed(core::MsgType::kSubscriberList,
                core::encode_subscriber_list_diff_body({1, 2, 5, 8, 13},
                                                       {1, 2, 7, 8, 13, 21})));
+    // The retired anchored-delta layout (kind 2, baseline age, zigzag
+    // baseline frame, field-mask delta): a body every receiver rejects.
+    ByteWriter anchored;
+    anchored.u8(2);
+    anchored.u8(4);
+    anchored.varint(interest::zigzag(1196));
+    anchored.bytes(interest::encode_delta(sample_state(), sample_state()));
     put(dir, "state_anchored",
-        sealed(core::MsgType::kStateUpdate,
-               core::encode_state_body_delta_anchored(sample_state(), 1196, 4,
-                                                      sample_state())));
+        sealed(core::MsgType::kStateUpdate, anchored.take()));
   }
 
   // --- fuzz_peer: [type, sender, receiver, subject | flags] + body, one

@@ -151,51 +151,16 @@ BatchPrefix decode_batch_prefix(std::span<const std::uint8_t> wire) noexcept {
 
 std::vector<std::uint8_t> encode_state_body(const game::AvatarState& s) {
   ByteWriter w;
-  w.u8(0);  // keyframe
+  w.u8(0);  // kind 0: full state
   const auto payload = interest::encode_full(s);
   w.bytes(payload);
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_state_body_delta_anchored(
-    const game::AvatarState& baseline, Frame baseline_frame,
-    std::uint8_t baseline_age, const game::AvatarState& cur) {
-  ByteWriter w;
-  w.u8(2);  // anchored delta
-  w.u8(baseline_age);
-  const auto payload =
-      interest::encode_delta_anchored(baseline, baseline_frame, cur);
-  w.bytes(payload);
-  return w.take();
-}
-
-StateBodyView parse_state_body(std::span<const std::uint8_t> body) {
-  if (body.empty()) throw DecodeError("empty state body");
-  StateBodyView v;
-  if (body[0] != 0 && body[0] != 2) throw DecodeError("unknown state body kind");
-  v.is_delta = body[0] == 2;
-  if (v.is_delta) {
-    if (body.size() < 2) throw DecodeError("truncated delta body");
-    v.baseline_age = body[1];
-    v.payload = body.subspan(2);
-  } else {
-    v.payload = body.subspan(1);
-  }
-  return v;
-}
-
 game::AvatarState decode_state_body(std::span<const std::uint8_t> body) {
-  const StateBodyView v = parse_state_body(body);
-  if (v.is_delta) throw DecodeError("delta body without baseline");
-  return interest::decode_full(v.payload);
-}
-
-game::AvatarState decode_state_body_anchored(std::span<const std::uint8_t> body,
-                                             const game::AvatarState& baseline,
-                                             Frame baseline_frame) {
-  const StateBodyView v = parse_state_body(body);
-  if (!v.is_delta) throw DecodeError("state body is not an anchored delta");
-  return interest::decode_delta_anchored(baseline, baseline_frame, v.payload);
+  if (body.empty()) throw DecodeError("empty state body");
+  if (body[0] != 0) throw DecodeError("unknown state body kind");
+  return interest::decode_full(body.subspan(1));
 }
 
 std::vector<std::uint8_t> encode_position_body(const Vec3& pos) {

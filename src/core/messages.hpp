@@ -138,38 +138,13 @@ BatchPrefix decode_batch_prefix(std::span<const std::uint8_t> wire) noexcept;
 
 // ----------------------------------------------------------------- bodies
 
-// State-update bodies support Quake-style delta coding (paper §II-A:
-// consecutive updates show high temporal similarity). A body is a keyframe
-// (full state, kind 0) or an anchored delta (kind 2) against the sender's
-// state at `header frame - baseline_age`, with the baseline frame stamped
-// into the payload so a wrong baseline is an explicit BaselineMismatch
-// instead of silent garbage. Kind 1, the retired keyframe-relative delta,
-// is rejected.
+// A state-update body is a full state (paper §II: IS members get a full
+// update every frame): a kind byte 0, then the field-mask encoding against
+// the default state. Kind 1 (a retired keyframe-relative delta) and kind 2
+// (a retired ack-anchored delta) are rejected like any other kind.
 std::vector<std::uint8_t> encode_state_body(const game::AvatarState& s);
-/// Anchored delta: baseline is the sender state at `baseline_frame`
-/// (= header frame - baseline_age): a state the proxy acked, or the
-/// sender's last keyframe before the first ack.
-std::vector<std::uint8_t> encode_state_body_delta_anchored(
-    const game::AvatarState& baseline, Frame baseline_frame,
-    std::uint8_t baseline_age, const game::AvatarState& cur);
-
-struct StateBodyView {
-  bool is_delta = false;          ///< anchored delta (else keyframe)
-  std::uint8_t baseline_age = 0;  ///< baseline = header frame - age
-  std::span<const std::uint8_t> payload;
-};
-
-/// Splits a state body into its framing; throws DecodeError on garbage.
-StateBodyView parse_state_body(std::span<const std::uint8_t> body);
-
-/// Decodes a keyframe body; throws DecodeError on a delta.
+/// Throws DecodeError on a kind other than 0 or a malformed payload.
 game::AvatarState decode_state_body(std::span<const std::uint8_t> body);
-
-/// Decodes an anchored delta body; throws interest::BaselineMismatch when
-/// `baseline_frame` is not the frame the sender coded against.
-game::AvatarState decode_state_body_anchored(std::span<const std::uint8_t> body,
-                                             const game::AvatarState& baseline,
-                                             Frame baseline_frame);
 
 std::vector<std::uint8_t> encode_position_body(const Vec3& pos);
 Vec3 decode_position_body(std::span<const std::uint8_t> body);

@@ -3,13 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
-#include "interest/delta.hpp"
 #include "interest/vision.hpp"
 
 namespace watchmen::core {
 
 namespace {
 Misbehavior g_honest;
+
+/// Decodes a state-update body into `out`; false when it is malformed.
+bool decode_state(std::span<const std::uint8_t> body, game::AvatarState& out) {
+  try {
+    out = decode_state_body(body);
+    return true;
+  } catch (const DecodeError&) {
+    return false;
+  }
+}
 }  // namespace
 
 Misbehavior& honest_behavior() { return g_honest; }
@@ -50,14 +59,6 @@ void WatchmenPeer::set_pool_standing(PlayerId p, bool eligible) {
 
 // --------------------------------------------------------------- sending
 
-void WatchmenPeer::note_published(Frame f, std::uint32_t seq,
-                                  const game::AvatarState& s) {
-  published_.put(f, s);
-  SentSeq& slot = sent_seqs_[seq % sent_seqs_.size()];
-  slot.seq = seq;
-  slot.frame = f;
-}
-
 void WatchmenPeer::send_to_proxy(MsgType type, PlayerId subject, Frame frame,
                                  std::span<const std::uint8_t> body,
                                  Frame delay) {
@@ -79,20 +80,6 @@ void WatchmenPeer::send_to_proxy(MsgType type, PlayerId subject, Frame frame,
     // quiet the duplicate is redundant, never harmful.
     const PlayerId succ = schedule_.proxy_of(id_, schedule_.round_of(frame_) + 1);
     if (succ != px && succ != id_) link_.send(succ, shared);
-  }
-}
-
-void WatchmenPeer::handle_state_ack(PlayerId from, const AckBody& a) {
-  // Frequent-stream ack: our proxy acknowledged one of our own state
-  // updates. Resolve the acked seq back to its frame and advance the delta
-  // anchor (monotonically — reordered acks never move it back). Only a
-  // plausible proxy-of-round may steer our anchor: a forged ack from anyone
-  // else could pin deltas to baselines the proxy never held.
-  if (a.acked_origin != id_) return;
-  if (!authority::near(schedule_, from, id_, schedule_.round_of(frame_))) return;
-  const SentSeq& slot = sent_seqs_[a.acked_seq % sent_seqs_.size()];
-  if (slot.frame >= 0 && slot.seq == a.acked_seq && slot.frame > acked_frame_) {
-    acked_frame_ = slot.frame;
   }
 }
 
@@ -192,44 +179,12 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
   has_own_state_ = true;
   const Frame delay = misbehavior_->send_delay(f);
 
-  // 1. Frequent state update, every frame, through the proxy. With
-  //    delta_updates on it is delta-coded (paper §II-A) against a state the
-  //    delta names by frame: the newest state our proxy acked, or, until an
-  //    ack arrives, the last keyframe. Keyframes go out on the keyframe
-  //    cadence and at every new proxy tenure.
+  // 1. Frequent state update, every frame, through the proxy: the full
+  //    state (paper §II), so every arrival decodes on its own.
   const game::AvatarState published = misbehavior_->mutate_state(own_state_, f);
   if (misbehavior_->send_state_update(f)) {
-    Frame base = -1;  // the delta's baseline frame; -1 sends a keyframe
-    if (cfg_.delta_updates) {
-      // A new proxy tenure starts with no decoded baseline: restart the
-      // chain from a keyframe the new proxy can decode (and ack).
-      const PlayerId proxy_now = schedule_.proxy_at(id_, f);
-      if (proxy_now != anchor_proxy_) {
-        anchor_proxy_ = proxy_now;
-        acked_frame_ = -1;
-        last_keyframe_frame_ = -1;
-      }
-      if (last_keyframe_frame_ >= 0 &&
-          f - last_keyframe_frame_ < cfg_.keyframe_period) {
-        const bool acked = acked_frame_ >= 0 && acked_frame_ < f &&
-                           f - acked_frame_ <= 255 &&
-                           published_.get(acked_frame_) != nullptr;
-        base = acked ? acked_frame_ : last_keyframe_frame_;
-      }
-      if (f - base > 255) base = -1;  // the delta age rides a u8
-    }
-    const game::AvatarState* baseline = base >= 0 ? published_.get(base) : nullptr;
-    std::vector<std::uint8_t> body;
-    if (baseline) {
-      body = encode_state_body_delta_anchored(
-          *baseline, base, static_cast<std::uint8_t>(f - base), published);
-      ++metrics_.anchored_sent;
-    } else {
-      body = encode_state_body(published);
-      last_keyframe_frame_ = f;
-    }
+    const auto body = encode_state_body(published);
     send_to_proxy(MsgType::kStateUpdate, id_, f, body, delay);
-    if (cfg_.delta_updates) note_published(f, link_.last_sealed_seq(), published);
     if (cfg_.direct_updates && delay == 0) {
       // §VI optimization 3: one hop to the IS subscribers our proxy named;
       // the proxy copy above still feeds verification (and serves the proxy
@@ -242,7 +197,6 @@ void WatchmenPeer::produce(std::span<const game::AvatarState> truth,
     }
     for (int i = misbehavior_->extra_state_updates(f); i > 0; --i) {
       send_to_proxy(MsgType::kStateUpdate, id_, f, body, delay);
-      if (cfg_.delta_updates) note_published(f, link_.last_sealed_seq(), published);
     }
   }
 
@@ -575,7 +529,7 @@ void WatchmenPeer::handle_wire(const net::Envelope& env,
   }
 
   if (h.type == MsgType::kAck) {
-    if (link_.on_ack(env, h, typed.ack)) handle_state_ack(env.from, typed.ack);
+    link_.on_ack(env, h, typed.ack);
     return;
   }
 
@@ -713,35 +667,6 @@ bool WatchmenPeer::decode_typed_body(const ParsedMessage& msg,
   return true;
 }
 
-WatchmenPeer::StateDecode WatchmenPeer::decode_state(
-    const StateRing& decoded, const MsgHeader& h,
-    std::span<const std::uint8_t> body, game::AvatarState& out) {
-  try {
-    const StateBodyView v = parse_state_body(body);
-    if (!v.is_delta) {
-      out = interest::decode_full(v.payload);
-      ++metrics_.keyframes_decoded;
-      return StateDecode::kDecoded;
-    }
-    // Anchored delta: the baseline is the state at the stamped frame (one
-    // the proxy acked, or the sender's last keyframe), if we decoded it.
-    const Frame base = h.frame - static_cast<Frame>(v.baseline_age);
-    const game::AvatarState* b = decoded.get(base);
-    if (!b) {
-      ++metrics_.baseline_mismatches;
-      return StateDecode::kNoBaseline;
-    }
-    out = interest::decode_delta_anchored(*b, base, v.payload);
-    ++metrics_.anchored_decodes;
-    return StateDecode::kDecoded;
-  } catch (const interest::BaselineMismatch&) {
-    // The payload's own baseline stamp disagreed with the frame math.
-    ++metrics_.baseline_mismatches;
-  } catch (const DecodeError&) {
-  }
-  return StateDecode::kRejected;
-}
-
 bool WatchmenPeer::replay_guard(RemoteKnowledge& k, const MsgHeader& h,
                                 PlayerId sender) {
   // Accept mild reordering (a couple of frames); reject messages that are
@@ -834,7 +759,7 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
     case MsgType::kStateUpdate:
     case MsgType::kPositionUpdate:
     case MsgType::kGuidance:
-      proxy_handle_update(env, wire, msg, typed, ps);
+      proxy_handle_update(wire, msg, typed, ps);
       break;
     case MsgType::kKillClaim:
       proxy_handle_kill_claim(wire, h, typed.kill, ps);
@@ -844,8 +769,7 @@ void WatchmenPeer::handle_as_proxy(const net::Envelope& env,
   }
 }
 
-void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
-                                       std::span<const std::uint8_t> wire,
+void WatchmenPeer::proxy_handle_update(std::span<const std::uint8_t> wire,
                                        const ParsedMessage& msg,
                                        const TypedBody& typed,
                                        ProxiedState& ps) {
@@ -856,15 +780,7 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
   switch (h.type) {
     case MsgType::kStateUpdate: {
       game::AvatarState s;
-      const StateDecode decoded = decode_state(t.decoded, h, msg.body, s);
-      if (decoded == StateDecode::kRejected) break;
-      if (decoded == StateDecode::kNoBaseline) {
-        // The message still arrived on time — it counts for rate policing —
-        // and subscribers with an intact chain can still use the forward.
-        ++ps.updates_in_round;
-        forward_stream(ps, h, wire);
-        break;
-      }
+      if (!decode_state(msg.body, s)) break;
       if (t.has_state && t.state.alive && !s.alive) {
         know_[h.origin].last_death = h.frame;  // alive-flag transition
         // Redundant obituary: broadcast the (signed) dead-state update so
@@ -926,19 +842,6 @@ void WatchmenPeer::proxy_handle_update(const net::Envelope& env,
       // The direct stream also satisfies this peer's own witness-side
       // forwarding expectation (it never receives its own forwards).
       ++recv_state_in_round_[h.origin];
-
-      if (cfg_.delta_updates) {
-        // Every decoded state is a candidate anchor; ack the stream every
-        // kStateAckPeriod frames so the sender's anchor keeps advancing.
-        t.decoded.put(h.frame, s);
-        if (h.frame - ps.last_state_ack >= kStateAckPeriod) {
-          const AckBody a{h.origin, h.seq, MsgType::kStateUpdate};
-          ++metrics_.state_acks_sent;
-          link_.send(env.from, link_.seal(MsgType::kAck, h.origin, now,
-                                          encode_ack_body(a)));
-          ps.last_state_ack = h.frame;
-        }
-      }
 
       // The proxy holds complete information about its player.
       observe_state(h.origin, s, h.frame, now);
@@ -1209,9 +1112,6 @@ void WatchmenPeer::rejoin(Frame f) {
   grace_.clear();
   outbox_.clear();
   direct_targets_.clear();
-  // The pre-crash anchor refers to a proxy tenure that has lapsed; restart
-  // the anchored chain from the next keyframe.
-  acked_frame_ = -1;
 
   // A crash spanning a full round means the churn agreement has removed us
   // from everyone else's pool; mirror that locally so our assignment math
@@ -1331,12 +1231,8 @@ void WatchmenPeer::handle_as_player(const net::Envelope& env,
   switch (h.type) {
     case MsgType::kStateUpdate: {
       game::AvatarState s;
-      const StateDecode decoded = decode_state(t.decoded, h, msg.body, s);
-      // An arrival counts for the witness-side forwarding expectation even
-      // when its baseline is missing; the next keyframe recovers us.
-      if (decoded != StateDecode::kRejected) ++recv_state_in_round_[h.origin];
-      if (decoded != StateDecode::kDecoded) break;
-      if (cfg_.delta_updates) t.decoded.put(h.frame, s);
+      if (!decode_state(msg.body, s)) break;
+      ++recv_state_in_round_[h.origin];
       metrics_.update_age_frames.add(static_cast<double>(now - h.frame));
       ++metrics_.updates_received;
 

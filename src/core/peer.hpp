@@ -54,10 +54,6 @@
 
 namespace watchmen::core {
 
-/// Proxy ack cadence for the frequent stream under delta_updates: the
-/// proxy acks one decoded state update every this many frames, and the
-/// sender's delta anchor advances to it.
-inline constexpr Frame kStateAckPeriod = 5;
 /// Waypoints per guidance message (one per guidance period ahead).
 inline constexpr std::size_t kGuidanceWaypoints = 2;
 /// Players re-send live subscriptions this often so retention never lapses.
@@ -71,8 +67,8 @@ inline constexpr Frame kMaxUpdateLateness = 6;
 inline constexpr verify::Tolerance kAimTolerance{0.30, 0.25};
 
 /// Protocol knobs. The wire encoding is not among them: every peer batches
-/// per link, seals varint headers, quantizes guidance and diffs subscriber
-/// lists (DESIGN.md §5f).
+/// per link, seals varint headers, quantizes guidance, diffs subscriber
+/// lists and sends every state update as a full state (DESIGN.md §5f).
 struct WatchmenConfig {
   // wmlint: allow(config-knob) the interest benches sweep InterestConfig
   interest::InterestConfig interest;
@@ -83,13 +79,6 @@ struct WatchmenConfig {
   /// calibrated by the harness (ā + σ_a rule). The default covers a full
   /// direction reversal against a linear predictor over one guidance period.
   verify::Tolerance guidance_tolerance{160.0, 160.0};
-  /// Delta-code state updates (paper §II-A) against the newest state the
-  /// proxy acknowledged (it acks the frequent stream every kStateAckPeriod
-  /// frames), or the last keyframe until the first ack of a proxy tenure;
-  /// a periodic keyframe lets forwarded receivers recover from losses.
-  bool delta_updates = false;
-  // wmlint: allow(config-knob) chaos_test moves it until one delta mode remains
-  Frame keyframe_period = 10;  ///< bounds the desync window after a loss
   /// Dead-reckoning predictor damping (1/s); 0 = pure linear. See
   /// interest::make_guidance and bench/ablation_dead_reckoning.
   double dr_damping = 0.0;
@@ -172,44 +161,13 @@ struct PeerMetrics {
   Samples handoff_latency_ms;
   Samples subscribe_latency_ms;
 
-  // Per-link batching and delta coding.
+  // Per-link batching and subscriber diffs.
   std::uint64_t batches_sent = 0;     ///< kBatch datagrams emitted (size >= 2)
   std::uint64_t batched_messages = 0; ///< logical messages that rode a batch
   std::uint64_t batch_rejects = 0;    ///< malformed batch containers dropped
   std::uint64_t flushes = 0;          ///< per-link flushes (bare or container)
   std::uint64_t flushed_messages = 0; ///< logical messages across all flushes
-  std::uint64_t anchored_sent = 0;       ///< delta-coded state updates sent
-  std::uint64_t anchored_decodes = 0;    ///< delta-coded state updates decoded
-  std::uint64_t keyframes_decoded = 0;   ///< full-state bodies decoded
-  std::uint64_t baseline_mismatches = 0; ///< delta arrived, baseline absent
-  std::uint64_t state_acks_sent = 0;     ///< proxy acks of the frequent stream
-  std::uint64_t sub_diff_misses = 0;     ///< subscriber diff hash mismatches
-};
-
-/// Fixed-size ring of recently decoded (or published) states keyed by frame
-/// — the candidate baselines for anchored deltas. Slots allocate lazily
-/// on first use: every SubjectTrack holds one, but only frequent-stream
-/// endpoints ever pay for it.
-struct StateRing {
-  static constexpr std::size_t kSlots = 64;
-  struct Slot {
-    Frame frame = -1;
-    game::AvatarState state;
-  };
-  std::vector<Slot> slots;
-
-  void put(Frame f, const game::AvatarState& s) {
-    if (f < 0) return;
-    if (slots.empty()) slots.resize(kSlots);
-    Slot& slot = slots[static_cast<std::size_t>(f) % kSlots];
-    slot.frame = f;
-    slot.state = s;
-  }
-  const game::AvatarState* get(Frame f) const {
-    if (f < 0 || slots.empty()) return nullptr;
-    const Slot& slot = slots[static_cast<std::size_t>(f) % kSlots];
-    return slot.frame == f ? &slot.state : nullptr;
-  }
+  std::uint64_t sub_diff_misses = 0;  ///< subscriber diff hash mismatches
 };
 
 /// One verifier's track of one subject's stream (paper §V): proxies and
@@ -220,9 +178,6 @@ struct SubjectTrack {
   game::AvatarState state;  ///< last verified state
   Frame state_frame = -1;
   bool has_state = false;
-  /// Recently decoded states by frame: the baselines of anchored deltas
-  /// (any frame we decoded can serve as the sender's baseline).
-  StateRing decoded;
   /// The open dead-reckoning window: the newest guidance, and the
   /// (frame, position) samples observed since; the guidance check consumes
   /// them when the window closes.
@@ -337,7 +292,6 @@ class WatchmenPeer {
   struct ProxiedState {
     interest::SubscriptionTable subs;
     SubjectTrack track;
-    Frame last_state_ack = -1000;  ///< frame of the last frequent-stream ack
     std::vector<PlayerId> sent_subs;  ///< subscriber-diff baseline (sorted)
     std::uint32_t sub_sends = 0;      ///< list sends; every 4th is a full refresh
     std::uint32_t updates_in_round = 0;
@@ -360,22 +314,14 @@ class WatchmenPeer {
   /// cheat); while that proxy is silent, a copy goes to the successor.
   void send_to_proxy(MsgType type, PlayerId subject, Frame frame,
                      std::span<const std::uint8_t> body, Frame delay);
-  /// Records an own published state update (frame, seq, post-mutation state)
-  /// so a later proxy ack can be resolved into a delta anchor.
-  void note_published(Frame f, std::uint32_t seq, const game::AvatarState& s);
-
-  /// Our proxy acked one of our own state updates: advance the delta
-  /// anchor to it.
-  void handle_state_ack(PlayerId from, const AckBody& a);
-
   // --- receive paths ------------------------------------------------------
   /// One sealed envelope's worth of processing. `wire` is the envelope's
   /// own bytes — either the whole datagram or one sub-wire of a kBatch
   /// container (env then carries the batch; from/timing fields still apply).
   void handle_wire(const net::Envelope& env, std::span<const std::uint8_t> wire);
   /// A message's typed body, decoded once on receipt, before any state
-  /// changes. State updates decode later, against their delta baseline;
-  /// a subscriber-list diff decodes against the receiver's current list.
+  /// changes. State updates decode later, in the role that uses them; a
+  /// subscriber-list diff decodes against the receiver's current list.
   struct TypedBody {
     interest::Guidance guidance;                         ///< kGuidance
     Vec3 pos;                                            ///< kPositionUpdate
@@ -395,8 +341,7 @@ class WatchmenPeer {
   /// under direct-update mode (skips the sender-is-the-proxy validation).
   void handle_as_player(const net::Envelope& env, const ParsedMessage& msg,
                         const TypedBody& typed, bool direct_path = false);
-  void proxy_handle_update(const net::Envelope& env,
-                           std::span<const std::uint8_t> wire,
+  void proxy_handle_update(std::span<const std::uint8_t> wire,
                            const ParsedMessage& msg, const TypedBody& typed,
                            ProxiedState& ps);
   void proxy_handle_subscribe_first_hop(std::span<const std::uint8_t> wire,
@@ -491,12 +436,6 @@ class WatchmenPeer {
                             SubjectTrack& t, Frame observed_frame,
                             const Vec3& observed_pos);
   bool replay_guard(RemoteKnowledge& k, const MsgHeader& h, PlayerId sender);
-  /// Decodes a state-update body, a delta against the baseline `decoded`
-  /// holds at the frame it names. Counts the outcome in metrics_.
-  enum class StateDecode : std::uint8_t { kDecoded, kNoBaseline, kRejected };
-  StateDecode decode_state(const StateRing& decoded, const MsgHeader& h,
-                           std::span<const std::uint8_t> body,
-                           game::AvatarState& out);
 
   PlayerId id_;
   WatchmenConfig cfg_;
@@ -512,20 +451,6 @@ class WatchmenPeer {
 
   // Player-side state.
   std::vector<RemoteKnowledge> know_;
-  // Delta-coding sender state: the keyframe cadence, the published-state
-  // ring, the seq->frame map for resolving proxy acks, and the newest acked
-  // frame (the anchor).
-  Frame last_keyframe_frame_ = -1;
-  StateRing published_;
-  struct SentSeq {
-    std::uint32_t seq = 0;
-    Frame frame = -1;
-  };
-  std::array<SentSeq, 128> sent_seqs_{};
-  Frame acked_frame_ = -1;
-  /// Proxy the current anchored chain is seeded against; a tenure change
-  /// resets the anchor and forces a keyframe for the new proxy.
-  PlayerId anchor_proxy_ = kInvalidPlayer;
   // Direct-update mode: the IS subscribers our proxy told us to push to.
   std::vector<PlayerId> direct_targets_;
   /// Last subscription this peer sent about each target, indexed by id:

@@ -12,7 +12,6 @@ PeerLink::PeerLink(PlayerId id, std::size_t n_players,
       n_(n_players),
       reliable_(cfg.reliable_control),
       watchdog_(cfg.liveness_watchdog),
-      state_acks_(cfg.delta_updates),
       failover_silence_(cfg.proxy_failover_silence),
       net_(&net),
       keys_(&keys),
@@ -148,18 +147,15 @@ void PeerLink::maybe_ack(const net::Envelope& env, const MsgHeader& h) {
        seal(MsgType::kAck, h.origin, net_->clock().frame(), encode_ack_body(a)));
 }
 
-bool PeerLink::on_ack(const net::Envelope& env, const MsgHeader& h,
+void PeerLink::on_ack(const net::Envelope& env, const MsgHeader& h,
                       const AckBody& a) {
-  if (!reliable_ && !state_acks_) return false;
-  if (env.from != h.origin) return false;  // acks travel one hop, unsigned relays don't
+  if (!reliable_) return;
+  if (env.from != h.origin) return;  // acks travel one hop, unsigned relays don't
   ++metrics_->acks_received;
-  if (a.acked_type == MsgType::kStateUpdate) return state_acks_;
-  if (!reliable_) return false;
   std::erase_if(pending_, [&](const PendingReliable& p) {
     return p.to == env.from && p.acked.origin == a.acked_origin &&
            p.acked.seq == a.acked_seq && p.acked.type == a.acked_type;
   });
-  return false;
 }
 
 // ------------------------------------------------------------- liveness

@@ -74,7 +74,6 @@ class PeerLink {
   /// Seals header+body as this peer with the next sequence number.
   std::vector<std::uint8_t> seal(MsgType type, PlayerId subject, Frame frame,
                                  std::span<const std::uint8_t> body);
-  std::uint32_t last_sealed_seq() const { return last_sealed_.seq; }
   /// Queues a wire this peer sends in its own right.
   void send(PlayerId to, Wire wire);
   void send(PlayerId to, std::vector<std::uint8_t> wire) {
@@ -101,9 +100,8 @@ class PeerLink {
   /// Acks a control-class message back to its immediate sender.
   void maybe_ack(const net::Envelope& env, const MsgHeader& h);
   /// Consumes an ack whose header is `h`: clears the tracked control wire
-  /// it names. True when it acks the frequent stream instead, which the
-  /// peer resolves into its delta anchor.
-  bool on_ack(const net::Envelope& env, const MsgHeader& h, const AckBody& a);
+  /// it names.
+  void on_ack(const net::Envelope& env, const MsgHeader& h, const AckBody& a);
   /// Records liveness evidence: p was heard from at frame f.
   void heard(PlayerId p, Frame f) {
     last_heard_[p] = std::max(last_heard_[p], f);
@@ -156,7 +154,6 @@ class PeerLink {
   std::size_t n_;
   bool reliable_;
   bool watchdog_;
-  bool state_acks_;  ///< delta updates: the proxy acks the frequent stream
   Frame failover_silence_;
   net::Transport* net_;
   const crypto::KeyRegistry* keys_;

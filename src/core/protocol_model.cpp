@@ -236,15 +236,6 @@ void deliver(State& s, int idx, const ModelConfig& cfg) {
       // unverifiable origin chain — was handled above.
       break;
     }
-    case MsgKind::kStateAck: {
-      // Anchored-delta baseline ack, received by the subject: accepted only
-      // from a proxy near the current round in its own view.
-      const bool near = authority::near(view_of(s, 0), m.from, 0, s.round);
-      if (!near && cfg.variant != Variant::kAckUnsubscribed) break;
-      if (!near) s.violations |= kViolationRogueAck;
-      s.anchor = m.from;
-      break;
-    }
     case MsgKind::kControlAck: {
       if (s.pending_to[j] == m.from) {
         s.pending_to[j] = kNone;
@@ -263,7 +254,6 @@ const char* to_string(Variant v) {
     case Variant::kFaithful: return "faithful";
     case Variant::kSkipVantageCheck: return "skip-vantage-check";
     case Variant::kAcceptUnsigned: return "accept-unsigned";
-    case Variant::kAckUnsubscribed: return "ack-unsubscribed";
     case Variant::kUnboundedRetransmit: return "unbounded-retransmit";
     case Variant::kHandoffAnyRound: return "handoff-any-round";
   }
@@ -276,7 +266,6 @@ const char* to_string(MsgKind k) {
     case MsgKind::kChurnNotice: return "ChurnNotice";
     case MsgKind::kRejoinNotice: return "RejoinNotice";
     case MsgKind::kStateUpdate: return "StateUpdate";
-    case MsgKind::kStateAck: return "StateAck";
     case MsgKind::kControlAck: return "ControlAck";
   }
   return "?";
@@ -290,7 +279,6 @@ std::string violations_to_string(std::uint8_t flags) {
   };
   if (flags & kViolationDualProxy) add("dual-active-proxy");
   if (flags & kViolationUnsigned) add("unsigned-accepted");
-  if (flags & kViolationRogueAck) add("rogue-baseline-ack");
   if (flags & kViolationRetransmit) add("retransmit-over-budget");
   if (flags & kViolationNoProxy) add("quiescent-no-proxy");
   if (flags & kViolationMultiProxyQuiescent) add("quiescent-multi-proxy");
@@ -395,11 +383,6 @@ void enabled_actions(const State& s, const ModelConfig& cfg,
           {ActionKind::kForge, static_cast<std::int8_t>(MsgKind::kHandoff), a});
     }
   }
-  if (s.acks < cfg.ack_budget) {
-    for (std::int8_t x = 1; x < static_cast<std::int8_t>(cfg.n_nodes); ++x) {
-      if (live(s, x)) out.push_back({ActionKind::kInjectAck, x, 0});
-    }
-  }
 }
 
 State apply(const State& s0, const Action& action, const ModelConfig& cfg) {
@@ -435,7 +418,6 @@ State apply(const State& s0, const Action& action, const ModelConfig& cfg) {
       s.pending_to[c] = kNone;
       s.pending_stamp[c] = 0;
       s.pending_retries[c] = 0;
-      if (s.anchor == c) s.anchor = kNone;
       s.rounds_since_fault = 0;
       break;
     }
@@ -478,11 +460,6 @@ State apply(const State& s0, const Action& action, const ModelConfig& cfg) {
       if (m.to != kNone) enqueue(s, m);
       ++s.forged;
       s.rounds_since_fault = 0;
-      break;
-    }
-    case ActionKind::kInjectAck: {
-      enqueue(s, msg(MsgKind::kStateAck, action.a, 0, 0, s.round));
-      ++s.acks;
       break;
     }
     case ActionKind::kRetransmit: {
@@ -583,8 +560,6 @@ std::string describe(const Action& action, const State& before) {
       return std::string("forge unsigned ") +
              to_string(static_cast<MsgKind>(action.a)) + " via node " +
              std::to_string(action.b);
-    case ActionKind::kInjectAck:
-      return "node " + std::to_string(action.a) + " acks the delta baseline";
     case ActionKind::kRetransmit:
       return "node " + std::to_string(action.a) +
              " retransmits its tracked handoff (retry " +
@@ -627,7 +602,6 @@ std::string describe(const State& s, const ModelConfig& cfg) {
     }
     out += "]";
   }
-  if (s.anchor != kNone) out += " anchor=" + std::to_string(s.anchor);
   out += " flight=" + std::to_string(s.n_flight);
   if (s.violations) out += " VIOLATION:" + violations_to_string(s.violations);
   return out;

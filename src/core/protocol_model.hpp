@@ -19,10 +19,11 @@
 //       active proxy at quiescence (diverged views must re-converge),
 //   I2  no protocol message is accepted without a verifiable origin
 //       signature,
-//   I3  no anchored-delta baseline ack is accepted from a node that is not
-//       the player's proxy within one round of the receiver's round,
 //   I4  retransmit budgets terminate (a tracked control message is never
 //       retransmitted more than retransmit_budget times).
+//
+// (I3, the proxy-only acceptance of anchored-delta baseline acks, retired
+// with delta-coded state updates; the numbering stays.)
 //
 // The model tracks a single subject player (node 0): per-player authority
 // is independent in the implementation, so one subject with N-1 candidate
@@ -39,8 +40,8 @@
 //  * state payloads are dropped — only authority/ack metadata remains.
 //
 // ModelConfig's `variant` mutates one call site each (failover without the
-// vantage observation, unsigned acceptance, unchecked ack origin, unbounded
-// retransmit, an always-adopt handoff verdict); the seeded-broken corpus
+// vantage observation, unsigned acceptance, unbounded retransmit, an
+// always-adopt handoff verdict); the seeded-broken corpus
 // in tests/wmcheck_test.cpp proves the checker catches every one.
 
 #include <array>
@@ -65,8 +66,6 @@ enum class Variant : std::uint8_t {
   kSkipVantageCheck,      ///< authority::failover told the incumbent is
                           ///< silent (no PeerLink::proxy_silent observation)
   kAcceptUnsigned,        ///< receivers skip origin-signature verification
-  kAckUnsubscribed,       ///< anchored-delta acks accepted without
-                          ///< authority::near
   kUnboundedRetransmit,   ///< reliable control ignores retransmit_budget
   kHandoffAnyRound,       ///< every handoff gets the kAdopt verdict
 };
@@ -81,7 +80,6 @@ struct ModelConfig {
   int crash_budget = 1;   ///< proxy crashes (at most one, may rejoin)
   int rejoin_budget = 1;  ///< crashed proxy may come back
   int forge_budget = 1;   ///< unsigned injected messages
-  int ack_budget = 1;     ///< spontaneous state-acks (exercises I3)
   int failover_budget = 1;
   /// Smaller than the shipped protocol::kRetransmitBudget (4) on purpose:
   /// I4 holds by construction for any budget, and at 4 the
@@ -98,7 +96,6 @@ enum class MsgKind : std::uint8_t {
   kChurnNotice,
   kRejoinNotice,
   kStateUpdate,
-  kStateAck,
   kControlAck,
 };
 
@@ -132,7 +129,6 @@ enum Violation : std::uint8_t {
   kViolationDualProxy = 1u << 0,       ///< I1: two live active proxies with
                                        ///< identical pool views
   kViolationUnsigned = 1u << 1,        ///< I2
-  kViolationRogueAck = 1u << 2,        ///< I3
   kViolationRetransmit = 1u << 3,      ///< I4
   kViolationNoProxy = 1u << 4,         ///< I1 at quiescence: zero proxies
   kViolationMultiProxyQuiescent = 1u << 5,  ///< I1 at quiescence: several
@@ -153,13 +149,12 @@ struct State {
   /// Node i's churn/rejoin agreement about crashed_node, the only node
   /// whose pool membership changes: the peer's authority::PoolRecord.
   std::array<authority::PoolRecord<std::int8_t>, kMaxNodes> agreement{};
-  std::int8_t anchor = kNone;  ///< node the subject's delta chain is acked to
   // Reliable-handoff tracking, per sending node.
   std::array<std::int8_t, kMaxNodes> pending_to{};
   std::array<std::int8_t, kMaxNodes> pending_stamp{};
   std::array<std::uint8_t, kMaxNodes> pending_retries{};
   // Spent adversarial budgets.
-  std::uint8_t lost = 0, duped = 0, forged = 0, acks = 0, failovers = 0;
+  std::uint8_t lost = 0, duped = 0, forged = 0, failovers = 0;
   std::int8_t rounds_since_fault = 0;  ///< capped at settle_rounds
   std::uint8_t violations = 0;
   /// Model bound hit (flight array full): excluded from the invariants and
@@ -181,7 +176,6 @@ enum class ActionKind : std::uint8_t {
   kRejoin,     ///< a = node
   kFailover,    ///< a = adopting successor node
   kForge,       ///< a = forged MsgKind, b = attacker node
-  kInjectAck,   ///< a = acking node
   kRetransmit,  ///< a = node retransmitting its tracked handoff
 };
 

@@ -39,15 +39,10 @@ constexpr PeerCounter kPeerCounters[] = {
     {"peer.failover_adoptions", &PeerMetrics::failover_adoptions},
     {"peer.watchdog_suspects", &PeerMetrics::watchdog_suspects},
     {"peer.watchdog_deaths", &PeerMetrics::watchdog_deaths},
-    // Batching and delta coding.
+    // Batching and subscriber diffs.
     {"peer.batches_sent", &PeerMetrics::batches_sent},
     {"peer.batched_messages", &PeerMetrics::batched_messages},
     {"peer.batch_rejects", &PeerMetrics::batch_rejects},
-    {"peer.anchored_sent", &PeerMetrics::anchored_sent},
-    {"peer.anchored_decodes", &PeerMetrics::anchored_decodes},
-    {"peer.keyframes_decoded", &PeerMetrics::keyframes_decoded},
-    {"peer.baseline_mismatches", &PeerMetrics::baseline_mismatches},
-    {"peer.state_acks_sent", &PeerMetrics::state_acks_sent},
     {"peer.sub_diff_misses", &PeerMetrics::sub_diff_misses},
 };
 

@@ -1,7 +1,6 @@
 #include "interest/delta.hpp"
 
 #include <cmath>
-#include <string>
 
 namespace watchmen::interest {
 namespace {
@@ -124,30 +123,6 @@ game::AvatarState decode_delta(const game::AvatarState& prev,
     cur.frags = apply_diff_q(prev.frags, r.varint());
   }
   return cur;
-}
-
-std::vector<std::uint8_t> encode_delta_anchored(const game::AvatarState& prev,
-                                                Frame baseline_frame,
-                                                const game::AvatarState& cur) {
-  ByteWriter w;
-  w.varint(zigzag(baseline_frame));
-  const auto body = encode_delta(prev, cur);
-  w.bytes(body);
-  return w.take();
-}
-
-game::AvatarState decode_delta_anchored(const game::AvatarState& prev,
-                                        Frame baseline_frame,
-                                        std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const Frame stamped = unzigzag(r.varint());
-  if (stamped != baseline_frame) {
-    throw BaselineMismatch("delta anchored to frame " +
-                           std::to_string(static_cast<long long>(stamped)) +
-                           " but receiver baseline is frame " +
-                           std::to_string(static_cast<long long>(baseline_frame)));
-  }
-  return decode_delta(prev, bytes.subspan(bytes.size() - r.remaining()));
 }
 
 }  // namespace watchmen::interest

@@ -1,11 +1,10 @@
 #pragma once
-// Delta coding of state updates (paper §II-A: consecutive updates show high
-// temporal similarity and are delta-coded, only carrying differences).
-//
-// Encoding: a field bitmask followed by only the changed fields, with
-// positions quantized to 1/8 unit and angles to ~0.0001 rad — the same
-// trick Quake III's snapshot encoding uses. A full (non-delta) encoding is
-// the delta against a default-constructed baseline.
+// Field-mask coding of avatar states: a field bitmask followed by only the
+// fields that differ from a baseline, with positions quantized to 1/8 unit
+// and angles to ~0.0001 rad — the same trick Quake III's snapshot encoding
+// uses. A full encoding is the delta against a default-constructed
+// baseline; state updates and handoff summaries carry full encodings, as
+// the paper sends IS members a full state update every frame (§II).
 
 #include <cmath>
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "game/avatar.hpp"
 #include "util/bytes.hpp"
-#include "util/ids.hpp"
 
 namespace watchmen::interest {
 
@@ -40,13 +38,6 @@ inline std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// Thrown by the anchored decoder when the payload was coded against a
-/// baseline frame the receiver does not hold — the explicit error path that
-/// replaces the old "silently wait for the next keyframe" behavior.
-struct BaselineMismatch : DecodeError {
-  using DecodeError::DecodeError;
-};
-
 /// Serializes `cur` as a delta against `prev`.
 std::vector<std::uint8_t> encode_delta(const game::AvatarState& prev,
                                        const game::AvatarState& cur);
@@ -54,19 +45,6 @@ std::vector<std::uint8_t> encode_delta(const game::AvatarState& prev,
 /// Reconstructs the state from a delta and its baseline.
 game::AvatarState decode_delta(const game::AvatarState& prev,
                                std::span<const std::uint8_t> bytes);
-
-/// Anchored variant: the payload carries the frame of the baseline it was
-/// coded against, so a receiver can verify it is applying the delta to the
-/// right state instead of silently producing garbage (or silently skipping).
-std::vector<std::uint8_t> encode_delta_anchored(const game::AvatarState& prev,
-                                                Frame baseline_frame,
-                                                const game::AvatarState& cur);
-
-/// Throws BaselineMismatch when `baseline_frame` differs from the frame the
-/// sender stamped into the payload.
-game::AvatarState decode_delta_anchored(const game::AvatarState& prev,
-                                        Frame baseline_frame,
-                                        std::span<const std::uint8_t> bytes);
 
 /// Full encoding (baseline = default AvatarState).
 inline std::vector<std::uint8_t> encode_full(const game::AvatarState& cur) {

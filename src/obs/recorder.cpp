@@ -48,8 +48,6 @@ void put_watchmen_config(ByteWriter& w, const core::WatchmenConfig& c) {
   w.i64(c.renewal_frames);
   w.f64(c.rate_loss_allowance);
   put_tolerance(w, c.guidance_tolerance);
-  put_bool(w, c.delta_updates);
-  w.i64(c.keyframe_period);
   w.f64(c.dr_damping);
   put_bool(w, c.direct_updates);
   put_bool(w, c.reliable_control);
@@ -74,8 +72,6 @@ core::WatchmenConfig get_watchmen_config(ByteReader& r) {
   c.renewal_frames = r.i64();
   c.rate_loss_allowance = r.f64();
   c.guidance_tolerance = get_tolerance(r);
-  c.delta_updates = get_bool(r);
-  c.keyframe_period = r.i64();
   c.dr_damping = r.f64();
   c.direct_updates = get_bool(r);
   c.reliable_control = get_bool(r);

@@ -82,12 +82,13 @@ struct RecEvent {
 };
 
 struct Recording {
-  // v4: every field of WatchmenConfig plus misbehavior_enforcement. The
+  // v5: every field of WatchmenConfig plus misbehavior_enforcement (v4 also
+  // carried the two retired delta-coding fields). The
   // protocol constants (guidance cadence, retransmit and watchdog timing,
   // misbehavior scoring, detector thresholds) are not recorded: they are
   // part of the binary. Older files are rejected, not guessed at
   // (DESIGN.md §5e).
-  static constexpr std::uint16_t kVersion = 4;
+  static constexpr std::uint16_t kVersion = 5;
 
   core::SessionOptions options;       ///< includes seed + FaultPlan
   std::vector<CheatSpec> cheats;      ///< roster, rebuilt on replay

@@ -66,23 +66,13 @@ WireSizes WireSizes::measure() {
   w.state_payload = static_cast<double>(core::encode_state_body(s).size()) * 8;
   w.snapshot_overhead = 22 * 8 + overhead;  // header + UDP/IP, no signature
 
-  // The shipped wire, measured from the encoders the peers use. The anchored
-  // delta is measured on one frame of typical motion (the steady state once
-  // the proxy acks every kStateAckPeriod frames: baselines stay 1-5 frames
-  // old, so deltas are small).
-  game::AvatarState next = s;
-  const double dt = static_cast<double>(kFrameMs) / 1000.0;
-  next.pos.x += s.vel.x * dt;
-  next.pos.y += s.vel.y * dt;
-  next.pos.z += s.vel.z * dt;
-  next.yaw += 0.02;
+  // The shipped wire, measured from the encoders the peers use.
   const auto sealed_bits = [&](std::span<const std::uint8_t> body) {
     return static_cast<double>(core::seal(h, body, keys.key_pair(0)).size()) *
                8 +
            overhead;
   };
-  w.state_anchored = sealed_bits(
-      core::encode_state_body_delta_anchored(s, h.frame - 1, 1, next));
+  w.state_update_c = sealed_bits(core::encode_state_body(s));
   w.guidance_q = sealed_bits(core::encode_guidance_body(g));
   w.subscriber_diff = sealed_bits(core::encode_subscriber_list_diff_body(
       {1, 2, 5, 8, 13}, {1, 2, 5, 8, 21}));
@@ -192,15 +182,15 @@ double watchmen_upload_kbps_v2(std::size_t n, const SetSizeStats& s,
   };
 
   // Same traffic structure as watchmen_upload_kbps, with the overhauled
-  // per-message sizes: anchored deltas for the frequent stream, quantized
-  // guidance, diffs for subscription pushes, compact envelope headers.
+  // per-message sizes: quantized guidance, diffs for subscription pushes,
+  // compact envelope headers.
   const double player =
-      kUpdatesPerSecond * eff(w.state_anchored) +
+      kUpdatesPerSecond * eff(w.state_update_c) +
       kInfrequentPerSecond * (eff(w.guidance_q) + eff(w.position_update_c)) +
       kInfrequentPerSecond * (is + vs) * eff(w.subscribe_c);
 
   const double proxy =
-      kUpdatesPerSecond * is * eff(w.state_anchored) +
+      kUpdatesPerSecond * is * eff(w.state_update_c) +
       kInfrequentPerSecond * vs * eff(w.guidance_q) +
       kInfrequentPerSecond * other_fanout * eff(w.position_update_c) +
       kInfrequentPerSecond * (is + vs) * eff(w.subscriber_diff);

@@ -28,12 +28,11 @@ struct WireSizes {
   /// trusted server's snapshot.
   double snapshot_overhead = 0.0;
 
-  // Shipped wire format (batched datagrams, varint headers, anchored
-  // deltas): steady-state per-message costs. All include UDP/IP overhead
-  // like the fields above, so the two generations are directly comparable;
-  // the batching model subtracts the overhead back out when amortizing it
-  // across a datagram.
-  double state_anchored = 0.0;   ///< ack-anchored delta, one frame of motion
+  // Shipped wire format (batched datagrams, varint headers): steady-state
+  // per-message costs. All include UDP/IP overhead like the fields above,
+  // so the two generations are directly comparable; the batching model
+  // subtracts the overhead back out when amortizing it across a datagram.
+  double state_update_c = 0.0;   ///< full state update, compact header
   double guidance_q = 0.0;       ///< quantized varint guidance body
   double subscriber_diff = 0.0;  ///< one-add/one-remove subscriber diff
   double position_update_c = 0.0;  ///< position beacon, compact header
@@ -78,11 +77,11 @@ struct WireV2Params {
   double vs_cap = 0.0;
 };
 
-/// Watchmen with the overhauled wire format: frequent updates ride
-/// ack-anchored deltas, guidance is quantized, subscription pushes are
-/// diffs, envelopes use compact headers, per-link messages share datagrams,
-/// and the Other-set beacon fan-out is budgeted (the term that must be
-/// bounded for flat upload at 512-1024 players).
+/// Watchmen with the overhauled wire format: guidance is quantized,
+/// subscription pushes are diffs, envelopes use compact headers, per-link
+/// messages share datagrams, and the Other-set beacon fan-out is budgeted
+/// (the term that must be bounded for flat upload at 512-1024 players).
+/// Frequent updates stay full states, as on the paper wire.
 double watchmen_upload_kbps_v2(std::size_t n, const SetSizeStats& s,
                                const WireSizes& w, const WireV2Params& p);
 double donnybrook_upload_kbps(std::size_t n, const SetSizeStats& s,

@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace watchmen {
@@ -115,39 +116,53 @@ class Samples {
     return std::sqrt(acc / static_cast<double>(xs_.size() - 1));
   }
 
-  /// Quantile q in [0,1] with linear interpolation. Sorts a local copy, so
-  /// concurrent const reads are safe and values() keeps insertion order.
-  /// (The old mutable lazy-sort made this a data race under the documented
-  /// "const reads are safe" contract.) Batch related quantiles through
-  /// quantiles() to pay the sort once.
-  double quantile(double q) const {
-    std::vector<double> ys(xs_);
-    std::sort(ys.begin(), ys.end());
-    return quantile_of_sorted(ys, q);
-  }
+  /// Quantile q in [0,1] with linear interpolation between the order
+  /// statistics at ranks ⌊q(n−1)⌋ and ⌊q(n−1)⌋+1. Works on a local copy,
+  /// so concurrent const reads are safe and values() keeps insertion order.
+  /// Batch related quantiles through quantiles() to share the copy.
+  double quantile(double q) const { return quantiles({q}).front(); }
 
-  /// One sort, many reads: returns the quantile for each q in `qs`.
+  /// The quantile for each q in `qs`, in the order given. Selection, not a
+  /// sort: walking the qs in ascending order, nth_element places rank i
+  /// (narrowing the range to the part above the previous rank) and
+  /// min_element over the part above i finds rank i+1. The two order
+  /// statistics, and so the result, are bit-identical to a full sort's.
   std::vector<double> quantiles(std::initializer_list<double> qs) const {
+    std::vector<double> out(qs.size(), 0.0);
+    if (xs_.empty()) return out;
+    std::vector<std::pair<double, std::size_t>> order;
+    order.reserve(qs.size());
+    for (double q : qs) order.emplace_back(q, order.size());
+    std::sort(order.begin(), order.end());
+
     std::vector<double> ys(xs_);
-    std::sort(ys.begin(), ys.end());
-    std::vector<double> out;
-    out.reserve(qs.size());
-    for (double q : qs) out.push_back(quantile_of_sorted(ys, q));
+    const std::size_t last = ys.size() - 1;
+    // Nothing in ys[0, lo) exceeds anything in ys[lo, n), and ys[lo - 1]
+    // holds its own order statistic.
+    std::size_t lo = 0;
+    for (const auto& [q, k] : order) {
+      const double pos = q * static_cast<double>(last);
+      const auto i = std::min(static_cast<std::size_t>(pos), last);
+      if (i >= lo) {
+        std::nth_element(ys.begin() + static_cast<std::ptrdiff_t>(lo),
+                         ys.begin() + static_cast<std::ptrdiff_t>(i), ys.end());
+        lo = i + 1;
+      }
+      if (i == last) {
+        out[k] = ys[i];
+        continue;
+      }
+      const double frac = pos - static_cast<double>(i);
+      const double next = *std::min_element(
+          ys.begin() + static_cast<std::ptrdiff_t>(i + 1), ys.end());
+      out[k] = ys[i] * (1.0 - frac) + next * frac;
+    }
     return out;
   }
 
   const std::vector<double>& values() const { return xs_; }
 
  private:
-  static double quantile_of_sorted(const std::vector<double>& ys, double q) {
-    if (ys.empty()) return 0.0;
-    const double pos = q * static_cast<double>(ys.size() - 1);
-    const auto i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    if (i + 1 >= ys.size()) return ys.back();
-    return ys[i] * (1.0 - frac) + ys[i + 1] * frac;
-  }
-
   std::vector<double> xs_;
 };
 

@@ -178,75 +178,6 @@ TEST_F(ChaosSession, ProxyDeathUnderBurstyLossRecovers) {
   EXPECT_GT(acks, 0u);
 }
 
-// Anchored-delta acceptance: a Gilbert–Elliott loss burst chews
-// through the ack-anchored frequent stream — baselines get dropped, deltas
-// arrive anchored to states the receiver never decoded — and the decoder
-// must recover through the acked anchor rather than stalling for a
-// keyframe (keyframes are all but disabled here to prove it). After the
-// burst heals, everything each proxy decoded must be bit-identical to what
-// the lossless run decodes for the same frames: anchored coding may delay
-// knowledge, never corrupt it.
-TEST_F(ChaosSession, AnchoredDeltasRecoverFromBurstyLossWithoutKeyframes) {
-  SessionOptions opts;
-  opts.net = NetProfile::kFixed;
-  opts.fixed_latency_ms = 25.0;
-  opts.loss_rate = 0.0;
-  opts.watchmen.delta_updates = true;
-  opts.watchmen.keyframe_period = 1000;  // longer than the session: the
-                                         // anchor is the only recovery path
-
-  net::FaultPlan plan;
-  plan.bursts.push_back(
-      {time_of(120), time_of(280), net::GilbertElliott{0.1, 0.4, 0.02, 0.9}});
-
-  WatchmenSession lossless(*trace_, *map_, opts);
-  lossless.run();
-
-  SessionOptions lossy_opts = opts;
-  lossy_opts.faults = plan;
-  WatchmenSession lossy(*trace_, *map_, lossy_opts);
-  lossy.run();
-
-  std::uint64_t anchored_decodes = 0, mismatches = 0, keyframes = 0;
-  for (PlayerId p = 0; p < trace_->n_players; ++p) {
-    const auto& m = lossy.peer(p).metrics();
-    anchored_decodes += m.anchored_decodes;
-    mismatches += m.baseline_mismatches;
-    keyframes += m.keyframes_decoded;
-  }
-  // The burst really dropped baselines (explicit BaselineMismatch path
-  // fired), and decoding still ran on the anchor, not on keyframes: only
-  // the initial hello-keyframes per (observer, subject) stream exist.
-  EXPECT_GT(mismatches, 0u);
-  EXPECT_GT(anchored_decodes, 1000u);
-  EXPECT_LT(keyframes, anchored_decodes / 10);
-
-  // Bit-identical decode: wherever the lossy and lossless runs hold state
-  // for the same (observer, subject) at the same frame, the decoded bytes
-  // agree exactly. The heal window makes that overlap the common case —
-  // require it — so this is not vacuously true.
-  std::size_t compared = 0, holders = 0;
-  for (PlayerId p = 0; p < trace_->n_players; ++p) {
-    for (PlayerId q = 0; q < trace_->n_players; ++q) {
-      if (p == q) continue;
-      const SubjectTrack& a = lossy.peer(p).knowledge_of(q).track;
-      const SubjectTrack& b = lossless.peer(p).knowledge_of(q).track;
-      if (!a.has_state || !b.has_state) continue;
-      ++holders;
-      if (a.state_frame != b.state_frame) continue;
-      ++compared;
-      EXPECT_EQ(encode_state_body(a.state), encode_state_body(b.state))
-          << "observer " << p << " subject " << q << " frame "
-          << a.state_frame;
-    }
-  }
-  EXPECT_GT(holders, 0u);
-  EXPECT_GE(compared, holders / 2) << "heal window should realign streams";
-
-  // And the chaos never produced a false accusation.
-  EXPECT_EQ(flagged_connected(lossy), 0u);
-}
-
 // Same FaultPlan + seed => bit-identical network behaviour, including the
 // per-class drop attribution (issue acceptance: seed-determinism).
 TEST_F(ChaosSession, FaultScheduleIsSeedDeterministic) {

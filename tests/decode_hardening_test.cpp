@@ -94,18 +94,6 @@ TEST(DecodeHardening, StateBodyKeyframe) {
                   [](auto b) { return core::decode_state_body(b); });
 }
 
-TEST(DecodeHardening, StateBodyDelta) {
-  game::AvatarState next = sample_state();
-  next.pos.x += 2.0;
-  next.health -= 25;
-  next.weapon = game::WeaponKind::kPlasmaGun;
-  expect_hardened(
-      core::encode_state_body_delta_anchored(sample_state(), 1197, 3, next),
-      [](auto b) {
-        return core::decode_state_body_anchored(b, sample_state(), 1197);
-      });
-}
-
 TEST(DecodeHardening, PositionBody) {
   expect_hardened(core::encode_position_body({10.0, 20.0, 30.0}),
                   [](auto b) { return core::decode_position_body(b); });
@@ -341,11 +329,20 @@ TEST(DecodeHardening, RetiredEncodingsRejected) {
     w.u8(1);
     w.u8(3);  // baseline age
     w.bytes(interest::encode_delta(sample_state(), sample_state()));
-    EXPECT_THROW(core::parse_state_body(w.data()), DecodeError);
     EXPECT_THROW(core::decode_state_body(w.data()), DecodeError);
-    EXPECT_THROW(
-        core::decode_state_body_anchored(w.data(), sample_state(), 1197),
-        DecodeError);
+  }
+  {
+    // State-body kind 2: a delta anchored to a proxy-acked state (baseline
+    // age, then the zigzag baseline frame ahead of the field-mask delta).
+    game::AvatarState next = sample_state();
+    next.pos.x += 2.0;
+    next.health -= 25;
+    ByteWriter w;
+    w.u8(2);
+    w.u8(3);  // baseline age
+    w.varint(interest::zigzag(1197));
+    w.bytes(interest::encode_delta(sample_state(), next));
+    EXPECT_THROW(core::decode_state_body(w.data()), DecodeError);
   }
 }
 

@@ -544,37 +544,5 @@ TEST(Delta, PaperSizedUpdates) {
   EXPECT_LE(full.size() + kEnvelope, 110u);
 }
 
-// ------------------------------------------------------- anchored deltas
-
-TEST(DeltaAnchored, RoundTripAgainstAckedBaseline) {
-  AvatarState base = at(100, 200);
-  base.vel = {320, 0, 0};
-  base.health = 88;
-  AvatarState cur = base;
-  cur.pos = {116, 200, 0};
-  cur.health = 80;
-  const auto bytes = encode_delta_anchored(base, 1040, cur);
-  const AvatarState rt = decode_delta_anchored(base, 1040, bytes);
-  EXPECT_EQ(rt.health, cur.health);
-  EXPECT_NEAR(rt.pos.x, cur.pos.x, 0.125);
-}
-
-TEST(DeltaAnchored, BaselineMismatchIsExplicit) {
-  // Regression for the overhaul's error path: applying an anchored delta
-  // to the wrong baseline must throw BaselineMismatch — never silently
-  // reconstruct garbage, and distinguishable from generic DecodeError so
-  // the peer can fall back to waiting for an ack-refresh or keyframe.
-  AvatarState base = at(100, 200);
-  AvatarState cur = base;
-  cur.pos = {116, 200, 0};
-  const auto bytes = encode_delta_anchored(base, 1040, cur);
-  EXPECT_THROW(decode_delta_anchored(base, 1041, bytes), BaselineMismatch);
-  // BaselineMismatch is a DecodeError (decoders stay total functions)…
-  EXPECT_THROW(decode_delta_anchored(base, 999, bytes), DecodeError);
-  // …and the right frame still decodes after failed attempts.
-  const AvatarState rt = decode_delta_anchored(base, 1040, bytes);
-  EXPECT_NEAR(rt.pos.x, cur.pos.x, 0.125);
-}
-
 }  // namespace
 }  // namespace watchmen::interest

@@ -332,9 +332,9 @@ TEST(FlightRecorder, MalformedInputThrowsDecodeError) {
   auto bad = bytes;
   bad[0] ^= 0xff;
   EXPECT_THROW(Recording::deserialize(bad), DecodeError);
-  // Unsupported versions, including v1-v3, which predate the v4 option
+  // Unsupported versions, including v1-v4, which predate the v5 option
   // layout (u16 right after the 5-byte magic).
-  for (const std::uint8_t v : {1, 2, 3, 0xee}) {
+  for (const std::uint8_t v : {1, 2, 3, 4, 0xee}) {
     bad = bytes;
     bad[5] = v;
     bad[6] = 0;
@@ -421,8 +421,6 @@ TEST(FlightRecorder, EveryOptionRoundTrips) {
   c.renewal_frames = 60;
   c.rate_loss_allowance = 0.2;
   c.guidance_tolerance = {150.0, 140.0};
-  c.delta_updates = true;
-  c.keyframe_period = 12;
   c.dr_damping = 0.5;
   c.direct_updates = true;
   c.reliable_control = true;

@@ -157,19 +157,8 @@ TEST_P(DeltaProperty, RandomStatesRoundTrip) {
 TEST_P(DeltaProperty, WireBodiesRoundTripThroughFraming) {
   Rng rng(GetParam() ^ 0xabcdef);
   for (int i = 0; i < 100; ++i) {
-    const auto base = random_state(rng);
-    auto cur = base;
-    cur.pos += cur.vel * 0.05;
-    cur.health -= static_cast<std::int32_t>(rng.between(0, 20));
-
-    const auto key_body = core::encode_state_body(base);
-    expect_states_equal(base, core::decode_state_body(key_body));
-
-    const Frame base_frame = 1000 + i;
-    const auto delta_body = core::encode_state_body_delta_anchored(
-        base, base_frame, static_cast<std::uint8_t>(rng.between(1, 9)), cur);
-    expect_states_equal(
-        cur, core::decode_state_body_anchored(delta_body, base, base_frame));
+    const auto s = random_state(rng);
+    expect_states_equal(s, core::decode_state_body(core::encode_state_body(s)));
   }
 }
 

@@ -92,7 +92,7 @@ TEST_P(FuzzDecode, BodyDecodersThrowCleanly) {
     } catch (const DecodeError&) {
     }
     try {
-      (void)core::parse_state_body(bytes);
+      (void)core::decode_state_body(bytes);
     } catch (const DecodeError&) {
     }
     try {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <set>
 #include <thread>
@@ -236,6 +240,55 @@ TEST(Samples, QuantilesBatchMatchesSingle) {
   EXPECT_DOUBLE_EQ(q[0], s.quantile(0.5));
   EXPECT_DOUBLE_EQ(q[1], s.quantile(0.95));
   EXPECT_DOUBLE_EQ(q[2], s.quantile(0.99));
+}
+
+/// The sort-based quantile that Samples' selection must match bit for bit.
+double sorted_quantile(std::vector<double> ys, double q) {
+  std::sort(ys.begin(), ys.end());
+  const double pos = q * static_cast<double>(ys.size() - 1);
+  const auto i = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(i);
+  if (i + 1 >= ys.size()) return ys.back();
+  return ys[i] * (1.0 - frac) + ys[i + 1] * frac;
+}
+
+void expect_matches_sort(const Samples& s, std::initializer_list<double> qs) {
+  const auto got = s.quantiles(qs);
+  ASSERT_EQ(got.size(), qs.size());
+  std::size_t k = 0;
+  for (const double q : qs) {
+    const double want = sorted_quantile(s.values(), q);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+              std::bit_cast<std::uint64_t>(want))
+        << "n=" << s.count() << " q=" << q << " got " << got[k] << " want "
+        << want;
+    ++k;
+  }
+  for (const double q : qs) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.quantile(q)),
+              std::bit_cast<std::uint64_t>(sorted_quantile(s.values(), q)));
+  }
+}
+
+TEST(Samples, SelectionMatchesSortBitForBit) {
+  // Differential check of the selection-based quantiles against a full
+  // sort: sizes from 1, continuous values and heavy ties, the extreme
+  // ranks, repeated qs and an unsorted q list.
+  Rng rng(21);
+  for (int trial = 0; trial < 4000; ++trial) {
+    Samples s;
+    const std::size_t n = trial < 50 ? 1 : 1 + rng.next() % 200;
+    const bool ties = trial % 2 == 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      s.add(ties ? static_cast<double>(rng.next() % 6) : rng.normal(5.0, 3.0));
+    }
+    expect_matches_sort(s, {0.0});
+    expect_matches_sort(s, {1.0});
+    expect_matches_sort(s, {0.50, 0.95, 0.99});
+    expect_matches_sort(s, {0.99, 0.5, 1.0});
+    expect_matches_sort(s, {0.9, 0.25, 0.25, 0.0, 0.9});
+    if (HasFailure()) return;
+  }
 }
 
 TEST(Samples, ConcurrentConstQuantileReads) {

@@ -36,7 +36,6 @@ ModelConfig tiny_config() {
   cfg.loss_budget = 1;
   cfg.dup_budget = 0;
   cfg.forge_budget = 0;
-  cfg.ack_budget = 0;
   return cfg;
 }
 
@@ -321,7 +320,6 @@ TEST(WmcheckCorpus, EveryBrokenVariantIsCaught) {
   const BrokenCase cases[] = {
       {Variant::kSkipVantageCheck, model::kViolationDualProxy},
       {Variant::kAcceptUnsigned, model::kViolationUnsigned},
-      {Variant::kAckUnsubscribed, model::kViolationRogueAck},
       {Variant::kUnboundedRetransmit, model::kViolationRetransmit},
       {Variant::kHandoffAnyRound, model::kViolationDualProxy},
   };
@@ -341,8 +339,7 @@ TEST(WmcheckCorpus, CounterexamplesReplayToTheReportedViolation) {
   // the initial state independently reproduces the violation.
   for (const Variant v :
        {Variant::kSkipVantageCheck, Variant::kAcceptUnsigned,
-        Variant::kAckUnsubscribed, Variant::kUnboundedRetransmit,
-        Variant::kHandoffAnyRound}) {
+        Variant::kUnboundedRetransmit, Variant::kHandoffAnyRound}) {
     const CheckResult res = check_variant(v);
     ASSERT_TRUE(res.found_violation) << model::to_string(v);
     ModelConfig cfg;

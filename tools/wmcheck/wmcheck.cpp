@@ -5,8 +5,8 @@
 // proxy crash, rejoin, retransmission and emergency-failover adoption up to
 // the configured adversarial budgets, deduplicating states by canonical
 // hash, and asserts the cheat-resistance invariants (exactly one active
-// proxy, signed-origin acceptance only, proxy-only baseline acks, bounded
-// retransmission). On violation it prints a minimal counterexample trace
+// proxy, signed-origin acceptance only, bounded retransmission). On
+// violation it prints a minimal counterexample trace
 // plus a machine-readable action list replayable with --replay.
 //
 // Exit codes: 0 = expectations met, 1 = invariant violated (or, with
@@ -28,9 +28,9 @@ namespace {
 using namespace watchmen::core::model;
 
 constexpr Variant kAllVariants[] = {
-    Variant::kFaithful,        Variant::kSkipVantageCheck,
-    Variant::kAcceptUnsigned,  Variant::kAckUnsubscribed,
-    Variant::kUnboundedRetransmit, Variant::kHandoffAnyRound,
+    Variant::kFaithful,       Variant::kSkipVantageCheck,
+    Variant::kAcceptUnsigned, Variant::kUnboundedRetransmit,
+    Variant::kHandoffAnyRound,
 };
 
 void usage() {
@@ -41,7 +41,7 @@ void usage() {
                "  --list-variants       print variant names and exit\n"
                "  --nodes N             pool size incl. subject (default 4)\n"
                "  --rounds N            round horizon (default 6)\n"
-               "  --loss N --dup N --crash N --rejoin N --forge N --ack N\n"
+               "  --loss N --dup N --crash N --rejoin N --forge N\n"
                "  --failover N          adversarial budgets (see ModelConfig)\n"
                "  --max-states N        distinct-state budget (default 2e6)\n"
                "  --max-depth N         BFS depth cap (default 64)\n"
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       }
       (arg == "--nodes" ? cfg.n_nodes : cfg.max_rounds) = static_cast<int>(v);
     } else if (arg == "--loss" || arg == "--dup" || arg == "--crash" ||
-               arg == "--rejoin" || arg == "--forge" || arg == "--ack" ||
+               arg == "--rejoin" || arg == "--forge" ||
                arg == "--failover") {
       const char* val = next();
       std::uint64_t v = 0;
@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
                   : arg == "--crash"  ? &cfg.crash_budget
                   : arg == "--rejoin" ? &cfg.rejoin_budget
                   : arg == "--forge"  ? &cfg.forge_budget
-                  : arg == "--ack"    ? &cfg.ack_budget
                                       : &cfg.failover_budget;
       *slot = static_cast<int>(v);
     } else if (arg == "--max-states" || arg == "--max-depth" ||
