@@ -287,15 +287,31 @@ void BM_ProxyOf_Hit(benchmark::State& state) {
 }
 BENCHMARK(BM_ProxyOf_Hit);
 
-// A fresh round per query: the weighted draw itself, O(n).
+// A fresh round per query: the weighted draw itself, O(log n), plus the
+// memo row it clears.
 void BM_ProxyOf_Miss(benchmark::State& state) {
-  const core::ProxySchedule sched(42, 48);
+  const core::ProxySchedule sched(42, static_cast<std::size_t>(state.range(0)));
   std::int64_t round = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sched.proxy_of(7, round++));
   }
 }
-BENCHMARK(BM_ProxyOf_Miss);
+BENCHMARK(BM_ProxyOf_Miss)->Arg(48)->Arg(256);
+
+// The shape of a peer's round-start adoption loop: a fresh round's n
+// proxy_of calls, every one a miss. Time is per round.
+void BM_ProxyOf_Round(benchmark::State& state) {
+  const auto n = static_cast<PlayerId>(state.range(0));
+  const core::ProxySchedule sched(42, n);
+  std::int64_t round = 0;
+  for (auto _ : state) {
+    for (PlayerId p = 0; p < n; ++p) {
+      benchmark::DoNotOptimize(sched.proxy_of(p, round));
+    }
+    ++round;
+  }
+}
+BENCHMARK(BM_ProxyOf_Round)->Arg(256);
 
 // A proxy's per-update subscriber list from a full 256-player table, a
 // quarter of it at interest level.

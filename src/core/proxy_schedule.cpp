@@ -1,6 +1,7 @@
 #include "core/proxy_schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace watchmen::core {
@@ -11,9 +12,21 @@ ProxySchedule::ProxySchedule(std::uint64_t session_seed, std::size_t n_players,
       weights_(n_players, 1.0) {
   if (n_players < 2) throw std::invalid_argument("need at least 2 players");
   if (renewal_frames <= 0) throw std::invalid_argument("renewal must be positive");
+  invalidate();
 }
 
 void ProxySchedule::invalidate() {
+  members_.clear();
+  cum_.clear();
+  rank_.resize(n_);
+  double sum = 0.0;
+  for (PlayerId q = 0; q < n_; ++q) {
+    rank_[q] = static_cast<std::uint32_t>(members_.size());
+    if (weights_[q] <= 0.0) continue;
+    sum += weights_[q];
+    members_.push_back(q);
+    cum_.push_back(sum);
+  }
   // Entries are cleared too, not just the round tags: a stale entry could
   // otherwise be served to a round that happens to equal an old tag.
   std::fill(memo_.begin(), memo_.end(), kInvalidPlayer);
@@ -39,28 +52,41 @@ PlayerId ProxySchedule::proxy_of(PlayerId player, std::int64_t round) const {
 
 PlayerId ProxySchedule::draw(PlayerId player, std::int64_t round) const {
   // Deterministic weighted draw over the pool, excluding the player itself.
-  // Each (player, round, attempt) triple hashes to a fresh uniform value —
-  // the "per-player PRNG initialized with the player's id and a common
-  // seed" of §III-B, in counter mode so any round is O(pool) to evaluate
-  // without replaying earlier rounds.
-  double total = 0.0;
-  for (PlayerId q = 0; q < n_; ++q) {
-    if (q != player) total += weights_[q];
-  }
-  if (total <= 0.0) throw std::logic_error("proxy pool is empty");
+  // Each (player, round) pair hashes to a fresh uniform value — the
+  // "per-player PRNG initialized with the player's id and a common seed"
+  // of §III-B, in counter mode so any round is evaluated without replaying
+  // earlier ones. The trailing mix64(0) is the attempt counter of the scan
+  // this search replaced; it stays so every hash, and so every proxy, is
+  // unchanged.
+  //
+  // The keys are the running sums over the pool without `player`: cum_[i]
+  // for members before it, cum_[i] − w for members after it, where w is
+  // its own weight (0 when it is not a member). Subtracting w from a sum,
+  // rather than adding it to the pick, keeps integer keys exact. The keys
+  // on each side of the player are non-decreasing (across it, a fractional
+  // w can round them out of order), so the two sides are searched apart;
+  // the total is the last key, so the pick is always reached. With no
+  // member after the player the search stays before it, so even weights
+  // whose sum overflows (a NaN pick) land on a member.
+  const std::size_t m = members_.size();
+  const std::size_t split = player < n_ ? rank_[player] : m;
+  const bool member = split < m && members_[split] == player;
+  if (m - (member ? 1 : 0) == 0) throw std::logic_error("proxy pool is empty");
+  const std::size_t after = member ? split + 1 : split;
+  const double w = member ? weights_[player] : 0.0;
+  const double total = after < m ? cum_[m - 1] - w : cum_[split - 1];
 
-  for (std::uint64_t attempt = 0;; ++attempt) {
-    const std::uint64_t h =
-        mix64(seed_ ^ mix64(0x70726f78ULL + player) ^
-              mix64(static_cast<std::uint64_t>(round)) ^ mix64(attempt));
-    double pick = (static_cast<double>(h >> 11) * 0x1.0p-53) * total;
-    for (PlayerId q = 0; q < n_; ++q) {
-      if (q == player || weights_[q] <= 0.0) continue;
-      pick -= weights_[q];
-      if (pick <= 0.0) return q;
-    }
-    // Floating-point edge: fall through and redraw.
-  }
+  const std::uint64_t h =
+      mix64(seed_ ^ mix64(0x70726f78ULL + player) ^
+            mix64(static_cast<std::uint64_t>(round)) ^ mix64(0));
+  const double pick = (static_cast<double>(h >> 11) * 0x1.0p-53) * total;
+  const auto first = cum_.begin();
+  const auto it =
+      split > 0 && (after == m || pick <= cum_[split - 1])
+          ? std::lower_bound(first, first + split, pick)
+          : std::partition_point(first + after, cum_.end(),
+                                 [&](double c) { return c - w < pick; });
+  return members_[it - first];
 }
 
 std::vector<PlayerId> ProxySchedule::proxied_by(PlayerId proxy,
@@ -83,7 +109,9 @@ void ProxySchedule::restore_to_pool(PlayerId player) {
 }
 
 void ProxySchedule::set_weight(PlayerId player, double weight) {
-  if (weight < 0.0) throw std::invalid_argument("negative weight");
+  if (!std::isfinite(weight) || weight < 0.0) {
+    throw std::invalid_argument("weight must be finite and non-negative");
+  }
   weights_.at(player) = weight;
   invalidate();
 }

@@ -14,6 +14,17 @@
 // from the proxy pool (churn, bans, or low-bandwidth nodes) and weighting
 // powerful nodes to serve more often.
 //
+// The draw. A player's proxy is the first pool member, in id order, whose
+// running weight sum over the pool without the player reaches a seeded
+// uniform fraction of that pool's total. The running sums are rebuilt on
+// every pool or weight change, so a draw is one binary search: O(log n).
+// While every weight is an integer (the default 1, removals, and every
+// shipped config but hybrid_server's) every sum and difference is exact,
+// so the answer equals that of subtracting the weights from the pick one
+// member at a time, the O(n) scan that earlier versions ran and recorded
+// sessions were made with. Fractional weights stay deterministic and
+// proportional, but at floating-point edges may round differently from it.
+//
 // Memo contract. Every receiver re-derives the origin's proxy for each
 // forwarded message, so `proxy_of` answers from a lazily filled table of
 // kMemoSlots rounds × n players, slot = round mod kMemoSlots. A miss runs
@@ -85,8 +96,9 @@ class ProxySchedule {
   /// Re-adds a player to the pool.
   void restore_to_pool(PlayerId player);
 
-  /// Sets a relative serving weight (≥0; default 1). Heavier nodes are
-  /// chosen proportionally more often (§VI "Upload capacity & Fairness").
+  /// Sets a relative serving weight (finite, ≥0; default 1). Heavier nodes
+  /// are chosen proportionally more often (§VI "Upload capacity &
+  /// Fairness").
   void set_weight(PlayerId player, double weight);
 
   bool in_pool(PlayerId player) const { return weights_.at(player) > 0.0; }
@@ -96,15 +108,22 @@ class ProxySchedule {
   /// spare so a look-ahead to r+2 does not evict r−1.
   static constexpr std::size_t kMemoSlots = 4;
 
-  /// The deterministic weighted draw behind proxy_of: O(n) per call.
+  /// The deterministic weighted draw behind proxy_of (see "The draw"
+  /// above): O(log n) per call.
   PlayerId draw(PlayerId player, std::int64_t round) const;
-  /// Empties the memo; called by every pool or weight change.
+  /// Rebuilds the running sums and empties the memo; called by every pool
+  /// or weight change.
   void invalidate();
 
   std::uint64_t seed_;
   std::size_t n_;
   Frame renewal_;
   std::vector<double> weights_;
+  /// Pool members (weight > 0) in id order; cum_[i] = the summed weights
+  /// of members_[0..i]; rank_[q] = the number of members with an id below q.
+  std::vector<PlayerId> members_;
+  std::vector<double> cum_;
+  std::vector<std::uint32_t> rank_;
   /// Round each memo slot holds (meaningless while its entries are empty).
   mutable std::array<std::int64_t, kMemoSlots> memo_round_{};
   /// kMemoSlots × n_ proxies, kInvalidPlayer where not drawn yet; empty

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -330,6 +332,187 @@ TEST(ProxySchedule, RejectsDegenerateInputs) {
   EXPECT_THROW(ProxySchedule(1, 8, 0), std::invalid_argument);
   ProxySchedule s(1, 8);
   EXPECT_THROW(s.set_weight(0, -1.0), std::invalid_argument);
+  EXPECT_THROW(s.set_weight(0, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(s.set_weight(0, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+// The reference for the cumulative search: the O(n) scan it replaced,
+// verbatim but for taking the weights as an argument. With integer weights
+// every subtraction here is exact, so it returns the first member whose
+// running sum reaches the pick, which is what the search finds.
+PlayerId reference_scan(std::uint64_t seed, const std::vector<double>& weights,
+                        PlayerId player, std::int64_t round) {
+  const std::size_t n = weights.size();
+  double total = 0.0;
+  for (PlayerId q = 0; q < n; ++q) {
+    if (q != player) total += weights[q];
+  }
+  if (total <= 0.0) throw std::logic_error("proxy pool is empty");
+
+  for (std::uint64_t attempt = 0;; ++attempt) {
+    const std::uint64_t h =
+        mix64(seed ^ mix64(0x70726f78ULL + player) ^
+              mix64(static_cast<std::uint64_t>(round)) ^ mix64(attempt));
+    double pick = (static_cast<double>(h >> 11) * 0x1.0p-53) * total;
+    for (PlayerId q = 0; q < n; ++q) {
+      if (q == player || weights[q] <= 0.0) continue;
+      pick -= weights[q];
+      if (pick <= 0.0) return q;
+    }
+    // Floating-point edge: fall through and redraw.
+  }
+}
+
+/// Runs `draw` and maps an empty-pool throw to kInvalidPlayer.
+template <typename Draw>
+PlayerId or_empty(Draw&& draw) {
+  try {
+    return draw();
+  } catch (const std::logic_error&) {
+    return kInvalidPlayer;
+  }
+}
+
+TEST(ProxySchedule, SearchMatchesScanOnIntegerWeights) {
+  Rng rng(1198);
+  std::size_t queries = 0;
+  std::size_t empty = 0;
+  while (queries < 1'200'000) {
+    const std::size_t n = 2 + rng.below(300);  // 2..301
+    const double zero_share = rng.chance(0.25) ? 0.0 : rng.uniform(0.0, 0.9);
+    const bool unit = rng.chance(0.2);  // the shipped default: all 1.0
+    std::vector<double> w(n, 1.0);
+    for (double& x : w) {
+      if (rng.chance(zero_share)) {
+        x = 0.0;
+      } else if (!unit) {
+        x = static_cast<double>(1 + rng.below(9));
+      }
+    }
+    // Removed first and last players: the edges of the running sums.
+    const std::uint64_t edges = rng.below(4);
+    if (edges & 1u) w.front() = 0.0;
+    if (edges & 2u) w.back() = 0.0;
+
+    const std::uint64_t seed = rng.next();
+    ProxySchedule sched(seed, n);
+    for (PlayerId q = 0; q < n; ++q) {
+      if (w[q] != 1.0) sched.set_weight(q, w[q]);
+    }
+    for (int i = 0; i < 400; ++i, ++queries) {
+      // Mostly session ids, and some forged ones at or past n.
+      const std::uint64_t past = rng.chance(0.5) ? 4 : 1u << 31;
+      const PlayerId p = rng.chance(0.95)
+                             ? static_cast<PlayerId>(rng.below(n))
+                             : static_cast<PlayerId>(n + rng.below(past));
+      const std::int64_t r = rng.between(-1000, 100000);
+      const PlayerId want =
+          or_empty([&] { return reference_scan(seed, w, p, r); });
+      ASSERT_EQ(or_empty([&] { return sched.proxy_of(p, r); }), want)
+          << "n " << n << " player " << p << " round " << r;
+      empty += (want == kInvalidPlayer);
+    }
+  }
+  EXPECT_GT(empty, 0u);  // the empty-pool throw is exercised as well
+}
+
+TEST(ProxySchedule, GoldenAssignment) {
+  // proxy_of(p, r) for seed 42, 48 players, rounds 0..3: the schedule every
+  // recording, anchor and wire capture of a 48-player session depends on.
+  constexpr std::size_t n = 48;
+  static constexpr PlayerId kGolden[4][n] = {
+      {28, 28, 40, 34, 45, 9, 16, 45, 33, 24, 45, 27, 2, 26, 18, 35,
+       30, 26, 13, 5, 22, 25, 19, 13, 27, 2, 35, 36, 21, 40, 14, 22,
+       46, 35, 14, 39, 31, 15, 21, 32, 37, 23, 44, 45, 8, 43, 2, 19},
+      {44, 30, 5, 38, 9, 26, 23, 22, 32, 13, 40, 8, 2, 2, 13, 30,
+       19, 26, 31, 47, 24, 2, 28, 12, 1, 5, 29, 8, 38, 8, 14, 6,
+       19, 24, 2, 41, 38, 29, 22, 18, 46, 0, 28, 37, 15, 17, 39, 43},
+      {24, 7, 22, 31, 9, 44, 24, 41, 29, 29, 16, 4, 4, 40, 34, 20,
+       38, 20, 8, 39, 21, 32, 21, 14, 39, 19, 7, 7, 1, 5, 32, 44,
+       28, 29, 42, 15, 12, 13, 4, 41, 43, 3, 24, 30, 20, 12, 31, 0},
+      {42, 31, 6, 2, 6, 2, 23, 30, 17, 26, 33, 14, 7, 41, 16, 36,
+       0, 23, 19, 18, 10, 5, 5, 0, 32, 13, 5, 13, 17, 2, 29, 45,
+       20, 7, 38, 16, 35, 39, 21, 35, 35, 16, 24, 5, 29, 18, 25, 13},
+  };
+  const ProxySchedule sched(42, n);
+  for (std::int64_t r = 0; r < 4; ++r) {
+    for (PlayerId p = 0; p < n; ++p) {
+      EXPECT_EQ(sched.proxy_of(p, r), kGolden[r][p])
+          << "player " << p << " round " << r;
+    }
+  }
+}
+
+TEST(ProxySchedule, FractionalWeightsStayValid) {
+  // Fractional weights may round differently from the scan, but a draw
+  // never returns the player itself or a zero-weight node, and never
+  // throws while another member has weight > 0.
+  const auto check = [](const std::vector<double>& w, std::int64_t rounds) {
+    const std::size_t n = w.size();
+    ProxySchedule sched(99, n);
+    for (PlayerId q = 0; q < n; ++q) sched.set_weight(q, w[q]);
+    for (PlayerId p = 0; p < n; ++p) {
+      bool others = false;
+      for (PlayerId q = 0; q < n; ++q) others |= (q != p && w[q] > 0.0);
+      for (std::int64_t r = -2; r < rounds; ++r) {
+        if (!others) {
+          ASSERT_THROW(sched.proxy_of(p, r), std::logic_error);
+          continue;
+        }
+        PlayerId proxy = kInvalidPlayer;
+        ASSERT_NO_THROW(proxy = sched.proxy_of(p, r)) << "player " << p;
+        ASSERT_LT(proxy, n);
+        ASSERT_NE(proxy, p) << "round " << r;
+        ASSERT_GT(w[proxy], 0.0) << "player " << p << " round " << r;
+      }
+    }
+  };
+  // hybrid_server's pattern: the server at 1.0, player 0 at 1e-6, the rest
+  // out of the pool.
+  for (const std::size_t n : {2u, 3u, 17u, 48u}) {
+    std::vector<double> w(n, 0.0);
+    w.back() = 1.0;
+    w.front() = 1e-6;
+    check(w, 300);
+  }
+  // A heavy player next to tiny ones: its own weight dwarfs the sums after it.
+  for (const double heavy : {1e6, 1e12, 1e15, 1e300}) {
+    check({1e-9, heavy, 1e-9, 0.0, 3e-9}, 300);
+    check({heavy, 1e-12, 0.0, 1e-12}, 300);
+    check({0.0, 1e-12, heavy}, 300);
+    check({heavy, 0.0, 1e-300}, 300);
+  }
+  // Finite weights whose sum overflows to infinity.
+  check({1e308, 1e308, 1.0}, 40);
+  check({1.0, 1e308, 0.0, 1e308}, 40);
+  // Random magnitudes, zeros and first/last removals.
+  Rng rng(6);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> w(2 + rng.below(40));
+    for (double& x : w) {
+      x = rng.chance(0.3) ? 0.0 : std::pow(10.0, rng.uniform(-15.0, 15.0));
+    }
+    if (rng.chance(0.3)) w.front() = 0.0;
+    if (rng.chance(0.3)) w.back() = 0.0;
+    check(w, 40);
+  }
+}
+
+TEST(ProxySchedule, FractionalWeightsStayProportional) {
+  const std::vector<double> w = {0.5, 1.5, 0.0, 0.25, 3.0, 0.75, 2.0};
+  ProxySchedule sched(3, w.size());
+  for (PlayerId q = 0; q < w.size(); ++q) sched.set_weight(q, w[q]);
+  // Player 2 is out of the pool, so its draws cover the whole pool.
+  std::vector<int> load(w.size(), 0);
+  constexpr int kRounds = 80000;
+  for (std::int64_t r = 0; r < kRounds; ++r) ++load[sched.proxy_of(2, r)];
+  const double total = 8.0;
+  for (PlayerId q = 0; q < w.size(); ++q) {
+    const double expect = kRounds * w[q] / total;
+    EXPECT_NEAR(load[q], expect, 0.05 * expect + 1.0) << "node " << q;
+  }
 }
 
 // ------------------------------------------------------------ messages

@@ -10,8 +10,10 @@
 // plus a machine-readable action list replayable with --replay.
 //
 // Exit codes: 0 = expectations met, 1 = invariant violated (or, with
-// --expect-violation, NOT violated), 2 = usage / limits not reached.
+// --expect-violation, NOT violated), 2 = usage / limits not reached / a
+// replay list that does not fit the model.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -61,6 +63,11 @@ bool parse_u64(const char* s, std::uint64_t& out) {
   return true;
 }
 
+/// Replays an action list, one `kind a b` line per action. The list is
+/// checked before it runs: a kind past kRetransmit, an operand outside
+/// int8 or an action the model does not offer at that step (a list from an
+/// older model, or a hand edit) is rejected with its line number, since a
+/// cast would silently replay a different run.
 int replay(const ModelConfig& cfg, const std::string& path) {
   std::ifstream in(path);
   if (!in) {
@@ -68,25 +75,39 @@ int replay(const ModelConfig& cfg, const std::string& path) {
     return 2;
   }
   std::vector<Action> actions;
+  std::vector<Action> enabled;
+  State s = initial_state(cfg);
   std::string line;
-  while (std::getline(in, line)) {
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty() || line[0] == '#') continue;
+    const auto reject = [&](const char* why) {
+      std::fprintf(stderr, "wmcheck: %s:%d: %s: %s\n", path.c_str(), line_no,
+                   why, line.c_str());
+      return 2;
+    };
     std::istringstream ls(line);
     int kind = 0, a = 0, b = 0;
-    if (!(ls >> kind >> a >> b)) {
-      std::fprintf(stderr, "wmcheck: bad replay line: %s\n", line.c_str());
-      return 2;
+    if (!(ls >> kind >> a >> b)) return reject("bad replay line");
+    if (kind < 0 || kind > static_cast<int>(ActionKind::kRetransmit)) {
+      return reject("unknown action kind");
     }
-    actions.push_back({static_cast<ActionKind>(kind),
-                       static_cast<std::int8_t>(a),
-                       static_cast<std::int8_t>(b)});
+    if (a < INT8_MIN || a > INT8_MAX || b < INT8_MIN || b > INT8_MAX) {
+      return reject("operand outside int8");
+    }
+    const Action action{static_cast<ActionKind>(kind),
+                        static_cast<std::int8_t>(a),
+                        static_cast<std::int8_t>(b)};
+    enabled_actions(s, cfg, enabled);
+    if (std::find(enabled.begin(), enabled.end(), action) == enabled.end()) {
+      return reject("action not enabled at this step");
+    }
+    s = apply(s, action, cfg);
+    actions.push_back(action);
   }
   for (const std::string& l : render_trace(cfg, actions)) {
     std::printf("%s\n", l.c_str());
   }
   // Report the final verdict of the replayed run.
-  State s = initial_state(cfg);
-  for (const Action& a : actions) s = apply(s, a, cfg);
   if (s.violations != 0) {
     std::printf("replay: VIOLATION %s\n",
                 violations_to_string(s.violations).c_str());
