@@ -11,8 +11,10 @@
 //                                        every checkpoint digest matches
 // CI chains the two to prove the protocol stack is bit-deterministic;
 // `--record match.wmrec --budget` records with the beacon budget on
-// (other_update_budget = 64, the 256-player setting), so the budgeted
-// fan-out path is under the same gate.
+// (other_update_budget = 64, the 256-player setting), and
+// `--record match.wmrec --hardened` with the hardened profile, so the
+// budgeted fan-out path and the retransmit jitter, heartbeats and failover
+// are under the same gate.
 
 #include <cstdio>
 #include <cstring>
@@ -57,11 +59,19 @@ core::SessionOptions make_options() {
   return opts;
 }
 
-int record_mode(const char* path, bool budget) {
+/// `flag`: nullptr, "--budget" or "--hardened".
+int record_mode(const char* path, const char* flag) {
   const game::GameMap map = game::make_longest_yard();
   obs::Recording rec;
   rec.options = make_options();
-  if (budget) rec.options.watchmen.other_update_budget = 64;
+  if (flag && std::strcmp(flag, "--budget") == 0) {
+    rec.options.watchmen.other_update_budget = 64;
+  } else if (flag && std::strcmp(flag, "--hardened") == 0) {
+    rec.options.watchmen.hardened = true;
+  } else if (flag) {
+    std::fprintf(stderr, "unknown flag %s\n", flag);
+    return 2;
+  }
   rec.cheats = make_roster();
   rec.trace = make_trace(map);
   obs::record_run(rec);
@@ -103,20 +113,15 @@ int replay_mode(const char* path) {
 
 int main(int argc, char** argv) {
   if ((argc == 3 || argc == 4) && std::strcmp(argv[1], "--record") == 0) {
-    const bool budget = argc == 4 && std::strcmp(argv[3], "--budget") == 0;
-    if (argc == 4 && !budget) {
-      std::fprintf(stderr, "unknown flag %s\n", argv[3]);
-      return 2;
-    }
-    return record_mode(argv[2], budget);
+    return record_mode(argv[2], argc == 4 ? argv[3] : nullptr);
   }
   if (argc == 3 && std::strcmp(argv[1], "--replay") == 0) {
     return replay_mode(argv[2]);
   }
   if (argc != 1) {
     std::fprintf(stderr,
-                 "usage: deathmatch_48 [--record file.wmrec [--budget] | "
-                 "--replay file.wmrec]\n");
+                 "usage: deathmatch_48 [--record file.wmrec "
+                 "[--budget | --hardened] | --replay file.wmrec]\n");
     return 2;
   }
 

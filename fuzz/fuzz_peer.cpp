@@ -63,7 +63,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   opts.loss_rate = 0.0;
   opts.compute_threads = 1;
   const bool hardened = (in[3] & 0x40) != 0;
-  opts.watchmen.reliable_control = hardened;
+  opts.watchmen.hardened = hardened;
   WatchmenSession session(trace(), arena(), opts);
   session.run_frames(12);
 

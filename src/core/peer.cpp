@@ -30,6 +30,8 @@ WatchmenPeer::WatchmenPeer(PlayerId id, WatchmenConfig cfg, net::Transport& net,
                            Misbehavior* misbehavior)
     : id_(id),
       cfg_(std::move(cfg)),
+      // wmlint: allow(link-switch) the profile picks the check tolerances
+      tol_(cfg_.hardened ? kHardenedTolerance : kPaperTolerance),
       net_(&net),
       keys_(&keys),
       schedule_(schedule),
@@ -75,7 +77,7 @@ void WatchmenPeer::send_to_proxy(MsgType type, PlayerId subject, Frame frame,
   is_control_type(type) ? link_.send_control(px, shared) : link_.send(px, shared);
   if (link_.proxy_silent(px)) {
     // Emergency failover: our proxy has gone fully silent past the
-    // configured window. Duplicate proxy-bound traffic to the
+    // watchdog's Suspect grade. Duplicate proxy-bound traffic to the
     // successor-of-round, which adopts us early; if the proxy was merely
     // quiet the duplicate is redundant, never harmful.
     const PlayerId succ = schedule_.proxy_of(id_, schedule_.round_of(frame_) + 1);
@@ -342,10 +344,10 @@ void WatchmenPeer::end_frame(Frame f) {
     bool starving = false;
     if (watched) {
       starve_res = verify::check_rate(recv_state_in_round_[q], expected,
-                                      cfg_.starve_loss_allowance, /*slop=*/8);
+                                      tol_.starve, /*slop=*/8);
       starving = starve_res.suspicious() &&
                  static_cast<double>(recv_state_in_round_[q]) <
-                     static_cast<double>(expected) * cfg_.starve_floor;
+                     static_cast<double>(expected) * tol_.starved_below;
     }
 
     PendingStarve& pending = pending_starve_[q];
@@ -381,7 +383,7 @@ void WatchmenPeer::end_frame(Frame f) {
     const auto expected = static_cast<std::size_t>(
         std::max<Frame>(0, f - std::max(ps.adopted_at, schedule_.round_start(r)) + 1));
     const verify::CheckResult rate =
-        verify::check_rate(ps.updates_in_round, expected, cfg_.rate_loss_allowance);
+        verify::check_rate(ps.updates_in_round, expected, tol_.rate);
     // Statistical aimbot check over the round's precision samples.
     const verify::CheckResult aim =
         verify::check_aim(ps.aim_samples, kAimTolerance);

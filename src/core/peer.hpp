@@ -66,6 +66,20 @@ inline constexpr Frame kMaxUpdateLateness = 6;
 /// the best-aligned nearby enemy. Generous on purpose.
 inline constexpr verify::Tolerance kAimTolerance{0.30, 0.25};
 
+/// How much loss the stream checks forgive before suspicion: the proxy's
+/// dissemination-rate check forgives `rate` of the expected updates; a
+/// witness's starvation check forgives `starve` of the expected forwarded
+/// stream, and counts it as starved only under `starved_below` of expected.
+struct LossTolerance {
+  double rate;
+  double starve;
+  double starved_below;
+};
+/// The paper protocol's tolerances (WatchmenConfig::hardened off).
+inline constexpr LossTolerance kPaperTolerance{0.10, 0.5, 1.0 / 3.0};
+/// The hardened profile's, opened up for sustained loss.
+inline constexpr LossTolerance kHardenedTolerance{0.30, 0.8, 0.15};
+
 /// Protocol knobs. The wire encoding is not among them: every peer batches
 /// per link, seals varint headers, quantizes guidance, diffs subscriber
 /// lists and sends every state update as a full state (DESIGN.md §5f).
@@ -73,8 +87,6 @@ struct WatchmenConfig {
   // wmlint: allow(config-knob) the interest benches sweep InterestConfig
   interest::InterestConfig interest;
   Frame renewal_frames = ProxySchedule::kDefaultRenewalFrames;
-  /// Loss tolerance of the proxy's dissemination-rate check.
-  double rate_loss_allowance = 0.10;
   /// Honest-behaviour tolerance for the guidance deviation-area check;
   /// calibrated by the harness (ā + σ_a rule). The default covers a full
   /// direction reversal against a linear predictor over one guidance period.
@@ -89,35 +101,17 @@ struct WatchmenConfig {
   /// and direct sends can no longer be treated as protocol violations.
   bool direct_updates = false;
 
-  // --- chaos-resilience knobs (all off / paper-default unless a scenario
-  // opts in; the baseline protocol stays exactly the paper's) -------------
-  /// Reliable delivery for control traffic (handoff, subscribe, churn and
-  /// rejoin notices): receivers ack, senders retransmit with exponential
-  /// backoff and a bounded budget (protocol::kRetransmitBackoff,
-  /// protocol::kRetransmitBudget). State updates stay fire-and-forget —
-  /// freshness beats completeness for them (§II-A).
-  bool reliable_control = false;
-  /// Emergency proxy failover: when this peer's current proxy has been
-  /// fully silent for more than this many frames, proxy-bound traffic is
-  /// duplicated to the successor-of-round, which adopts the player early
-  /// (seeded with the predecessor summary it already holds, preserving the
-  /// two-round follow-up invariant). 0 disables.
-  Frame proxy_failover_silence = 0;
-  /// Liveness watchdog (real-network hardening): this peer heartbeats its
-  /// current proxy and proxied players every protocol::kHeartbeatPeriod
-  /// frames, and grades every such relationship Alive -> Suspect -> Dead
-  /// from receive silence (protocol::kWatchdogSuspectFrames,
-  /// protocol::kWatchdogDeadFrames). Suspect triggers the emergency failover
-  /// duplication (same path as proxy_failover_silence); Dead is terminal
-  /// until traffic resumes. Off by default — when off, behaviour is
-  /// bit-identical to the pre-watchdog protocol.
-  bool liveness_watchdog = false;
-  /// Witness-side starvation tolerances, loss-aware: the fraction of the
-  /// expected forwarded stream a witness forgives before suspicion, and
-  /// the hard floor (fraction of expected) under which the stream counts
-  /// as starved. Defaults reproduce the pre-chaos behaviour.
-  double starve_loss_allowance = 0.5;
-  double starve_floor = 1.0 / 3.0;
+  /// The hardened profile, for real networks (DESIGN.md §5, "Hardened
+  /// profile"); off runs the paper's fire-and-forget protocol exactly.
+  /// On, PeerLink acks and retransmits control traffic (handoff, subscribe,
+  /// churn and rejoin notices) with jittered exponential backoff, heartbeats
+  /// this peer's proxy and proxied players, grades their silence
+  /// Alive -> Suspect -> Dead, and duplicates proxy-bound traffic to the
+  /// successor-of-round once the proxy has been silent past Suspect
+  /// (protocol::kWatchdogSuspectFrames); the rate and starvation checks
+  /// use kHardenedTolerance instead of kPaperTolerance. State updates stay
+  /// fire-and-forget under both: freshness beats completeness (§II-A).
+  bool hardened = false;
 
   /// Caps how many Other-set receivers a proxy forwards each infrequent
   /// position beacon to, rotating round-robin across the set so every
@@ -439,6 +433,7 @@ class WatchmenPeer {
 
   PlayerId id_;
   WatchmenConfig cfg_;
+  LossTolerance tol_;  ///< picked by cfg_.hardened
   net::Transport* net_;
   const crypto::KeyRegistry* keys_;
   ProxySchedule schedule_;  ///< own copy: churn removals are applied locally

@@ -10,9 +10,7 @@ PeerLink::PeerLink(PlayerId id, std::size_t n_players,
                    const crypto::KeyRegistry& keys, PeerMetrics& metrics)
     : id_(id),
       n_(n_players),
-      reliable_(cfg.reliable_control),
-      watchdog_(cfg.liveness_watchdog),
-      failover_silence_(cfg.proxy_failover_silence),
+      hardened_(cfg.hardened),
       net_(&net),
       keys_(&keys),
       metrics_(&metrics),
@@ -29,8 +27,9 @@ void PeerLink::reset(Frame f) {
 
 void PeerLink::run_timers(Frame f, PlayerId proxy,
                           std::span<const PlayerId> proxied) {
-  if (watchdog_) run_watchdog(f, proxy, proxied);
-  if (reliable_) flush_retransmits(f);
+  if (!hardened_) return;
+  run_watchdog(f, proxy, proxied);
+  flush_retransmits(f);
 }
 
 // --------------------------------------------------------------- sending
@@ -59,7 +58,7 @@ void PeerLink::send_control(PlayerId to, const Wire& wire,
   // Serving both ends ourselves is a loopback delivery: guaranteed, and
   // never acked (receivers don't ack their own messages).
   if (to == id_) return;
-  if (reliable_) {
+  if (hardened_) {
     pending_.push_back({to, h, wire, frame_ + retry_delay(h, 0)});
   } else if (h.type == MsgType::kHandoff) {
     // The handoff is a single point of failure for every subscription of
@@ -140,7 +139,7 @@ void PeerLink::flush_retransmits(Frame f) {
 }
 
 void PeerLink::maybe_ack(const net::Envelope& env, const MsgHeader& h) {
-  if (!reliable_ || !is_control_type(h.type) || env.from == id_) return;
+  if (!hardened_ || !is_control_type(h.type) || env.from == id_) return;
   const AckBody a{h.origin, h.seq, h.type};
   ++metrics_->acks_sent;
   send(env.from,
@@ -149,7 +148,7 @@ void PeerLink::maybe_ack(const net::Envelope& env, const MsgHeader& h) {
 
 void PeerLink::on_ack(const net::Envelope& env, const MsgHeader& h,
                       const AckBody& a) {
-  if (!reliable_) return;
+  if (!hardened_) return;
   if (env.from != h.origin) return;  // acks travel one hop, unsigned relays don't
   ++metrics_->acks_received;
   std::erase_if(pending_, [&](const PendingReliable& p) {
@@ -161,14 +160,11 @@ void PeerLink::on_ack(const net::Envelope& env, const MsgHeader& h,
 // ------------------------------------------------------------- liveness
 
 bool PeerLink::proxy_silent(PlayerId px) const {
-  if (px == id_ || px >= n_) return false;
-  const Frame silence = silence_of(px, frame_);
+  if (!hardened_ || px == id_ || px >= n_) return false;
   // The watchdog's Suspect threshold doubles as the emergency-failover
   // trigger: with heartbeats flowing every kHeartbeatPeriod frames, a
   // Suspect-grade silence is already several missed beacons, not jitter.
-  if (watchdog_ && silence > protocol::kWatchdogSuspectFrames) return true;
-  if (failover_silence_ <= 0) return false;
-  return silence > failover_silence_;
+  return silence_of(px, frame_) > protocol::kWatchdogSuspectFrames;
 }
 
 void PeerLink::run_watchdog(Frame f, PlayerId proxy,

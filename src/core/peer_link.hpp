@@ -5,14 +5,15 @@
 //  * sealing: the peer's sequence numbers and per-type send counts;
 //  * per-link batching: wires queued per destination and coalesced into
 //    one kBatch datagram per flush;
+//  * liveness: when each player was last heard.
+// Under the hardened profile (WatchmenConfig::hardened) it also owns
 //  * reliable control: control-class wires (is_control_type) ack-tracked
 //    and retransmitted with jittered exponential backoff, acks sent back
-//    hop by hop; with reliable control off a handoff instead goes out twice;
-//  * liveness: when each player was last heard, the heartbeat watchdog that
-//    grades the proxy relationships from that silence, and the emergency
-//    failover test built on it.
-// The reliable_control, liveness_watchdog and proxy_failover_silence
-// switches are read here and nowhere else in src/ (wmlint link-switch).
+//    hop by hop; with the profile off a handoff instead goes out twice;
+//  * the heartbeat watchdog that grades the proxy relationships from their
+//    silence, and the emergency failover test built on it.
+// The switch is read here and, once, where the peer picks its tolerances;
+// nowhere else in src/ (wmlint link-switch).
 //
 // Thread-safety: confined to its peer's thread, like the peer itself.
 
@@ -82,9 +83,9 @@ class PeerLink {
   /// Queues a wire relayed on another origin's behalf.
   void forward(PlayerId to, Wire wire);
   /// Sends a control-class wire whose header is `h`: counted as sent when
-  /// this peer is its origin, as forwarded otherwise. With reliable control
-  /// it is ack-tracked under `h` (a loopback send is never acked, so never
-  /// tracked); without, a handoff is sent a second time, bare, so the copy
+  /// this peer is its origin, as forwarded otherwise. Hardened, it is
+  /// ack-tracked under `h` (a loopback send is never acked, so never
+  /// tracked); otherwise a handoff is sent a second time, bare, so the copy
   /// does not share the original's datagram and its loss.
   void send_control(PlayerId to, const Wire& wire, const MsgHeader& h);
   /// send_control for the wire this link sealed last.
@@ -110,15 +111,15 @@ class PeerLink {
   Frame last_heard(PlayerId p) const { return last_heard_[p]; }
 
   // --- liveness -----------------------------------------------------------
-  /// Watchdog grade for p (kAlive when the watchdog is off).
+  /// Watchdog grade for p (kAlive when the profile is off).
   PeerLiveness liveness_of(PlayerId p) const {
     return static_cast<PeerLiveness>(
         watchdog_state_.empty() ? 0 : watchdog_state_.at(p));
   }
-  /// True when emergency failover is on: by a configured silence window or
-  /// by the watchdog.
-  bool failover_on() const { return failover_silence_ > 0 || watchdog_; }
-  /// True when `px`'s total silence exceeds the failover window.
+  /// True when emergency failover is on (the hardened profile).
+  bool failover_on() const { return hardened_; }
+  /// True when failover is on and `px` has been silent past the watchdog's
+  /// Suspect grade (protocol::kWatchdogSuspectFrames).
   bool proxy_silent(PlayerId px) const;
 
  private:
@@ -152,9 +153,7 @@ class PeerLink {
 
   PlayerId id_;
   std::size_t n_;
-  bool reliable_;
-  bool watchdog_;
-  Frame failover_silence_;
+  bool hardened_;
   net::Transport* net_;
   const crypto::KeyRegistry* keys_;
   PeerMetrics* metrics_;
@@ -166,7 +165,7 @@ class PeerLink {
   std::vector<PendingReliable> pending_;
   std::vector<Frame> last_heard_;
   /// Watchdog grades per player (PeerLiveness values); sized on the first
-  /// watchdog run, so the off path stays allocation-free.
+  /// watchdog run, so the paper profile stays allocation-free.
   std::vector<std::uint8_t> watchdog_state_;
 };
 

@@ -46,15 +46,10 @@ void put_watchmen_config(ByteWriter& w, const core::WatchmenConfig& c) {
   w.varint(c.interest.is_size);
   w.f64(c.interest.is_hysteresis);
   w.i64(c.renewal_frames);
-  w.f64(c.rate_loss_allowance);
   put_tolerance(w, c.guidance_tolerance);
   w.f64(c.dr_damping);
   put_bool(w, c.direct_updates);
-  put_bool(w, c.reliable_control);
-  w.i64(c.proxy_failover_silence);
-  put_bool(w, c.liveness_watchdog);
-  w.f64(c.starve_loss_allowance);
-  w.f64(c.starve_floor);
+  put_bool(w, c.hardened);
   w.u32(c.other_update_budget);
 }
 
@@ -70,15 +65,10 @@ core::WatchmenConfig get_watchmen_config(ByteReader& r) {
   c.interest.is_size = r.varint();
   c.interest.is_hysteresis = r.f64();
   c.renewal_frames = r.i64();
-  c.rate_loss_allowance = r.f64();
   c.guidance_tolerance = get_tolerance(r);
   c.dr_damping = r.f64();
   c.direct_updates = get_bool(r);
-  c.reliable_control = get_bool(r);
-  c.proxy_failover_silence = r.i64();
-  c.liveness_watchdog = get_bool(r);
-  c.starve_loss_allowance = r.f64();
-  c.starve_floor = r.f64();
+  c.hardened = get_bool(r);
   c.other_update_budget = r.u32();
   return c;
 }

@@ -82,13 +82,14 @@ struct RecEvent {
 };
 
 struct Recording {
-  // v5: every field of WatchmenConfig plus misbehavior_enforcement (v4 also
-  // carried the two retired delta-coding fields). The
-  // protocol constants (guidance cadence, retransmit and watchdog timing,
+  // v6: every field of WatchmenConfig plus misbehavior_enforcement. v5
+  // carried the hardened profile as six separate fields, v4 also the two
+  // retired delta-coding fields. The protocol constants (guidance cadence,
+  // retransmit and watchdog timing, the profiles' loss tolerances,
   // misbehavior scoring, detector thresholds) are not recorded: they are
   // part of the binary. Older files are rejected, not guessed at
   // (DESIGN.md §5e).
-  static constexpr std::uint16_t kVersion = 5;
+  static constexpr std::uint16_t kVersion = 6;
 
   core::SessionOptions options;       ///< includes seed + FaultPlan
   std::vector<CheatSpec> cheats;      ///< roster, rebuilt on replay

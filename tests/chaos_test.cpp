@@ -15,6 +15,9 @@
 // Everything is seed-deterministic: the same FaultPlan + session seed must
 // reproduce bit-identical NetStats (asserted explicitly below), which is
 // what makes a chaos failure debuggable instead of a flake.
+//
+// Scenarios run the hardened profile (WatchmenConfig::hardened) unless they
+// probe the paper protocol, which needs no option set.
 
 #include <gtest/gtest.h>
 
@@ -30,19 +33,6 @@
 
 namespace watchmen::core {
 namespace {
-
-// Chaos-hardened config: reliability + failover on, witness/rate tolerances
-// opened up for sustained loss. Scenarios that probe the *unhardened*
-// protocol build their own options instead.
-WatchmenConfig chaos_config() {
-  WatchmenConfig cfg;
-  cfg.reliable_control = true;
-  cfg.proxy_failover_silence = 20;
-  cfg.rate_loss_allowance = 0.30;
-  cfg.starve_loss_allowance = 0.8;
-  cfg.starve_floor = 0.15;
-  return cfg;
-}
 
 std::size_t flagged_connected(const WatchmenSession& s) {
   std::size_t n = 0;
@@ -110,12 +100,12 @@ game::GameTrace* ChaosSession::trace_ = nullptr;
 game::GameTrace* ChaosSession::small_trace_ = nullptr;
 
 // The issue's acceptance scenario: kill a proxy mid-round while a ~20 %
-// bursty-loss window rages, with the chaos-hardened config. The session
+// bursty-loss window rages, under the hardened profile. The session
 // must complete, ban nobody honest, evict the dead proxy everywhere, and
 // recover post-heal freshness to within 2x the fault-free baseline.
 TEST_F(ChaosSession, ProxyDeathUnderBurstyLossRecovers) {
   SessionOptions opts;
-  opts.watchmen = chaos_config();
+  opts.watchmen.hardened = true;
   opts.net = NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;
@@ -183,7 +173,7 @@ TEST_F(ChaosSession, ProxyDeathUnderBurstyLossRecovers) {
 TEST_F(ChaosSession, FaultScheduleIsSeedDeterministic) {
   auto run_once = [&]() {
     SessionOptions opts;
-    opts.watchmen = chaos_config();
+    opts.watchmen.hardened = true;
     opts.net = NetProfile::kFixed;
     opts.fixed_latency_ms = 25.0;
     opts.loss_rate = 0.02;
@@ -276,7 +266,7 @@ TEST_F(ChaosSession, HandoffLossRecoversViaResubscribeWithoutReliability) {
 // network never retransmits at all.
 TEST_F(ChaosSession, ReliableControlRetransmitsThroughHandoffBlackout) {
   SessionOptions opts;
-  opts.watchmen = chaos_config();
+  opts.watchmen.hardened = true;
   opts.net = NetProfile::kLan;
   opts.loss_rate = 0.0;
 
@@ -314,7 +304,7 @@ TEST_F(ChaosSession, ReliableControlRetransmitsThroughHandoffBlackout) {
 // stitch one consistent pool view back together on every peer.
 TEST_F(ChaosSession, PartitionHealsToOneConsistentPoolView) {
   SessionOptions opts;
-  opts.watchmen = chaos_config();
+  opts.watchmen.hardened = true;
   opts.net = NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;
@@ -340,7 +330,7 @@ TEST_F(ChaosSession, PartitionHealsToOneConsistentPoolView) {
 // crash accumulated is absolved.
 TEST_F(ChaosSession, CrashedNodeRejoinsPoolAndIsNotBlamed) {
   SessionOptions opts;
-  opts.watchmen = chaos_config();
+  opts.watchmen.hardened = true;
   opts.net = NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;
@@ -377,7 +367,7 @@ TEST_F(ChaosSession, CrashedNodeRejoinsPoolAndIsNotBlamed) {
 
 TEST_F(ChaosSession, CollusionCliqueCannotFrameHonestVictim) {
   SessionOptions opts;
-  opts.watchmen = chaos_config();
+  opts.watchmen.hardened = true;
   opts.net = NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;
@@ -405,7 +395,7 @@ TEST_F(ChaosSession, CollusionCliqueCannotFrameHonestVictim) {
 
 TEST_F(ChaosSession, SybilForgedVantageReboundsUnderBurstyLoss) {
   SessionOptions opts;
-  opts.watchmen = chaos_config();
+  opts.watchmen.hardened = true;
   opts.net = NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;
@@ -443,7 +433,7 @@ TEST_F(ChaosSession, SybilForgedVantageReboundsUnderBurstyLoss) {
 
 TEST_F(ChaosSession, RatingWashCrashRejoinKeepsPreCrashScore) {
   SessionOptions opts;
-  opts.watchmen = chaos_config();
+  opts.watchmen.hardened = true;
   opts.net = NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;

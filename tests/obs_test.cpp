@@ -332,9 +332,9 @@ TEST(FlightRecorder, MalformedInputThrowsDecodeError) {
   auto bad = bytes;
   bad[0] ^= 0xff;
   EXPECT_THROW(Recording::deserialize(bad), DecodeError);
-  // Unsupported versions, including v1-v4, which predate the v5 option
+  // Unsupported versions, including v1-v5, which predate the v6 option
   // layout (u16 right after the 5-byte magic).
-  for (const std::uint8_t v : {1, 2, 3, 4, 0xee}) {
+  for (const std::uint8_t v : {1, 2, 3, 4, 5, 0xee}) {
     bad = bytes;
     bad[5] = v;
     bad[6] = 0;
@@ -419,15 +419,10 @@ TEST(FlightRecorder, EveryOptionRoundTrips) {
   c.interest.is_size = 7;
   c.interest.is_hysteresis = 1.25;
   c.renewal_frames = 60;
-  c.rate_loss_allowance = 0.2;
   c.guidance_tolerance = {150.0, 140.0};
   c.dr_damping = 0.5;
   c.direct_updates = true;
-  c.reliable_control = true;
-  c.proxy_failover_silence = 9;
-  c.liveness_watchdog = true;
-  c.starve_loss_allowance = 0.6;
-  c.starve_floor = 0.25;
+  c.hardened = true;
   c.other_update_budget = 64;
   o.misbehavior_enforcement = true;
   o.pool_weights = {{2, 0.0}, {3, 2.0}};
@@ -437,6 +432,9 @@ TEST(FlightRecorder, EveryOptionRoundTrips) {
   const Recording back = Recording::deserialize(rec.serialize());
   const core::SessionOptions& bo = back.options;
   EXPECT_EQ(bo.watchmen, c);
+  // Both profiles: the one switch comes back off as well as on.
+  c.hardened = false;
+  EXPECT_EQ(Recording::deserialize(rec.serialize()).options.watchmen, c);
   EXPECT_TRUE(bo.misbehavior_enforcement);
   EXPECT_EQ(bo.seed, o.seed);
   EXPECT_EQ(bo.net, o.net);

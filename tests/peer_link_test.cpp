@@ -4,10 +4,11 @@
 //   * an unacked control wire goes out 1 + kRetransmitBudget times on the
 //     backoff-plus-jitter schedule, then expires once;
 //   * only an ack matching (to, origin, seq, type) stops it;
-//   * heartbeats follow the (f + id) % kHeartbeatPeriod cadence, and grades
-//     go Alive -> Suspect -> Dead and heal on traffic;
-//   * with reliable control and the watchdog off, no ack, heartbeat or
-//     retransmit is ever sent (a handoff goes out twice instead).
+//   * over both profiles (LinkProfile): hardened, acks, heartbeats and
+//     retransmits flow, heartbeats follow the (f + id) % kHeartbeatPeriod
+//     cadence, grades go Alive -> Suspect -> Dead and heal on traffic, and
+//     the proxy turns silent exactly past kWatchdogSuspectFrames; paper,
+//     none of them is ever sent, and a handoff goes out twice instead.
 
 #include <gtest/gtest.h>
 
@@ -31,9 +32,8 @@ constexpr std::size_t kN = 4;
 /// have no handlers unless a test installs one, so nothing is acked by
 /// default.
 struct Links {
-  explicit Links(bool reliable, bool watchdog) {
-    cfg.reliable_control = reliable;
-    cfg.liveness_watchdog = watchdog;
+  explicit Links(bool hardened) {
+    cfg.hardened = hardened;
     for (PlayerId p = 0; p < kN; ++p) {
       links[p] = std::make_unique<PeerLink>(p, kN, cfg, net, keys, metrics[p]);
     }
@@ -84,7 +84,7 @@ std::size_t subscribe_retransmits(const PeerMetrics& m) {
 }
 
 TEST(PeerLink, UnackedControlRetransmitsOnScheduleThenExpires) {
-  Links t(/*reliable=*/true, /*watchdog=*/false);
+  Links t(/*hardened=*/true);
   t.frame(0, 0);
   const MsgHeader h = t.send_subscribe(0, 1, 0);
 
@@ -120,7 +120,7 @@ TEST(PeerLink, UnackedControlRetransmitsOnScheduleThenExpires) {
 }
 
 TEST(PeerLink, OnlyAMatchingAckStopsRetransmits) {
-  Links t(/*reliable=*/true, /*watchdog=*/false);
+  Links t(/*hardened=*/true);
   t.frame(0, 0);
   const MsgHeader h = t.send_subscribe(0, 1, 0);
 
@@ -142,94 +142,90 @@ TEST(PeerLink, OnlyAMatchingAckStopsRetransmits) {
   EXPECT_EQ(t.metrics[0].acks_received, 4u);
 }
 
-TEST(PeerLink, ReceiverAckRoundTripClearsTheSender) {
-  Links t(/*reliable=*/true, /*watchdog=*/false);
-  t.net.set_handler(1, [&](const net::Envelope& env) {
+class LinkProfile : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LinkProfile, ControlPlaneFollowsTheSwitch) {
+  const bool hardened = GetParam();
+  Links t(hardened);
+  const PlayerId self = 1, proxy = 2, proxied = 3;
+  PeerLink& link = *t.links[self];
+  const PeerMetrics& m = t.metrics[self];
+  // The proxy acks what reaches it and `self` consumes the acks, as a
+  // peer's receive path does; the proxied player never answers.
+  t.net.set_handler(proxy, [&](const net::Envelope& env) {
     const auto msg = open(env.bytes(), t.keys);
     ASSERT_TRUE(msg);
-    t.links[1]->maybe_ack(env, msg->header);
-    t.links[1]->flush();
+    t.links[proxy]->maybe_ack(env, msg->header);
+    t.links[proxy]->flush();
   });
-  t.net.set_handler(0, [&](const net::Envelope& env) {
+  t.net.set_handler(self, [&](const net::Envelope& env) {
     const auto msg = open(env.bytes(), t.keys);
     ASSERT_TRUE(msg);
     ASSERT_EQ(msg->header.type, MsgType::kAck);
-    t.links[0]->on_ack(env, msg->header, decode_ack_body(msg->body));
+    link.on_ack(env, msg->header, decode_ack_body(msg->body));
   });
-  t.frame(0, 0);
-  t.send_subscribe(0, 1, 0);
-  for (Frame f = 1; f < 200; ++f) t.frame(0, f);
-  EXPECT_EQ(t.metrics[1].acks_sent, 1u);
-  EXPECT_EQ(t.metrics[0].acks_received, 1u);
-  EXPECT_EQ(subscribe_retransmits(t.metrics[0]), 0u);
-  EXPECT_EQ(t.metrics[0].reliable_expired, 0u);
-  EXPECT_EQ(t.net.stats().sent, 2u);  // the subscribe and its ack
-}
+  t.frame(self, 0);
+  t.send_subscribe(self, proxy, 0);
+  const auto handoff = std::make_shared<const std::vector<std::uint8_t>>(
+      link.seal(MsgType::kHandoff, 3, 0, encode_handoff_body({})));
+  link.send_control(proxied, handoff);
+  link.flush();
+  // Hardened, the handoff is tracked; paper, it goes out twice: queued, and
+  // once more bare.
+  EXPECT_EQ(t.net.stats().sent, hardened ? 2u : 3u);
 
-TEST(PeerLink, HeartbeatCadenceAndGrades) {
-  Links t(/*reliable=*/false, /*watchdog=*/true);
-  const PlayerId self = 1, proxy = 2, proxied = 3;
-  PeerLink& link = *t.links[self];
+  // Nothing is ever heard from the proxy or the proxied player: silence is
+  // f frames.
   const auto beats = [&] {
-    return t.metrics[self]
-        .sent_by_type[static_cast<std::size_t>(MsgType::kHeartbeat)];
+    return m.sent_by_type[static_cast<std::size_t>(MsgType::kHeartbeat)];
   };
-  for (Frame f = 0; f <= 100; ++f) {
+  for (Frame f = 1; f <= 200; ++f) {
     const auto before = beats();
     t.frame(self, f, proxy, {proxied});
     const bool due = (f + self) % protocol::kHeartbeatPeriod == 0;
-    EXPECT_EQ(beats() - before, due ? 2u : 0u) << "frame " << f;
-    // Nothing is ever heard: silence is f frames.
-    const PeerLiveness want = f > protocol::kWatchdogDeadFrames
+    EXPECT_EQ(beats() - before, hardened && due ? 2u : 0u) << "frame " << f;
+    const PeerLiveness want = !hardened ? PeerLiveness::kAlive
+                              : f > protocol::kWatchdogDeadFrames
                                   ? PeerLiveness::kDead
                               : f > protocol::kWatchdogSuspectFrames
                                   ? PeerLiveness::kSuspect
                                   : PeerLiveness::kAlive;
     EXPECT_EQ(link.liveness_of(proxy), want) << "frame " << f;
     EXPECT_EQ(link.liveness_of(proxied), want) << "frame " << f;
-    EXPECT_EQ(link.proxy_silent(proxy), f > protocol::kWatchdogSuspectFrames);
+    EXPECT_EQ(link.proxy_silent(proxy),
+              hardened && f > protocol::kWatchdogSuspectFrames)
+        << "frame " << f;
   }
-  EXPECT_EQ(t.metrics[self].watchdog_suspects, 2u);
-  EXPECT_EQ(t.metrics[self].watchdog_deaths, 2u);
+  EXPECT_EQ(link.failover_on(), hardened);
+  // Hardened: the subscribe was acked once, the unanswered handoff ran its
+  // retransmit budget and expired. Paper: nothing after the first frame.
+  EXPECT_EQ(t.metrics[proxy].acks_sent, hardened ? 1u : 0u);
+  EXPECT_EQ(m.acks_received, hardened ? 1u : 0u);
+  EXPECT_EQ(subscribe_retransmits(m), 0u);
+  EXPECT_EQ(m.retransmits_by_type[static_cast<std::size_t>(MsgType::kHandoff)],
+            hardened ? static_cast<std::uint64_t>(protocol::kRetransmitBudget)
+                     : 0u);
+  EXPECT_EQ(m.reliable_expired, hardened ? 1u : 0u);
+  EXPECT_EQ(m.watchdog_suspects, hardened ? 2u : 0u);
+  EXPECT_EQ(m.watchdog_deaths, hardened ? 2u : 0u);
+  if (!hardened) {
+    EXPECT_EQ(t.net.stats().sent, 3u);
+  }
 
   // Traffic from the proxy heals its grade; the proxied player stays Dead.
-  link.heard(proxy, 100);
-  t.frame(self, 101, proxy, {proxied});
-  EXPECT_EQ(link.liveness_of(proxy), PeerLiveness::kAlive);
-  EXPECT_EQ(link.liveness_of(proxied), PeerLiveness::kDead);
+  link.heard(proxy, 200);
+  t.frame(self, 201, proxy, {proxied});
   EXPECT_FALSE(link.proxy_silent(proxy));
-  EXPECT_EQ(t.metrics[self].watchdog_suspects, 2u);
-  EXPECT_EQ(t.metrics[self].watchdog_deaths, 2u);
+  EXPECT_EQ(link.liveness_of(proxy), PeerLiveness::kAlive);
+  EXPECT_EQ(link.liveness_of(proxied),
+            hardened ? PeerLiveness::kDead : PeerLiveness::kAlive);
+  EXPECT_EQ(m.watchdog_suspects, hardened ? 2u : 0u);
 }
 
-TEST(PeerLink, SwitchesOffSendNoAckHeartbeatOrRetransmit) {
-  Links t(/*reliable=*/false, /*watchdog=*/false);
-  PeerLink& link = *t.links[0];
-  t.frame(0, 0, 1, {2});
-  const MsgHeader sub = t.send_subscribe(0, 1, 0);
-  // A handoff goes out twice instead: queued, and once more bare.
-  const auto handoff = std::make_shared<const std::vector<std::uint8_t>>(
-      link.seal(MsgType::kHandoff, 3, 0, encode_handoff_body({})));
-  link.send_control(2, handoff);
-  link.flush();
-  EXPECT_EQ(t.net.stats().sent, 3u);
-  EXPECT_EQ(t.metrics[0].messages_sent, 3u);
-
-  net::Envelope env;
-  env.from = 1;
-  link.maybe_ack(env, sub);
-  deliver_ack(link, 1, sub);
-  for (Frame f = 1; f <= 300; ++f) t.frame(0, f, 1, {2});
-  EXPECT_EQ(t.net.stats().sent, 3u);
-  const PeerMetrics& m = t.metrics[0];
-  EXPECT_EQ(m.acks_sent, 0u);
-  EXPECT_EQ(m.acks_received, 0u);
-  EXPECT_EQ(m.sent_by_type[static_cast<std::size_t>(MsgType::kHeartbeat)], 0u);
-  for (const auto n : m.retransmits_by_type) EXPECT_EQ(n, 0u);
-  EXPECT_EQ(m.reliable_expired, 0u);
-  EXPECT_EQ(link.liveness_of(1), PeerLiveness::kAlive);
-  EXPECT_FALSE(link.proxy_silent(1));
-}
+INSTANTIATE_TEST_SUITE_P(Profiles, LinkProfile, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Hardened" : "Paper";
+                         });
 
 }  // namespace
 }  // namespace watchmen::core

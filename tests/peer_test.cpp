@@ -120,6 +120,32 @@ TEST_F(PeerProtocol, TamperedForwardsCountSignatureRejects) {
   }
 }
 
+TEST_F(PeerProtocol, RateToleranceFollowsTheProfile) {
+  // A player that withholds one state update in five misses 20 % of every
+  // round: past the paper's rate allowance (kPaperTolerance, 10 %), inside
+  // the hardened profile's (kHardenedTolerance, 30 %).
+  static_assert(kPaperTolerance.rate < 0.2 && kHardenedTolerance.rate > 0.2);
+  const auto proxy_rate_reports = [](bool hardened) {
+    cheat::SuppressCorrectCheat ch(/*period=*/5, /*burst=*/1);
+    std::unordered_map<PlayerId, Misbehavior*> mbs{{5, &ch}};
+    SessionOptions opts;
+    opts.net = NetProfile::kLan;
+    opts.loss_rate = 0.0;
+    opts.watchmen.hardened = hardened;
+    WatchmenSession session(*trace_, *map_, opts, mbs);
+    session.run();
+    std::size_t n = 0;
+    for (const verify::CheatReport& r : session.detector().reports()) {
+      n += r.suspect == 5 && r.type == verify::CheckType::kRate &&
+           r.vantage == verify::Vantage::kProxy;
+    }
+    return n;
+  };
+  // One report per proxy round, bar the partial first and last rounds.
+  EXPECT_GE(proxy_rate_reports(false), 7u);
+  EXPECT_EQ(proxy_rate_reports(true), 0u);
+}
+
 TEST_F(PeerProtocol, HandoffsKeepSubscriptionsAliveAcrossRounds) {
   SessionOptions opts;
   opts.net = NetProfile::kLan;
@@ -422,7 +448,7 @@ TEST_F(PeerProtocol, MalformedSignedBodiesAreDropped) {
   // successor adopt nobody, a malformed churn notice schedules no removal,
   // and none of them is acked. A well-formed handoff summarizing another
   // player is acked (receipt, not approval) but adopts nobody either.
-  opts.watchmen.reliable_control = true;
+  opts.watchmen.hardened = true;
   WatchmenSession hardened(*trace_, *map_, opts);
   hardened.run_frames(100);
   const Frame f = hardened.network().clock().frame();

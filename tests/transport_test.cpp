@@ -390,17 +390,12 @@ TEST(LivenessWatchdog, GradesSilenceAndDrivesFailover) {
   const game::GameTrace trace = game::record_session(map, cfg);
 
   core::SessionOptions opts;
-  opts.watchmen.reliable_control = true;
-  opts.watchmen.liveness_watchdog = true;
-  opts.watchmen.rate_loss_allowance = 0.30;
-  opts.watchmen.starve_loss_allowance = 0.8;
-  opts.watchmen.starve_floor = 0.15;
+  opts.watchmen.hardened = true;
   opts.net = core::NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;
-  // A proxy crashes mid-round and never returns; only the watchdog's
-  // silence grading (no proxy_failover_silence configured) may trigger the
-  // emergency takeover.
+  // A proxy crashes mid-round and never returns; the watchdog's silence
+  // grading triggers the emergency takeover.
   const core::ProxySchedule sched(opts.seed, trace.n_players,
                                   opts.watchmen.renewal_frames);
   const PlayerId victim = sched.proxy_of(0, 2);
@@ -453,11 +448,7 @@ TEST(LivenessWatchdog, QuietButAliveLinkHealsBackToAlive) {
   const game::GameTrace trace = game::record_session(map, cfg);
 
   core::SessionOptions opts;
-  opts.watchmen.reliable_control = true;
-  opts.watchmen.liveness_watchdog = true;
-  opts.watchmen.rate_loss_allowance = 0.30;
-  opts.watchmen.starve_loss_allowance = 0.8;
-  opts.watchmen.starve_floor = 0.15;
+  opts.watchmen.hardened = true;
   opts.net = core::NetProfile::kFixed;
   opts.fixed_latency_ms = 25.0;
   opts.loss_rate = 0.01;

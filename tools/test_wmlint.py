@@ -268,30 +268,32 @@ class TransportFactoryTest(unittest.TestCase):
 class LinkSwitchTest(unittest.TestCase):
     def test_reads_outside_the_link_flagged(self):
         fs = lint_tree({"src/core/peer.cpp":
-                        "if (cfg_.reliable_control) flush();\n"
-                        "bool w = o.watchmen.liveness_watchdog == true;\n"
-                        "Frame s = cfg->proxy_failover_silence;\n"})
+                        "if (cfg_.hardened) flush();\n"
+                        "bool w = o.watchmen.hardened == true;\n"
+                        "const bool h = cfg->hardened;\n"})
         self.assertEqual(checks(fs), ["link-switch"] * 3)
 
     def test_the_link_and_the_codec_are_exempt(self):
         fs = lint_tree({"src/core/peer_link.cpp":
-                        "reliable_(cfg.reliable_control),\n",
+                        "hardened_(cfg.hardened),\n",
                         "src/obs/recorder.cpp":
-                        "put_bool(w, c.liveness_watchdog);\n",
-                        "tests/x.cpp": "if (cfg.reliable_control) {}\n"})
+                        "put_bool(w, c.hardened);\n",
+                        "tests/x.cpp": "if (cfg.hardened) {}\n"})
         self.assertEqual(fs, [])
 
     def test_assignment_declaration_and_comment_clean(self):
         fs = lint_tree({"src/core/x.cpp":
-                        "cfg.proxy_failover_silence = 20;\n"
-                        "  bool reliable_control = false;\n"
-                        "// with cfg_.reliable_control on, acks flow\n"})
+                        "cfg.hardened = true;\n"
+                        "  bool hardened = false;\n"
+                        "// with cfg_.hardened on, acks flow\n"})
         self.assertEqual(fs, [])
 
-    def test_allow_annotation(self):
-        fs = lint_tree({"src/core/x.cpp":
-                        "// wmlint: allow(link-switch)\n"
-                        "if (cfg_.reliable_control) flush();\n"})
+    def test_the_annotated_tolerance_pick_is_clean(self):
+        fs = lint_tree({"src/core/peer.cpp":
+                        "      // wmlint: allow(link-switch) the profile picks "
+                        "the check tolerances\n"
+                        "      tol_(cfg_.hardened ? kHardenedTolerance : "
+                        "kPaperTolerance),\n"})
         self.assertEqual(fs, [])
 
 

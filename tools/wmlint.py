@@ -56,11 +56,11 @@ config-knob     Every field of WatchmenConfig (src/core/peer.hpp) and
                 a constexpr. An exempt field carries
                 `// wmlint: allow(config-knob) <reason>`; the reason is
                 required.
-link-switch     WatchmenConfig's reliable_control, liveness_watchdog and
-                proxy_failover_silence are read in src/ only by
+link-switch     WatchmenConfig::hardened is read in src/ only by
                 core/peer_link.cpp (and the .wmrec codec, which copies every
-                field): a role branching on them forks the control plane
-                PeerLink keeps in one place.
+                field), plus the one annotated read in the peer constructor
+                that picks the loss tolerances: a role branching on it
+                forks the control plane PeerLink keeps in one place.
 authority-rule  kChurnRemovalDelayRounds, kRejoinRestoreDelayRounds,
                 kHandoffStaleRounds and kPoolTransitionGraceRounds
                 (core/protocol_params.hpp) are read in src/ only by
@@ -145,11 +145,9 @@ MUTEX_DECL_RE = re.compile(
     r"|(?:util::)?Mutex)\s+(\w+)\s*(?:;|=|\{)")
 GUARD_TARGET_RE = re.compile(r"\b(?:PT_)?GUARDED_BY\(\s*(?:this->)?(\w+)")
 
-# A member read of a control-plane switch: `.x` / `->x` not followed by a
-# plain assignment (`==` is a read).
-LINK_SWITCH_READ_RE = re.compile(
-    r"(?:\.|->)\s*(reliable_control|liveness_watchdog|proxy_failover_silence)"
-    r"\b(?!\s*=(?!=))")
+# A member read of the profile switch: `.hardened` / `->hardened` not
+# followed by a plain assignment (`==` is a read).
+LINK_SWITCH_READ_RE = re.compile(r"(?:\.|->)\s*(hardened)\b(?!\s*=(?!=))")
 # The link itself, and the .wmrec codec that copies every config field.
 LINK_SWITCH_OWNERS = ("src/core/peer_link.cpp", "src/obs/recorder.cpp")
 

@@ -102,11 +102,7 @@ core::SessionOptions child_options(int group,
                                    const std::vector<Endpoint>& eps,
                                    Frame start_frame) {
   core::SessionOptions opts;
-  opts.watchmen.reliable_control = true;
-  opts.watchmen.liveness_watchdog = true;
-  opts.watchmen.rate_loss_allowance = 0.30;
-  opts.watchmen.starve_loss_allowance = 0.8;
-  opts.watchmen.starve_floor = 0.15;
+  opts.watchmen.hardened = true;
   opts.seed = kSeed;
   opts.faults = crash_plan();
   opts.start_frame = start_frame;
