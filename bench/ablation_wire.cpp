@@ -38,14 +38,14 @@ int main() {
   const auto body = core::encode_state_body(s);
   const auto wire = core::seal(h, body, keys.key_pair(0));
 
-  // Varint header + blob length.
+  // Varint header; the body runs to the signature, unprefixed.
   const std::size_t header = wire.size() - body.size() - crypto::kSignatureBytes;
   const std::size_t total = wire.size() + 28;
   std::printf("state update anatomy (bytes):\n");
   std::printf("  %-22s %8s %8s %8s %8s %8s\n", "", "payload", "header", "sig",
               "UDP/IP", "total");
   std::printf("  %-22s %8zu %8zu %8zu %8d %8zu\n", "full state",
-              body.size() - 1, header, crypto::kSignatureBytes, 28, total);
+              body.size(), header, crypto::kSignatureBytes, 28, total);
   const double envelope =
       static_cast<double>(header + crypto::kSignatureBytes + 28);
   std::printf("  security+transport envelope: %.0f B fixed per message, "

@@ -104,16 +104,13 @@ void BM_Open(benchmark::State& state) {
 }
 BENCHMARK(BM_Open);
 
-void BM_DeltaEncode(benchmark::State& state) {
-  const auto prev = sample_state();
-  auto cur = prev;
-  cur.pos.x += 14.0;
-  cur.health -= 7;
+void BM_StateEncode(benchmark::State& state) {
+  const auto s = sample_state();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(interest::encode_delta(prev, cur));
+    benchmark::DoNotOptimize(interest::encode_full(s));
   }
 }
-BENCHMARK(BM_DeltaEncode);
+BENCHMARK(BM_StateEncode);
 
 void BM_ComputeSets(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -11,7 +11,8 @@
 //                                        every checkpoint digest matches
 // CI chains the two to prove the protocol stack is bit-deterministic;
 // `--record match.wmrec --budget` records with the beacon budget on
-// (other_update_budget = 64, the 256-player setting), and
+// (other_update_budget = 16: a 48-player proxy has at most 46 Others, so
+// the cap binds and the round-robin fan-out runs), and
 // `--record match.wmrec --hardened` with the hardened profile, so the
 // budgeted fan-out path and the retransmit jitter, heartbeats and failover
 // are under the same gate.
@@ -65,7 +66,7 @@ int record_mode(const char* path, const char* flag) {
   obs::Recording rec;
   rec.options = make_options();
   if (flag && std::strcmp(flag, "--budget") == 0) {
-    rec.options.watchmen.other_update_budget = 64;
+    rec.options.watchmen.other_update_budget = 16;
   } else if (flag && std::strcmp(flag, "--hardened") == 0) {
     rec.options.watchmen.hardened = true;
   } else if (flag) {

@@ -126,15 +126,6 @@ int main(int argc, char** argv) {
         sealed(core::MsgType::kSubscriberList,
                core::encode_subscriber_list_diff_body({1, 2, 5, 8, 13},
                                                       {1, 2, 7, 8, 13, 21})));
-    // The retired anchored-delta layout (kind 2, baseline age, zigzag
-    // baseline frame, field-mask delta): a body every receiver rejects.
-    ByteWriter anchored;
-    anchored.u8(2);
-    anchored.u8(4);
-    anchored.varint(interest::zigzag(1196));
-    anchored.bytes(interest::encode_delta(sample_state(), sample_state()));
-    put(dir, "state_anchored",
-        sealed(core::MsgType::kStateUpdate, anchored.take()));
   }
 
   // --- fuzz_peer: [type, sender, receiver, subject | flags] + body, one
@@ -236,15 +227,8 @@ int main(int argc, char** argv) {
         core::encode_handoff_body(hostile));
   }
 
-  // --- fuzz_delta: keyframe and a small delta.
-  {
-    put(root / "fuzz_delta", "full", interest::encode_full(sample_state()));
-    game::AvatarState next = sample_state();
-    next.pos.x += 1.5;
-    next.health -= 20;
-    put(root / "fuzz_delta", "delta",
-        interest::encode_delta(sample_state(), next));
-  }
+  // --- fuzz_delta: a full state.
+  put(root / "fuzz_delta", "full", interest::encode_full(sample_state()));
 
   // --- fuzz_trace: a tiny recorded session (3 players, 4 frames).
   {

@@ -1,6 +1,6 @@
 #include "core/handoff.hpp"
 
-#include "interest/delta.hpp"
+#include "core/messages.hpp"
 
 namespace watchmen::core {
 namespace {
@@ -10,31 +10,13 @@ void write_summary(ByteWriter& w, const PlayerSummary& s) {
   w.i64(s.round);
   w.u8(s.has_state ? 1 : 0);
   if (s.has_state) {
-    w.blob(interest::encode_full(s.last_state));
+    w.blob(encode_state_body(s.last_state));
     w.i64(s.last_state_frame);
   }
   w.u32(s.updates_received);
   w.u32(s.suspicious_events);
   w.u8(s.has_guidance ? 1 : 0);
-  if (s.has_guidance) {
-    w.i64(s.guidance.frame);
-    w.f64(s.guidance.pos.x);
-    w.f64(s.guidance.pos.y);
-    w.f64(s.guidance.pos.z);
-    w.f64(s.guidance.vel.x);
-    w.f64(s.guidance.vel.y);
-    w.f64(s.guidance.vel.z);
-    w.f64(s.guidance.yaw);
-    w.f64(s.guidance.pitch);
-    w.i32(s.guidance.health);
-    w.u8(static_cast<std::uint8_t>(s.guidance.weapon));
-    w.varint(s.guidance.waypoints.size());
-    for (const Vec3& p : s.guidance.waypoints) {
-      w.f64(p.x);
-      w.f64(p.y);
-      w.f64(p.z);
-    }
-  }
+  if (s.has_guidance) w.blob(encode_guidance_body(s.guidance));
   w.varint(s.subscriptions.size());
   for (const auto& [who, sub] : s.subscriptions) {
     w.u32(who);
@@ -49,29 +31,13 @@ PlayerSummary read_summary(ByteReader& r) {
   s.round = r.i64();
   s.has_state = r.u8() != 0;
   if (s.has_state) {
-    const auto blob = r.blob();
-    s.last_state = interest::decode_full(blob);
+    s.last_state = decode_state_body(r.blob());
     s.last_state_frame = r.i64();
   }
   s.updates_received = r.u32();
   s.suspicious_events = r.u32();
   s.has_guidance = r.u8() != 0;
-  if (s.has_guidance) {
-    s.guidance.frame = r.i64();
-    s.guidance.pos = {r.f64(), r.f64(), r.f64()};
-    s.guidance.vel = {r.f64(), r.f64(), r.f64()};
-    s.guidance.yaw = r.f64();
-    s.guidance.pitch = r.f64();
-    s.guidance.health = r.i32();
-    s.guidance.weapon =
-        checked_enum<game::WeaponKind>(r.u8(), game::kNumWeapons, "weapon");
-    const auto nw = r.varint();
-    if (nw > 64) throw DecodeError("too many handoff waypoints");
-    s.guidance.waypoints.reserve(nw);
-    for (std::uint64_t i = 0; i < nw; ++i) {
-      s.guidance.waypoints.push_back({r.f64(), r.f64(), r.f64()});
-    }
-  }
+  if (s.has_guidance) s.guidance = decode_guidance_body(r.blob());
   const auto n = r.varint();
   if (n > 4096) throw DecodeError("too many handoff subscriptions");
   s.subscriptions.reserve(n);
@@ -101,6 +67,7 @@ HandoffPayload decode_handoff_body(std::span<const std::uint8_t> body) {
   HandoffPayload h;
   h.summary = read_summary(r);
   if (r.u8() != 0) h.predecessor = read_summary(r);
+  r.expect_done("trailing bytes in handoff body");
   return h;
 }
 

@@ -25,8 +25,9 @@ struct PlayerSummary {
   std::uint32_t updates_received = 0;  ///< state updates seen in the round
   std::uint32_t suspicious_events = 0; ///< checks that flagged during the round
   bool has_guidance = false;
-  /// The player's live guidance message, so the successor proxy can verify
-  /// the dead-reckoning window that spans the renewal boundary.
+  /// The player's live guidance message (carried in its quantized wire
+  /// encoding, which it came off), so the successor proxy can verify the
+  /// dead-reckoning window that spans the renewal boundary.
   interest::Guidance guidance;
   /// Live subscription table entries, so subscribers keep receiving without
   /// re-subscribing across the renewal.

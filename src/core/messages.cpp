@@ -65,7 +65,7 @@ std::vector<std::uint8_t> seal(const MsgHeader& header,
                                const crypto::KeyPair& key) {
   ByteWriter w;
   write_header(w, header);
-  w.blob(body);
+  w.bytes(body);
   const crypto::Signature sig = crypto::sign(key, w.data());
   const auto sig_bytes = sig.encode();
   w.bytes(sig_bytes);
@@ -82,8 +82,8 @@ std::optional<ParsedMessage> parse(std::span<const std::uint8_t> wire,
     ByteReader r(wire.first(signed_len));
     ParsedMessage msg;
     msg.header = read_header(r);
-    msg.body = r.blob();
-    if (!r.done()) return std::nullopt;
+    const auto body = r.bytes(r.remaining());
+    msg.body.assign(body.begin(), body.end());
 
     if (keys) {
       if (msg.header.origin >= keys->size()) return std::nullopt;
@@ -150,17 +150,11 @@ BatchPrefix decode_batch_prefix(std::span<const std::uint8_t> wire) noexcept {
 }
 
 std::vector<std::uint8_t> encode_state_body(const game::AvatarState& s) {
-  ByteWriter w;
-  w.u8(0);  // kind 0: full state
-  const auto payload = interest::encode_full(s);
-  w.bytes(payload);
-  return w.take();
+  return interest::encode_full(s);
 }
 
 game::AvatarState decode_state_body(std::span<const std::uint8_t> body) {
-  if (body.empty()) throw DecodeError("empty state body");
-  if (body[0] != 0) throw DecodeError("unknown state body kind");
-  return interest::decode_full(body.subspan(1));
+  return interest::decode_full(body);
 }
 
 std::vector<std::uint8_t> encode_position_body(const Vec3& pos) {
@@ -176,42 +170,15 @@ Vec3 decode_position_body(std::span<const std::uint8_t> body) {
   const double x = r.f32();
   const double y = r.f32();
   const double z = r.f32();
+  r.expect_done("trailing bytes in position body");
   return {x, y, z};
 }
-
-namespace {
-
-// Quantized Vec3, zigzag-varint-coded as a difference against `ref`'s
-// quantized value (the guidance counterpart of interest's write_vec_q).
-void write_vec_gq(ByteWriter& w, const Vec3& ref, const Vec3& v) {
-  w.varint(interest::zigzag(
-      static_cast<std::int64_t>(interest::quant_pos(v.x)) - interest::quant_pos(ref.x)));
-  w.varint(interest::zigzag(
-      static_cast<std::int64_t>(interest::quant_pos(v.y)) - interest::quant_pos(ref.y)));
-  w.varint(interest::zigzag(
-      static_cast<std::int64_t>(interest::quant_pos(v.z)) - interest::quant_pos(ref.z)));
-}
-
-Vec3 read_vec_gq(ByteReader& r, const Vec3& ref) {
-  const auto read1 = [&r](double refv) {
-    const std::int64_t q =
-        interest::quant_pos(refv) + interest::unzigzag(r.varint());
-    return interest::dequant_pos(static_cast<std::int32_t>(q));
-  };
-  const double x = read1(ref.x);
-  const double y = read1(ref.y);
-  const double z = read1(ref.z);
-  return {x, y, z};
-}
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_guidance_body(const interest::Guidance& g) {
   ByteWriter w;
-  w.u8(1);  // version 1: quantized varints
   w.varint(interest::zigzag(g.frame));
-  write_vec_gq(w, Vec3{}, g.pos);
-  write_vec_gq(w, Vec3{}, g.vel);
+  interest::write_vec_q(w, Vec3{}, g.pos);
+  interest::write_vec_q(w, Vec3{}, g.vel);
   w.varint(interest::zigzag(interest::quant_ang(g.yaw)));
   w.varint(interest::zigzag(interest::quant_ang(g.pitch)));
   w.varint(interest::zigzag(g.health));
@@ -221,7 +188,7 @@ std::vector<std::uint8_t> encode_guidance_body(const interest::Guidance& g) {
   // per waypoint, so each coordinate is a 1-2 byte varint.
   Vec3 ref = g.pos;
   for (const Vec3& p : g.waypoints) {
-    write_vec_gq(w, ref, p);
+    interest::write_vec_q(w, ref, p);
     ref = p;
   }
   return w.take();
@@ -229,11 +196,10 @@ std::vector<std::uint8_t> encode_guidance_body(const interest::Guidance& g) {
 
 interest::Guidance decode_guidance_body(std::span<const std::uint8_t> body) {
   ByteReader r(body);
-  if (r.u8() != 1) throw DecodeError("unknown guidance version");
   interest::Guidance g;
   g.frame = interest::unzigzag(r.varint());
-  g.pos = read_vec_gq(r, Vec3{});
-  g.vel = read_vec_gq(r, Vec3{});
+  g.pos = interest::read_vec_q(r, Vec3{});
+  g.vel = interest::read_vec_q(r, Vec3{});
   g.yaw = interest::dequant_ang(
       static_cast<std::int32_t>(interest::unzigzag(r.varint())));
   g.pitch = interest::dequant_ang(
@@ -247,9 +213,10 @@ interest::Guidance decode_guidance_body(std::span<const std::uint8_t> body) {
   g.waypoints.reserve(n);
   Vec3 ref = g.pos;
   for (std::uint64_t i = 0; i < n; ++i) {
-    g.waypoints.push_back(read_vec_gq(r, ref));
+    g.waypoints.push_back(interest::read_vec_q(r, ref));
     ref = g.waypoints.back();
   }
+  r.expect_done("trailing bytes in guidance body");
   return g;
 }
 
@@ -261,8 +228,10 @@ std::vector<std::uint8_t> encode_subscribe_body(interest::SetKind kind) {
 
 interest::SetKind decode_subscribe_body(std::span<const std::uint8_t> body) {
   ByteReader r(body);
-  return checked_enum<interest::SetKind>(r.u8(), interest::kNumSetKinds,
-                                         "set kind");
+  const auto kind = checked_enum<interest::SetKind>(
+      r.u8(), interest::kNumSetKinds, "set kind");
+  r.expect_done("trailing bytes in subscribe body");
+  return kind;
 }
 
 std::vector<std::uint8_t> encode_kill_body(const KillClaim& k) {
@@ -283,6 +252,7 @@ KillClaim decode_kill_body(std::span<const std::uint8_t> body) {
   k.weapon = checked_enum<game::WeaponKind>(r.u8(), game::kNumWeapons, "weapon");
   k.distance = r.f32();
   k.victim_pos = {r.f32(), r.f32(), r.f32()};
+  r.expect_done("trailing bytes in kill body");
   return k;
 }
 
@@ -294,7 +264,9 @@ std::vector<std::uint8_t> encode_churn_body(std::int64_t removal_round) {
 
 std::int64_t decode_churn_body(std::span<const std::uint8_t> body) {
   ByteReader r(body);
-  return r.i64();
+  const std::int64_t round = r.i64();
+  r.expect_done("trailing bytes in churn body");
+  return round;
 }
 
 std::vector<std::uint8_t> encode_ack_body(const AckBody& a) {
@@ -311,6 +283,7 @@ AckBody decode_ack_body(std::span<const std::uint8_t> body) {
   a.acked_origin = static_cast<PlayerId>(r.varint());
   a.acked_seq = r.u32();
   a.acked_type = checked_enum<MsgType>(r.u8(), kNumMsgTypes, "acked type");
+  r.expect_done("trailing bytes in ack body");
   return a;
 }
 
@@ -322,7 +295,9 @@ std::vector<std::uint8_t> encode_rejoin_body(std::int64_t restore_round) {
 
 std::int64_t decode_rejoin_body(std::span<const std::uint8_t> body) {
   ByteReader r(body);
-  return r.i64();
+  const std::int64_t round = r.i64();
+  r.expect_done("trailing bytes in rejoin body");
+  return round;
 }
 
 namespace {
@@ -418,13 +393,13 @@ std::optional<std::vector<PlayerId>> decode_subscriber_list_body(
   if (mode > 1) throw DecodeError("unknown subscriber-list mode");
   if (mode == 0) {
     auto full = read_id_gaps(r);
-    if (!r.done()) throw DecodeError("trailing bytes in subscriber list");
+    r.expect_done("trailing bytes in subscriber list");
     return full;
   }
   const std::uint16_t hash = r.u16();
   const std::vector<PlayerId> removed = read_id_gaps(r);
   const std::vector<PlayerId> added = read_id_gaps(r);
-  if (!r.done()) throw DecodeError("trailing bytes in subscriber diff");
+  r.expect_done("trailing bytes in subscriber diff");
   const std::vector<PlayerId> base = sorted_ids(baseline);
   if (hash != subscriber_list_hash(base)) return std::nullopt;
   std::vector<PlayerId> kept;

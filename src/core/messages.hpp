@@ -86,10 +86,12 @@ struct ParsedMessage {
 
 /// Serializes and signs header+body. The result is what goes on the wire:
 ///   [u8 type|0x80][varint origin][varint subject][zigzag-varint frame]
-///   [varint seq][blob body][signature]
-/// The 0x80 tag bit marks the varint header (MsgType values stay below
-/// 0x80, and an unsealed kBatch container never carries it); a sealed wire
-/// without it is the retired fixed 21-byte header and is rejected.
+///   [varint seq][body][16-byte signature]
+/// The body runs from the end of the header to the signature, so it needs
+/// no length prefix. The 0x80 tag bit marks the varint header (MsgType
+/// values stay below 0x80, and an unsealed kBatch container never carries
+/// it); a sealed wire without it is the retired fixed 21-byte header and is
+/// rejected.
 std::vector<std::uint8_t> seal(const MsgHeader& header,
                                std::span<const std::uint8_t> body,
                                const crypto::KeyPair& key);
@@ -137,22 +139,21 @@ struct BatchPrefix {
 BatchPrefix decode_batch_prefix(std::span<const std::uint8_t> wire) noexcept;
 
 // ----------------------------------------------------------------- bodies
+//
+// A body ends where the signature starts, so every body decoder throws
+// DecodeError on bytes left past its last field.
 
 // A state-update body is a full state (paper §II: IS members get a full
-// update every frame): a kind byte 0, then the field-mask encoding against
-// the default state. Kind 1 (a retired keyframe-relative delta) and kind 2
-// (a retired ack-anchored delta) are rejected like any other kind.
+// update every frame): the field-mask encoding, interest::encode_full.
 std::vector<std::uint8_t> encode_state_body(const game::AvatarState& s);
-/// Throws DecodeError on a kind other than 0 or a malformed payload.
 game::AvatarState decode_state_body(std::span<const std::uint8_t> body);
 
 std::vector<std::uint8_t> encode_position_body(const Vec3& pos);
 Vec3 decode_position_body(std::span<const std::uint8_t> body);
 
-// Guidance bodies lead with a version byte, always 1: quantized varints on
-// the delta-coding grid (1/8 unit positions, 1e-4 rad angles), waypoints
-// delta-coded against the position. Version 0 (the retired f32 layout) is
-// rejected.
+// Guidance bodies are quantized varints on the field-mask coding's grid
+// (1/8 unit positions, 1e-4 rad angles), waypoints delta-coded against the
+// position. The handoff summary embeds this same encoding.
 std::vector<std::uint8_t> encode_guidance_body(const interest::Guidance& g);
 interest::Guidance decode_guidance_body(std::span<const std::uint8_t> body);
 

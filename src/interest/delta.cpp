@@ -24,7 +24,7 @@ bool same_vec_q(const Vec3& a, const Vec3& b) {
          quant_pos(a.z) == quant_pos(b.z);
 }
 
-// Differences are taken in 64-bit: baselines can come off the wire, so the
+// Differences are taken in 64-bit: states can come off the wire, so the
 // quantized operands span the whole int32 range and a 32-bit subtraction
 // (or the reader's addition below) would be signed overflow.
 std::uint64_t diff_q(std::int32_t cur, std::int32_t prev) {
@@ -35,84 +35,81 @@ std::int32_t apply_diff_q(std::int32_t prev, std::uint64_t wire) {
   return static_cast<std::int32_t>(prev + unzigzag(wire));
 }
 
-// Vectors are written as zigzag-varint differences of the quantized values
-// against the baseline — a few bytes for frame-to-frame motion instead of
-// 12 (paper §II-A: updates show high temporal similarity).
-void write_vec_q(ByteWriter& w, const Vec3& prev, const Vec3& v) {
-  w.varint(diff_q(quant_pos(v.x), quant_pos(prev.x)));
-  w.varint(diff_q(quant_pos(v.y), quant_pos(prev.y)));
-  w.varint(diff_q(quant_pos(v.z), quant_pos(prev.z)));
-}
-
-Vec3 read_vec_q(ByteReader& r, const Vec3& prev) {
-  const double x = dequant_pos(apply_diff_q(quant_pos(prev.x), r.varint()));
-  const double y = dequant_pos(apply_diff_q(quant_pos(prev.y), r.varint()));
-  const double z = dequant_pos(apply_diff_q(quant_pos(prev.z), r.varint()));
-  return {x, y, z};
-}
-
 std::uint8_t flags_of(const game::AvatarState& a) {
   return static_cast<std::uint8_t>((a.alive ? 1 : 0) | (a.has_quad ? 2 : 0));
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_delta(const game::AvatarState& prev,
-                                       const game::AvatarState& cur) {
+void write_vec_q(ByteWriter& w, const Vec3& ref, const Vec3& v) {
+  w.varint(diff_q(quant_pos(v.x), quant_pos(ref.x)));
+  w.varint(diff_q(quant_pos(v.y), quant_pos(ref.y)));
+  w.varint(diff_q(quant_pos(v.z), quant_pos(ref.z)));
+}
+
+Vec3 read_vec_q(ByteReader& r, const Vec3& ref) {
+  const double x = dequant_pos(apply_diff_q(quant_pos(ref.x), r.varint()));
+  const double y = dequant_pos(apply_diff_q(quant_pos(ref.y), r.varint()));
+  const double z = dequant_pos(apply_diff_q(quant_pos(ref.z), r.varint()));
+  return {x, y, z};
+}
+
+std::vector<std::uint8_t> encode_full(const game::AvatarState& cur) {
+  const game::AvatarState base;
   std::uint16_t mask = 0;
-  if (!same_vec_q(prev.pos, cur.pos)) mask |= kPos;
-  if (!same_vec_q(prev.vel, cur.vel)) mask |= kVel;
-  if (quant_ang(prev.yaw) != quant_ang(cur.yaw)) mask |= kYaw;
-  if (quant_ang(prev.pitch) != quant_ang(cur.pitch)) mask |= kPitch;
-  if (prev.health != cur.health) mask |= kHealth;
-  if (prev.armor != cur.armor) mask |= kArmor;
-  if (prev.weapon != cur.weapon) mask |= kWeapon;
-  if (prev.ammo != cur.ammo) mask |= kAmmo;
-  if (flags_of(prev) != flags_of(cur)) mask |= kFlags;
-  if (prev.frags != cur.frags) mask |= kFrags;
+  if (!same_vec_q(base.pos, cur.pos)) mask |= kPos;
+  if (!same_vec_q(base.vel, cur.vel)) mask |= kVel;
+  if (quant_ang(base.yaw) != quant_ang(cur.yaw)) mask |= kYaw;
+  if (quant_ang(base.pitch) != quant_ang(cur.pitch)) mask |= kPitch;
+  if (base.health != cur.health) mask |= kHealth;
+  if (base.armor != cur.armor) mask |= kArmor;
+  if (base.weapon != cur.weapon) mask |= kWeapon;
+  if (base.ammo != cur.ammo) mask |= kAmmo;
+  if (flags_of(base) != flags_of(cur)) mask |= kFlags;
+  if (base.frags != cur.frags) mask |= kFrags;
 
   ByteWriter w;
   w.u16(mask);
-  if (mask & kPos) write_vec_q(w, prev.pos, cur.pos);
-  if (mask & kVel) write_vec_q(w, prev.vel, cur.vel);
-  if (mask & kYaw) w.varint(diff_q(quant_ang(cur.yaw), quant_ang(prev.yaw)));
+  if (mask & kPos) write_vec_q(w, base.pos, cur.pos);
+  if (mask & kVel) write_vec_q(w, base.vel, cur.vel);
+  if (mask & kYaw) w.varint(diff_q(quant_ang(cur.yaw), quant_ang(base.yaw)));
   if (mask & kPitch) {
-    w.varint(diff_q(quant_ang(cur.pitch), quant_ang(prev.pitch)));
+    w.varint(diff_q(quant_ang(cur.pitch), quant_ang(base.pitch)));
   }
-  if (mask & kHealth) w.varint(diff_q(cur.health, prev.health));
-  if (mask & kArmor) w.varint(diff_q(cur.armor, prev.armor));
+  if (mask & kHealth) w.varint(diff_q(cur.health, base.health));
+  if (mask & kArmor) w.varint(diff_q(cur.armor, base.armor));
   if (mask & kWeapon) w.u8(static_cast<std::uint8_t>(cur.weapon));
-  if (mask & kAmmo) w.varint(diff_q(cur.ammo, prev.ammo));
+  if (mask & kAmmo) w.varint(diff_q(cur.ammo, base.ammo));
   if (mask & kFlags) w.u8(flags_of(cur));
-  if (mask & kFrags) w.varint(diff_q(cur.frags, prev.frags));
+  if (mask & kFrags) w.varint(diff_q(cur.frags, base.frags));
   return w.take();
 }
 
-game::AvatarState decode_delta(const game::AvatarState& prev,
-                               std::span<const std::uint8_t> bytes) {
+game::AvatarState decode_full(std::span<const std::uint8_t> bytes) {
+  const game::AvatarState base;
   ByteReader r(bytes);
-  game::AvatarState cur = prev;
+  game::AvatarState cur;
   const std::uint16_t mask = r.u16();
-  if (mask & kPos) cur.pos = read_vec_q(r, prev.pos);
-  if (mask & kVel) cur.vel = read_vec_q(r, prev.vel);
+  if (mask & kPos) cur.pos = read_vec_q(r, base.pos);
+  if (mask & kVel) cur.vel = read_vec_q(r, base.vel);
   if (mask & kYaw) {
-    cur.yaw = dequant_ang(apply_diff_q(quant_ang(prev.yaw), r.varint()));
+    cur.yaw = dequant_ang(apply_diff_q(quant_ang(base.yaw), r.varint()));
   }
   if (mask & kPitch) {
-    cur.pitch = dequant_ang(apply_diff_q(quant_ang(prev.pitch), r.varint()));
+    cur.pitch = dequant_ang(apply_diff_q(quant_ang(base.pitch), r.varint()));
   }
   if (mask & kHealth) {
-    cur.health = apply_diff_q(prev.health, r.varint());
+    cur.health = apply_diff_q(base.health, r.varint());
   }
   if (mask & kArmor) {
-    cur.armor = apply_diff_q(prev.armor, r.varint());
+    cur.armor = apply_diff_q(base.armor, r.varint());
   }
   if (mask & kWeapon) {
     cur.weapon =
         checked_enum<game::WeaponKind>(r.u8(), game::kNumWeapons, "weapon");
   }
   if (mask & kAmmo) {
-    cur.ammo = apply_diff_q(prev.ammo, r.varint());
+    cur.ammo = apply_diff_q(base.ammo, r.varint());
   }
   if (mask & kFlags) {
     const std::uint8_t f = r.u8();
@@ -120,8 +117,9 @@ game::AvatarState decode_delta(const game::AvatarState& prev,
     cur.has_quad = f & 2;
   }
   if (mask & kFrags) {
-    cur.frags = apply_diff_q(prev.frags, r.varint());
+    cur.frags = apply_diff_q(base.frags, r.varint());
   }
+  r.expect_done("trailing bytes in state encoding");
   return cur;
 }
 

@@ -1,10 +1,9 @@
 #pragma once
 // Field-mask coding of avatar states: a field bitmask followed by only the
-// fields that differ from a baseline, with positions quantized to 1/8 unit
-// and angles to ~0.0001 rad — the same trick Quake III's snapshot encoding
-// uses. A full encoding is the delta against a default-constructed
-// baseline; state updates and handoff summaries carry full encodings, as
-// the paper sends IS members a full state update every frame (§II).
+// fields that differ from the default state, with positions quantized to
+// 1/8 unit and angles to ~0.0001 rad — the same trick Quake III's snapshot
+// encoding uses. State updates and handoff summaries carry this encoding,
+// as the paper sends IS members a full state update every frame (§II).
 
 #include <cmath>
 #include <cstdint>
@@ -16,7 +15,7 @@
 
 namespace watchmen::interest {
 
-// Shared quantization grid. The delta coder, the quantized guidance wire
+// Shared quantization grid. The field-mask coder, the quantized guidance wire
 // and the bandwidth model all round through these, so "equal after a
 // round-trip" means equal on this grid everywhere.
 inline std::int32_t quant_pos(double v) {
@@ -38,20 +37,18 @@ inline std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// Serializes `cur` as a delta against `prev`.
-std::vector<std::uint8_t> encode_delta(const game::AvatarState& prev,
-                                       const game::AvatarState& cur);
+/// A Vec3 on the position grid as zigzag-varint differences against `ref`'s
+/// quantized value: a few bytes for nearby points instead of 12. State
+/// fields take the default state as `ref`; guidance waypoints chain off the
+/// previous point.
+void write_vec_q(ByteWriter& w, const Vec3& ref, const Vec3& v);
+Vec3 read_vec_q(ByteReader& r, const Vec3& ref);
 
-/// Reconstructs the state from a delta and its baseline.
-game::AvatarState decode_delta(const game::AvatarState& prev,
-                               std::span<const std::uint8_t> bytes);
+/// Serializes a state as its differences from the default AvatarState.
+std::vector<std::uint8_t> encode_full(const game::AvatarState& cur);
 
-/// Full encoding (baseline = default AvatarState).
-inline std::vector<std::uint8_t> encode_full(const game::AvatarState& cur) {
-  return encode_delta(game::AvatarState{}, cur);
-}
-inline game::AvatarState decode_full(std::span<const std::uint8_t> bytes) {
-  return decode_delta(game::AvatarState{}, bytes);
-}
+/// Reconstructs a state from encode_full's bytes; throws DecodeError on a
+/// malformed or overlong encoding.
+game::AvatarState decode_full(std::span<const std::uint8_t> bytes);
 
 }  // namespace watchmen::interest

@@ -371,7 +371,7 @@ Recording Recording::deserialize(std::span<const std::uint8_t> bytes) {
     }
     rec.events.push_back(e);
   }
-  if (!r.done()) throw DecodeError("trailing bytes after .wmrec payload");
+  r.expect_done("trailing bytes after .wmrec payload");
   validate(rec);
   return rec;
 }

@@ -28,6 +28,12 @@ double paper_sealed_bits(std::size_t body_bytes) {
          static_cast<double>(net::kUdpOverheadBits);
 }
 
+/// Paper-wire state body: a kind byte (0, full state), then the field-mask
+/// encoding the shipped body carries alone.
+std::size_t paper_state_body_bytes(const game::AvatarState& s) {
+  return 1 + core::encode_state_body(s).size();
+}
+
 /// Paper-wire guidance body: version byte, i64 frame, f32 position,
 /// velocity, yaw and pitch, i32 health, u8 weapon, then the waypoint count
 /// and f32 waypoints.
@@ -57,13 +63,13 @@ WireSizes WireSizes::measure() {
 
   WireSizes w;
   const double overhead = static_cast<double>(net::kUdpOverheadBits);
-  w.state_update = paper_sealed_bits(core::encode_state_body(s).size());
+  w.state_update = paper_sealed_bits(paper_state_body_bytes(s));
   w.position_update = paper_sealed_bits(core::encode_position_body(s.pos).size());
   const interest::Guidance g = interest::make_guidance(s, 100, 2);
   w.guidance = paper_sealed_bits(paper_guidance_body_bytes(g));
   w.subscribe = paper_sealed_bits(
       core::encode_subscribe_body(interest::SetKind::kInterest).size());
-  w.state_payload = static_cast<double>(core::encode_state_body(s).size()) * 8;
+  w.state_payload = static_cast<double>(paper_state_body_bytes(s)) * 8;
   w.snapshot_overhead = 22 * 8 + overhead;  // header + UDP/IP, no signature
 
   // The shipped wire, measured from the encoders the peers use.

@@ -150,6 +150,11 @@ class ByteReader {
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return remaining() == 0; }
+  /// Rejects unread bytes: a payload that ends where its container ends
+  /// (a message body at the signature) carries nothing past its last field.
+  void expect_done(const char* what) const {
+    if (!done()) throw DecodeError(what);
+  }
 
  private:
   std::span<const std::uint8_t> take(std::size_t n) {

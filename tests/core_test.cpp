@@ -670,7 +670,9 @@ TEST(Messages, KillBodyRoundTrip) {
 TEST(Messages, StateUpdateWireUndercutsPaperLayout) {
   // The paper-scale figure (~700-bit updates, ~100-bit signatures) belongs
   // to the paper wire, modelled by sim::WireSizes. The shipped varint
-  // header saves 16 of the paper layout's 21 header bytes on this update.
+  // header saves 16 of the paper layout's 21 header bytes on this update;
+  // the shipped body also drops the paper body's kind byte and, since it
+  // ends at the signature, its 1-byte length prefix.
   const crypto::KeyRegistry keys(9, 2);
   game::AvatarState s;
   s.pos = {1024.125, 512.5, 96};
@@ -686,8 +688,9 @@ TEST(Messages, StateUpdateWireUndercutsPaperLayout) {
   h.subject = 0;
   const auto body = encode_state_body(s);
   const auto wire = seal(h, body, keys.key_pair(0));
-  const std::size_t paper_layout = 21 + 1 + body.size() + crypto::kSignatureBytes;
-  EXPECT_EQ(wire.size() + 16, paper_layout);
+  const std::size_t paper_layout =
+      21 + 1 + 1 + body.size() + crypto::kSignatureBytes;
+  EXPECT_EQ(wire.size() + 18, paper_layout);
 }
 
 // ------------------------------------------------------------ handoff
@@ -923,8 +926,6 @@ TEST(StateBody, FullStateFramingRoundTrip) {
   base.frags = 4;
 
   const auto key = encode_state_body(base);
-  ASSERT_FALSE(key.empty());
-  EXPECT_EQ(key[0], 0);  // kind 0: full state
   const auto back = decode_state_body(key);
   EXPECT_EQ(back.health, 90);
   EXPECT_NEAR(back.pos.x, 100.0, 0.2);

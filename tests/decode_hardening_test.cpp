@@ -1,6 +1,6 @@
 // Fuzz-derived malformed-message regression tests: every core::messages
-// body type (plus the sealed envelope, handoff summaries, delta bodies and
-// trace files) is fed truncated and bit-flipped encodings. The decoders must
+// body type (plus the sealed envelope, handoff summaries and trace files) is
+// fed truncated, overlong and bit-flipped encodings. The decoders must
 // reject with DecodeError (or nullopt at the envelope layer) — never crash,
 // abort, or accept a tampered signature. This pins down in unit tests what
 // the fuzz/ harnesses check statistically.
@@ -15,7 +15,6 @@
 #include "core/handoff.hpp"
 #include "core/messages.hpp"
 #include "game/trace.hpp"
-#include "interest/delta.hpp"
 #include "interest/subscription.hpp"
 #include "util/bytes.hpp"
 
@@ -51,6 +50,34 @@ interest::Guidance sample_guidance() {
   g.weapon = game::WeaponKind::kShotgun;
   g.waypoints = {{70.0, 32.0, 8.0}, {80.0, 40.0, 8.0}};
   return g;
+}
+
+KillClaim sample_kill() {
+  KillClaim k;
+  k.victim = 9;
+  k.weapon = game::WeaponKind::kRocketLauncher;
+  k.distance = 320.0;
+  k.victim_pos = {50.0, 60.0, 8.0};
+  return k;
+}
+
+core::HandoffPayload sample_handoff() {
+  core::PlayerSummary s;
+  s.player = 4;
+  s.round = 12;
+  s.has_state = true;
+  s.last_state = sample_state();
+  s.last_state_frame = 1190;
+  s.updates_received = 57;
+  s.has_guidance = true;
+  s.guidance = sample_guidance();
+  s.subscriptions = {{1, {interest::SetKind::kInterest, 1300}},
+                     {6, {interest::SetKind::kVision, 1280}}};
+  core::HandoffPayload h;
+  h.summary = s;
+  h.predecessor = s;
+  h.predecessor->round = 11;
+  return h;
 }
 
 /// Asserts that every strict prefix of `bytes` makes `decode` throw
@@ -110,12 +137,7 @@ TEST(DecodeHardening, SubscribeBody) {
 }
 
 TEST(DecodeHardening, KillBody) {
-  KillClaim k;
-  k.victim = 9;
-  k.weapon = game::WeaponKind::kRocketLauncher;
-  k.distance = 320.0;
-  k.victim_pos = {50.0, 60.0, 8.0};
-  expect_hardened(core::encode_kill_body(k),
+  expect_hardened(core::encode_kill_body(sample_kill()),
                   [](auto b) { return core::decode_kill_body(b); });
 }
 
@@ -130,22 +152,7 @@ TEST(DecodeHardening, SubscriberListBody) {
 }
 
 TEST(DecodeHardening, HandoffBody) {
-  core::PlayerSummary s;
-  s.player = 4;
-  s.round = 12;
-  s.has_state = true;
-  s.last_state = sample_state();
-  s.last_state_frame = 1190;
-  s.updates_received = 57;
-  s.has_guidance = true;
-  s.guidance = sample_guidance();
-  s.subscriptions = {{1, {interest::SetKind::kInterest, 1300}},
-                     {6, {interest::SetKind::kVision, 1280}}};
-  core::HandoffPayload h;
-  h.summary = s;
-  h.predecessor = s;
-  h.predecessor->round = 11;
-  expect_hardened(core::encode_handoff_body(h),
+  expect_hardened(core::encode_handoff_body(sample_handoff()),
                   [](auto b) { return core::decode_handoff_body(b); });
 }
 
@@ -197,16 +204,6 @@ TEST(DecodeHardening, HandoffHostileSubscriberIds) {
   }
 }
 
-TEST(DecodeHardening, DeltaBody) {
-  game::AvatarState next = sample_state();
-  next.pos = {200.0, -10.0, 16.0};
-  next.armor += 5;
-  next.alive = false;
-  expect_hardened(interest::encode_delta(sample_state(), next), [](auto b) {
-    return interest::decode_delta(sample_state(), b);
-  });
-}
-
 TEST(DecodeHardening, TraceFile) {
   const game::GameMap map = game::make_test_arena();
   game::SessionConfig cfg;
@@ -218,6 +215,90 @@ TEST(DecodeHardening, TraceFile) {
   // Full prefix sweep over a trace is O(bytes^2) reads; keep the trace tiny.
   expect_hardened(bytes,
                   [](auto b) { return game::GameTrace::deserialize(b); });
+}
+
+// ------------------------------------------------------- trailing bytes
+//
+// A body ends where the signature starts, so a validly signed body with one
+// byte past its last field must be refused, not read as if it ended early.
+
+/// Seals `body` plus one trailing byte, opens it with a valid signature and
+/// expects `decode` to refuse the opened body (the exact body decodes).
+template <typename Decode>
+void expect_trailing_byte_rejected(MsgType type,
+                                   std::vector<std::uint8_t> body,
+                                   Decode decode) {
+  decode(body);
+  const crypto::KeyRegistry keys(42, 4);
+  MsgHeader h;
+  h.type = type;
+  h.origin = 1;
+  h.subject = 2;
+  h.frame = 77;
+  h.seq = 3;
+  body.push_back(0);
+  const auto msg = core::open(core::seal(h, body, keys.key_pair(1)), keys);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_THROW(decode(msg->body), DecodeError);
+}
+
+TEST(DecodeHardening, StateBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kStateUpdate, core::encode_state_body(sample_state()),
+      [](auto b) { return core::decode_state_body(b); });
+}
+
+TEST(DecodeHardening, GuidanceBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kGuidance, core::encode_guidance_body(sample_guidance()),
+      [](auto b) { return core::decode_guidance_body(b); });
+}
+
+TEST(DecodeHardening, PositionBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kPositionUpdate, core::encode_position_body({10.0, 20.0, 30.0}),
+      [](auto b) { return core::decode_position_body(b); });
+}
+
+TEST(DecodeHardening, KillBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kKillClaim, core::encode_kill_body(sample_kill()),
+      [](auto b) { return core::decode_kill_body(b); });
+}
+
+TEST(DecodeHardening, SubscribeBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kSubscribe,
+      core::encode_subscribe_body(interest::SetKind::kVision),
+      [](auto b) { return core::decode_subscribe_body(b); });
+}
+
+TEST(DecodeHardening, AckBodyTrailingByteRejected) {
+  core::AckBody a;
+  a.acked_origin = 3;
+  a.acked_seq = 41;
+  a.acked_type = MsgType::kHandoff;
+  expect_trailing_byte_rejected(
+      MsgType::kAck, core::encode_ack_body(a),
+      [](auto b) { return core::decode_ack_body(b); });
+}
+
+TEST(DecodeHardening, ChurnBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kChurnNotice, core::encode_churn_body(17),
+      [](auto b) { return core::decode_churn_body(b); });
+}
+
+TEST(DecodeHardening, RejoinBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kRejoinNotice, core::encode_rejoin_body(18),
+      [](auto b) { return core::decode_rejoin_body(b); });
+}
+
+TEST(DecodeHardening, HandoffBodyTrailingByteRejected) {
+  expect_trailing_byte_rejected(
+      MsgType::kHandoff, core::encode_handoff_body(sample_handoff()),
+      [](auto b) { return core::decode_handoff_body(b); });
 }
 
 // ------------------------------------------------------- envelope layer
@@ -234,10 +315,18 @@ TEST(DecodeHardening, SealedEnvelopeTruncationYieldsNullopt) {
   const auto wire = core::seal(h, body, keys.key_pair(1));
 
   ASSERT_TRUE(core::open(wire, keys).has_value());
+  const std::size_t min_len = wire.size() - body.size();  // header + sig
   for (std::size_t len = 0; len < wire.size(); ++len) {
     const std::span<const std::uint8_t> prefix(wire.data(), len);
     EXPECT_FALSE(core::open(prefix, keys).has_value()) << "prefix " << len;
-    EXPECT_FALSE(core::open_unverified(prefix).has_value()) << "prefix " << len;
+    // The signature, not a length prefix, ends the body: a cut that leaves
+    // the header and 16 more bytes parses, to a shorter body under the
+    // wrong signature bytes, which only the verifying open() refuses.
+    const auto parsed = core::open_unverified(prefix);
+    ASSERT_EQ(parsed.has_value(), len >= min_len) << "prefix " << len;
+    if (parsed) {
+      EXPECT_EQ(parsed->body.size(), len - min_len);
+    }
   }
 }
 
@@ -290,60 +379,22 @@ TEST(DecodeHardening, OutOfRangeEnumsRejected) {
 }
 
 TEST(DecodeHardening, RetiredEncodingsRejected) {
-  // The seed-wire encodings are gone from the encoders; their bytes must be
-  // refused by the decoders, never half-parsed.
+  // The seed wire's header is gone from the encoder; its bytes must be
+  // refused by the parser, never half-parsed.
+  // Fixed-width 21-byte header: type byte without the 0x80 tag, validly
+  // signed, so only the header layout can reject it.
   const crypto::KeyRegistry keys(42, 4);
-  {
-    // Fixed-width 21-byte header: type byte without the 0x80 tag, validly
-    // signed, so only the header layout can reject it.
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(MsgType::kStateUpdate));
-    w.u32(1);     // origin
-    w.u32(1);     // subject
-    w.i64(1200);  // frame
-    w.u32(9);     // seq
-    w.blob(core::encode_state_body(sample_state()));
-    const auto sig = crypto::sign(keys.key_pair(1), w.data()).encode();
-    w.bytes(sig);
-    EXPECT_FALSE(core::open_unverified(w.data()).has_value());
-    EXPECT_FALSE(core::open(w.data(), keys).has_value());
-  }
-  {
-    // Guidance version 0: the f32 layout.
-    const interest::Guidance g = sample_guidance();
-    ByteWriter w;
-    w.u8(0);
-    w.i64(g.frame);
-    for (const double v : {g.pos.x, g.pos.y, g.pos.z, g.vel.x, g.vel.y,
-                           g.vel.z, g.yaw, g.pitch}) {
-      w.f32(static_cast<float>(v));
-    }
-    w.i32(g.health);
-    w.u8(static_cast<std::uint8_t>(g.weapon));
-    w.varint(0);
-    EXPECT_THROW(core::decode_guidance_body(w.data()), DecodeError);
-  }
-  {
-    // State-body kind 1: a delta against the sender's last keyframe.
-    ByteWriter w;
-    w.u8(1);
-    w.u8(3);  // baseline age
-    w.bytes(interest::encode_delta(sample_state(), sample_state()));
-    EXPECT_THROW(core::decode_state_body(w.data()), DecodeError);
-  }
-  {
-    // State-body kind 2: a delta anchored to a proxy-acked state (baseline
-    // age, then the zigzag baseline frame ahead of the field-mask delta).
-    game::AvatarState next = sample_state();
-    next.pos.x += 2.0;
-    next.health -= 25;
-    ByteWriter w;
-    w.u8(2);
-    w.u8(3);  // baseline age
-    w.varint(interest::zigzag(1197));
-    w.bytes(interest::encode_delta(sample_state(), next));
-    EXPECT_THROW(core::decode_state_body(w.data()), DecodeError);
-  }
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kStateUpdate));
+  w.u32(1);     // origin
+  w.u32(1);     // subject
+  w.i64(1200);  // frame
+  w.u32(9);     // seq
+  w.bytes(core::encode_state_body(sample_state()));
+  const auto sig = crypto::sign(keys.key_pair(1), w.data()).encode();
+  w.bytes(sig);
+  EXPECT_FALSE(core::open_unverified(w.data()).has_value());
+  EXPECT_FALSE(core::open(w.data(), keys).has_value());
 }
 
 TEST(DecodeHardening, TraceEventPlayerIdsValidated) {

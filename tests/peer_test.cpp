@@ -49,11 +49,19 @@ TEST_F(PeerProtocol, PoolWeightsApplyToAllPeers) {
   for (PlayerId p = 0; p < 12; ++p) {
     for (PlayerId weak = 0; weak < 4; ++weak) {
       EXPECT_FALSE(session.peer(p).schedule().in_pool(weak));
-      EXPECT_TRUE(session.peer(p).proxied_players().empty() ||
-                  true);  // structural sanity only
+    }
+    // No peer's schedule hands a weak player anyone to proxy.
+    for (PlayerId q = 0; q < 12; ++q) {
+      EXPECT_GE(session.peer(p).schedule().proxy_at(q, 199), 4u)
+          << "peer " << p << " subject " << q;
     }
     // Weak players still get proxied by someone else.
     EXPECT_GE(session.peer(p).schedule().proxy_at(0, 100), 4u);
+  }
+  // And no weak player proxies anybody.
+  for (PlayerId weak = 0; weak < 4; ++weak) {
+    EXPECT_TRUE(session.peer(weak).proxied_players().empty())
+        << "player " << weak;
   }
 }
 
