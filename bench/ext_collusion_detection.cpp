@@ -53,7 +53,7 @@ int main() {
     std::size_t honest_rounds = 0, rounds = 0;
     for (std::int64_t r = 0; r < 1200 / 40; ++r) {
       ++rounds;
-      honest_rounds += session.schedule().proxy_of(0, r) >= c;
+      honest_rounds += session.peer(0).schedule().proxy_of(0, r) >= c;
     }
 
     std::printf("%-10zu %10zu %12zu %11.1f%% %13.0f%%\n", c,

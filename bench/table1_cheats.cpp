@@ -40,7 +40,8 @@ RowResult run_with(const game::GameTrace& trace, const game::GameMap& map,
     if (rep.suspect == cheater &&
         rep.weighted() >= verify::kHighConfidenceThreshold) {
       ++r.reports;
-      r.by.insert(rep.verifier == session.schedule().proxy_at(cheater, rep.frame)
+      r.by.insert(rep.verifier == session.peer(cheater).schedule().proxy_at(
+                                            cheater, rep.frame)
                       ? "proxy"
                       : "others");
     }

@@ -51,7 +51,8 @@ Outcome run(const game::GameTrace& trace, const game::GameMap& map,
   std::size_t peer_proxied = 0;
   for (PlayerId p = 0; p < trace.n_players; ++p) {
     if (p != server &&
-        session.schedule().proxy_at(p, session.current_frame() - 1) != server) {
+        session.peer(p).schedule().proxy_at(
+            p, session.current_frame() - 1) != server) {
       ++peer_proxied;
     }
   }

@@ -52,7 +52,8 @@ int main() {
   std::printf("who proxies whom right now:\n");
   for (PlayerId p = 0; p < trace.n_players; ++p) {
     std::printf("  player %u -> proxy %u\n", p,
-                session.schedule().proxy_at(p, session.current_frame() - 1));
+                session.peer(p).schedule().proxy_at(
+                    p, session.current_frame() - 1));
   }
 
   std::printf("verification reports on honest traffic: %zu "

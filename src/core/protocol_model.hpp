@@ -20,10 +20,13 @@
 //   I2  no protocol message is accepted without a verifiable origin
 //       signature,
 //   I4  retransmit budgets terminate (a tracked control message is never
-//       retransmitted more than retransmit_budget times).
+//       retransmitted more than retransmit_budget times),
+//   I6  every node's pool view keeps protocol::kMinPoolMembers members (a
+//       smaller view leaves its last member without a proxy), checked
+//       after every transition.
 //
 // (I3, the proxy-only acceptance of anchored-delta baseline acks, retired
-// with delta-coded state updates; the numbering stays.)
+// with delta-coded state updates; the numbering stays. I5 is not modelled.)
 //
 // The model tracks a single subject player (node 0): per-player authority
 // is independent in the implementation, so one subject with N-1 candidate
@@ -41,7 +44,8 @@
 //
 // ModelConfig's `variant` mutates one call site each (failover without the
 // vantage observation, unsigned acceptance, unbounded retransmit, an
-// always-adopt handoff verdict); the seeded-broken corpus
+// always-adopt handoff verdict, removals past the pool floor); the
+// seeded-broken corpus
 // in tests/wmcheck_test.cpp proves the checker catches every one.
 
 #include <array>
@@ -68,6 +72,8 @@ enum class Variant : std::uint8_t {
   kAcceptUnsigned,        ///< receivers skip origin-signature verification
   kUnboundedRetransmit,   ///< reliable control ignores retransmit_budget
   kHandoffAnyRound,       ///< every handoff gets the kAdopt verdict
+  kSkipPoolFloor,         ///< the boundary step is told the pool is large
+                          ///< enough (binds at n_nodes = 3: a pool of two)
 };
 
 const char* to_string(Variant v);
@@ -132,6 +138,7 @@ enum Violation : std::uint8_t {
   kViolationRetransmit = 1u << 3,      ///< I4
   kViolationNoProxy = 1u << 4,         ///< I1 at quiescence: zero proxies
   kViolationMultiProxyQuiescent = 1u << 5,  ///< I1 at quiescence: several
+  kViolationPoolFloor = 1u << 6,       ///< I6: a pool view under the floor
 };
 
 std::string violations_to_string(std::uint8_t flags);

@@ -7,8 +7,8 @@
 // round skew the handoff validator tolerates, plus the retransmit and
 // liveness-watchdog cadences of the hardened control plane.
 //
-// The churn/rejoin delays, the handoff stale window and the pool-transition
-// grace are read in src/ only by core/authority.hpp (wmlint
+// The churn/rejoin delays, the handoff stale window, the pool-transition
+// grace and the pool floor are read in src/ only by core/authority.hpp (wmlint
 // `authority-rule`), whose rules WatchmenPeer and the tools/wmcheck model
 // both call — so changing one of them changes the shipped protocol and the
 // checked one together, and wmcheck re-verifies the exactly-one-active-proxy
@@ -41,6 +41,11 @@ inline constexpr std::int64_t kRejoinRestoreDelayRounds = 2;
 /// round - last_pool_change_round <= this: peers' schedules may briefly
 /// diverge while churn notices propagate, and divergence is not cheating.
 inline constexpr std::int64_t kPoolTransitionGraceRounds = 2;
+
+/// The pool floor: no observer's pool view drops below this many members.
+/// A view of one member leaves that member without a proxy (a player never
+/// proxies itself), and every peer asks for everyone's proxy each round.
+inline constexpr int kMinPoolMembers = 2;
 
 /// A handoff stamped in round s is still installable while
 /// s + kHandoffStaleRounds >= current round (covers retransmits and

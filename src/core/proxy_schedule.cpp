@@ -71,6 +71,8 @@ PlayerId ProxySchedule::draw(PlayerId player, std::int64_t round) const {
   const std::size_t m = members_.size();
   const std::size_t split = player < n_ ? rank_[player] : m;
   const bool member = split < m && members_[split] == player;
+  // Unreachable while the pool floor (authority::pool_keeps_floor) keeps
+  // every pool at two members or more: an invariant, not a path.
   if (m - (member ? 1 : 0) == 0) throw std::logic_error("proxy pool is empty");
   const std::size_t after = member ? split + 1 : split;
   const double w = member ? weights_[player] : 0.0;

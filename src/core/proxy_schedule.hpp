@@ -31,9 +31,9 @@
 // the weighted draw, which stays the only computation; any pool or weight
 // change empties the table, so an answer never depends on what was cached.
 // The table is mutable state behind const methods: a schedule instance
-// belongs to one thread (each WatchmenPeer owns its copy, and the session's
-// copy is read only on the driving thread). Copying a schedule copies its
-// table; the copies then evolve independently.
+// belongs to one thread (each WatchmenPeer owns its copy, confined to the
+// session's frame thread). Copying a schedule copies its table; the copies
+// then evolve independently.
 
 #include <array>
 #include <cstdint>
@@ -102,6 +102,9 @@ class ProxySchedule {
   void set_weight(PlayerId player, double weight);
 
   bool in_pool(PlayerId player) const { return weights_.at(player) > 0.0; }
+
+  /// Pool members (players with weight > 0).
+  std::size_t pool_size() const { return members_.size(); }
 
  private:
   /// Rounds held at once: r−1, r and r+1 for the delivery checks, plus one

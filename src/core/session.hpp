@@ -23,7 +23,6 @@
 #include "util/thread_annotations.hpp"
 
 #include "core/peer.hpp"
-#include "core/proxy_schedule.hpp"
 #include "crypto/keys.hpp"
 #include "game/trace.hpp"
 #include "interest/visibility_cache.hpp"
@@ -48,10 +47,12 @@ struct SessionOptions {
   /// Act on the misbehavior engine's standing (typed penalties scored once
   /// per proxy round; reputation/misbehavior_engine.hpp): discouraged and
   /// banned players lose proxy-pool and emergency-failover eligibility at
-  /// round boundaries. Scoring itself is always on — it only *observes* the
-  /// detector stream. Off by default because enforcement changes protocol
-  /// behaviour (the schedules), which would break bit-identical replay of
-  /// recordings made without it.
+  /// round boundaries, in every peer's own pool view (the pool floor,
+  /// core/authority.hpp, may hold an exclusion until the pool grows).
+  /// Scoring itself is always on — it only *observes* the detector stream.
+  /// Off by default because enforcement changes protocol behaviour (the
+  /// schedules), which would break bit-identical replay of recordings made
+  /// without it.
   bool misbehavior_enforcement = false;
   std::uint64_t seed = 42;
   NetProfile net = NetProfile::kKing;
@@ -59,8 +60,8 @@ struct SessionOptions {
   double loss_rate = 0.01;  ///< paper simulates 1 % loss
   /// Proxy-pool weight overrides applied before the session starts (§VI
   /// "Upload capacity & Fairness": weak nodes get weight 0, powerful nodes
-  /// can serve more). Peers copy the schedule at construction, so weights
-  /// must be set here, not on the live schedule.
+  /// can serve more). They shape the initial schedule every peer copies at
+  /// construction; there is no shared live schedule to change later.
   std::vector<std::pair<PlayerId, double>> pool_weights;
   /// Per-node upload caps in bits/s (0 = unconstrained), applied to the
   /// simulated network before the session starts.
@@ -142,11 +143,9 @@ class WatchmenSession {
   const WatchmenPeer& peer(PlayerId p) const { return *peers_.at(p); }
   WatchmenPeer& peer(PlayerId p) { return *peers_.at(p); }
   /// True when p is simulated by this process (always, single-process).
-  bool is_local(PlayerId p) const { return local_.at(p); }
+  bool is_local(PlayerId p) const { return peers_.at(p) != nullptr; }
   const net::Transport& network() const { return *net_; }
   net::Transport& network() { return *net_; }
-  const ProxySchedule& schedule() const { return schedule_; }
-  ProxySchedule& schedule() { return schedule_; }
   const verify::Detector& detector() const { return detector_; }
   const reputation::MisbehaviorEngine& misbehavior() const {
     return misbehavior_;
@@ -171,20 +170,18 @@ class WatchmenSession {
   void disconnect_locked(PlayerId p) REQUIRES(frame_mu_);
   void reconnect_locked(PlayerId p) REQUIRES(frame_mu_);
 
-  /// Round-boundary standing enforcement: newly discouraged/banned players
-  /// are dropped from the canonical schedule and every peer's pool (sticky;
-  /// the pool never shrinks below two eligible members). Runs before the
-  /// round's begin_frame so all peers adopt consistent weights.
+  /// Round-boundary standing enforcement: every local peer drops each
+  /// discouraged or banned player from its own pool (sticky, idempotent).
+  /// A peer whose pool is at the floor refuses, and is asked again at the
+  /// next boundary. Runs before the round's begin_frame so all peers adopt
+  /// consistent weights.
   void apply_standing_enforcement() REQUIRES(frame_mu_);
 
   const game::GameTrace* trace_;
   const game::GameMap* map_;
   SessionOptions opts_;
   crypto::KeyRegistry keys_;
-  ProxySchedule schedule_;
   std::unique_ptr<net::Transport> net_;
-  /// Which players this process simulates (immutable after construction).
-  std::vector<bool> local_;
   verify::Detector detector_;
   reputation::MisbehaviorEngine misbehavior_;
   game::TraceReplayer replayer_;
@@ -196,8 +193,6 @@ class WatchmenSession {
   util::ThreadPool pool_;
   mutable util::Mutex frame_mu_;
   std::vector<bool> connected_ GUARDED_BY(frame_mu_);
-  /// Players already excluded from pools by standing enforcement.
-  std::vector<bool> rep_excluded_ GUARDED_BY(frame_mu_);
   Frame next_frame_ GUARDED_BY(frame_mu_) = 0;
   /// Collector registered with opts_.registry (deregistered on destruction
   /// — the registry may outlive this session). -1 when no registry is set.

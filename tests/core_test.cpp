@@ -822,7 +822,7 @@ TEST_F(HonestSession, ProxiesServeAndRotate) {
   for (const auto& [proxy, players] : round0) {
     for (PlayerId q : players) {
       EXPECT_TRUE(covered.insert(q).second) << "player proxied twice";
-      EXPECT_EQ(session.schedule().proxy_of(q, 0), proxy);
+      EXPECT_EQ(session.peer(q).schedule().proxy_of(q, 0), proxy);
     }
   }
   EXPECT_EQ(covered.size(), 16u);
@@ -830,7 +830,8 @@ TEST_F(HonestSession, ProxiesServeAndRotate) {
   session.run_frames(41);  // into round 2
   int moved = 0;
   for (PlayerId q = 0; q < 16; ++q) {
-    moved += session.schedule().proxy_of(q, 0) != session.schedule().proxy_of(q, 2);
+    const ProxySchedule& view = session.peer(q).schedule();
+    moved += view.proxy_of(q, 0) != view.proxy_of(q, 2);
   }
   EXPECT_GT(moved, 10);
 }

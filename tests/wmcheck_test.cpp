@@ -213,6 +213,24 @@ TEST(WmcheckModel, RestoreCancelsALaterRemoval) {
   EXPECT_NE(s.pool_view[1] & (1u << 2), 0u);
 }
 
+TEST(WmcheckModel, PoolFloorHoldsAChurnRemoval) {
+  // At 3 nodes the pool is two proxies. The crashed one's proxy announces
+  // and schedules its removal, but the floor (authority::boundary_step)
+  // holds it on the record rather than leave a one-member view (I6).
+  ModelConfig cfg = tiny_config();
+  cfg.n_nodes = 3;
+  cfg.max_rounds = 6;
+  State s = model::initial_state(cfg);
+  s = model::apply(s, {ActionKind::kCrash, 1, 0}, cfg);
+  for (int r = 0; r < 5; ++r) {
+    s = model::apply(s, {ActionKind::kAdvanceRound, 0, 0}, cfg);
+  }
+  ASSERT_NE(s.agreement[2].removal, model::kNone);
+  EXPECT_LE(s.agreement[2].removal, s.round) << "the removal is due";
+  EXPECT_NE(s.pool_view[2] & (1u << 1), 0u) << "...and held";
+  EXPECT_EQ(s.violations & model::kViolationPoolFloor, 0);
+}
+
 TEST(WmcheckModel, StaleHandoffRejectedPerSharedConstant) {
   // A handoff stamped r is installable while r + kHandoffStaleRounds >=
   // current round; one round older must be ignored (faithful variant).
@@ -308,11 +326,16 @@ struct BrokenCase {
   std::uint8_t expected_flag;
 };
 
-CheckResult check_variant(Variant v) {
+/// The variant's config: the default one, except that the pool floor binds
+/// only at 3 nodes, where the pool is two proxies.
+ModelConfig variant_config(Variant v) {
   ModelConfig cfg;
   cfg.variant = v;
-  return run(cfg);
+  if (v == Variant::kSkipPoolFloor) cfg.n_nodes = 3;
+  return cfg;
 }
+
+CheckResult check_variant(Variant v) { return run(variant_config(v)); }
 
 }  // namespace
 
@@ -322,6 +345,7 @@ TEST(WmcheckCorpus, EveryBrokenVariantIsCaught) {
       {Variant::kAcceptUnsigned, model::kViolationUnsigned},
       {Variant::kUnboundedRetransmit, model::kViolationRetransmit},
       {Variant::kHandoffAnyRound, model::kViolationDualProxy},
+      {Variant::kSkipPoolFloor, model::kViolationPoolFloor},
   };
   for (const BrokenCase& c : cases) {
     const CheckResult res = check_variant(c.variant);
@@ -339,11 +363,11 @@ TEST(WmcheckCorpus, CounterexamplesReplayToTheReportedViolation) {
   // the initial state independently reproduces the violation.
   for (const Variant v :
        {Variant::kSkipVantageCheck, Variant::kAcceptUnsigned,
-        Variant::kUnboundedRetransmit, Variant::kHandoffAnyRound}) {
+        Variant::kUnboundedRetransmit, Variant::kHandoffAnyRound,
+        Variant::kSkipPoolFloor}) {
     const CheckResult res = check_variant(v);
     ASSERT_TRUE(res.found_violation) << model::to_string(v);
-    ModelConfig cfg;
-    cfg.variant = v;
+    const ModelConfig cfg = variant_config(v);
     State s = model::initial_state(cfg);
     for (const Action& a : res.counterexample.actions) {
       s = model::apply(s, a, cfg);

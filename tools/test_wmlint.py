@@ -327,6 +327,13 @@ class AuthorityRuleTest(unittest.TestCase):
             "EXPECT_EQ(x, protocol::kRejoinRestoreDelayRounds);\n"})
         self.assertEqual(fs, [])
 
+    def test_pool_floor_read_outside_authority_flagged(self):
+        # The pool floor is one rule: a caller counting members against the
+        # constant itself is a second copy of it.
+        fs = lint_tree({"src/core/session.cpp":
+                        "    if (eligible <= protocol::kMinPoolMembers) continue;\n"})
+        self.assertEqual(checks(fs), ["authority-rule"])
+
     def test_comparison_is_a_read(self):
         fs = lint_tree({"src/core/x.cpp":
                         "bool b = kHandoffStaleRounds == 1;\n"})

@@ -5,7 +5,8 @@
 // proxy crash, rejoin, retransmission and emergency-failover adoption up to
 // the configured adversarial budgets, deduplicating states by canonical
 // hash, and asserts the cheat-resistance invariants (exactly one active
-// proxy, signed-origin acceptance only, bounded retransmission). On
+// proxy, signed-origin acceptance only, bounded retransmission, a pool
+// view never under the floor). On
 // violation it prints a minimal counterexample trace
 // plus a machine-readable action list replayable with --replay.
 //
@@ -32,7 +33,7 @@ using namespace watchmen::core::model;
 constexpr Variant kAllVariants[] = {
     Variant::kFaithful,       Variant::kSkipVantageCheck,
     Variant::kAcceptUnsigned, Variant::kUnboundedRetransmit,
-    Variant::kHandoffAnyRound,
+    Variant::kHandoffAnyRound, Variant::kSkipPoolFloor,
 };
 
 void usage() {

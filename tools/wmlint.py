@@ -62,11 +62,11 @@ link-switch     WatchmenConfig::hardened is read in src/ only by
                 that picks the loss tolerances: a role branching on it
                 forks the control plane PeerLink keeps in one place.
 authority-rule  kChurnRemovalDelayRounds, kRejoinRestoreDelayRounds,
-                kHandoffStaleRounds and kPoolTransitionGraceRounds
-                (core/protocol_params.hpp) are read in src/ only by
-                core/authority.hpp: a caller doing its own arithmetic on
-                them is a second copy of a rule the peer and the wmcheck
-                model must share.
+                kHandoffStaleRounds, kPoolTransitionGraceRounds and
+                kMinPoolMembers (core/protocol_params.hpp) are read in src/
+                only by core/authority.hpp: a caller doing its own
+                arithmetic on them is a second copy of a rule the peer and
+                the wmcheck model must share.
 format          (--format only) clang-format --dry-run over src/; skipped
                 with a notice when clang-format is not installed.
 
@@ -155,7 +155,8 @@ LINK_SWITCH_OWNERS = ("src/core/peer_link.cpp", "src/obs/recorder.cpp")
 # (`name = value`).
 AUTHORITY_CONST_READ_RE = re.compile(
     r"\b(kChurnRemovalDelayRounds|kRejoinRestoreDelayRounds"
-    r"|kHandoffStaleRounds|kPoolTransitionGraceRounds)\b(?!\s*=(?!=))")
+    r"|kHandoffStaleRounds|kPoolTransitionGraceRounds|kMinPoolMembers)\b"
+    r"(?!\s*=(?!=))")
 AUTHORITY_OWNER = "src/core/authority.hpp"
 
 
